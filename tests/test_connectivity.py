@@ -1,14 +1,26 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from circuitmap import (
     NoTwoPathsError,
     build_graph,
+    complete_bipartite,
     cutpoints,
     is_k_connected,
     named_graph,
+    random_three_connected,
     two_disjoint_paths,
 )
+from circuitmap.rng import XorShift64Star
 from oracle import brute_is_k_connected
+
+# Rows [graph name, a, b, forbidden vertex or null, [path, path] or
+# "NoTwoPathsError"], recorded from the earlier two_disjoint_paths that kept
+# its flow in one dict: every catalog graph, its first 40 vertex pairs in
+# order, each without and with one forbidden vertex.
+GOLDEN_PATHS = Path(__file__).parent / "data" / "two_disjoint_paths_golden.json"
 
 
 def path_graph(n):
@@ -65,6 +77,53 @@ def test_cutpoints(bowtie):
     assert cutpoints(named_graph("K4")) == ()
 
 
+def test_cutpoints_on_a_path_deeper_than_the_recursion_limit():
+    n = 3000
+    assert cutpoints(path_graph(n)) == tuple(sorted(str(i) for i in range(1, n - 1)))
+
+
+def test_separator_through_the_least_degree_vertex():
+    # v has least degree and every vertex not adjacent to it is joined to
+    # it by four disjoint paths, yet {v, t1, t2} separates the x side from
+    # the y side: only the pairs of v's neighbours expose the separator.
+    sides = ("x1", "x2", "y1", "y2")
+    edges = [("x1", "x2"), ("y1", "y2"), ("t1", "t2")]
+    edges += [(s, c) for s in ("v", "t1", "t2") for c in sides]
+    g = build_graph(["v", "t1", "t2", *sides], edges)
+    for k in (3, 4):
+        assert is_k_connected(g, k) is brute_is_k_connected(g, k) is (k == 3)
+
+
+@pytest.mark.parametrize("p", range(3, 12))
+def test_complete_bipartite_connectivity_is_exact(p):
+    g = complete_bipartite(p)
+    assert is_k_connected(g, p)
+    assert not is_k_connected(g, p + 1)
+
+
+def test_connectivity_matches_networkx_beyond_oracle_sizes():
+    nx = pytest.importorskip("networkx")
+    answers = set()
+    for n in (20, 40, 80, 120):
+        for seed in range(1, 6):
+            base = random_three_connected(n, seed)
+            for deleted in range(4):
+                rng = XorShift64Star(100 * seed + deleted)
+                edges = list(base.edges)
+                for _ in range(deleted):
+                    edges.pop(rng.randrange(len(edges)))
+                g = build_graph(base.vertices, edges)
+                nx_graph = nx.Graph(edges)
+                nx_graph.add_nodes_from(g.vertices)
+                kappa = nx.node_connectivity(nx_graph)
+                for k in range(1, 5):
+                    got = is_k_connected(g, k)
+                    assert got is (kappa >= k and n > k), (n, seed, deleted, k)
+                    if k == 3:
+                        answers.add(got)
+    assert answers == {True, False}
+
+
 class TestTwoDisjointPaths:
     def test_square_opposite_corners(self):
         g = build_graph(list("0123"), [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
@@ -106,3 +165,14 @@ class TestTwoDisjointPaths:
             two_disjoint_paths(k4, "0", "0")
         with pytest.raises(ValueError):
             two_disjoint_paths(k4, "0", "1", forbidden=("0",))
+
+
+def test_two_disjoint_paths_reproduce_recorded_output():
+    for name, a, b, forbidden, expected in json.loads(GOLDEN_PATHS.read_text()):
+        g = named_graph(name)
+        try:
+            p, q = two_disjoint_paths(g, a, b, () if forbidden is None else (forbidden,))
+            got = [list(p.vertices), list(q.vertices)]
+        except NoTwoPathsError:
+            got = "NoTwoPathsError"
+        assert got == expected, (name, a, b, forbidden)
