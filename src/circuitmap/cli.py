@@ -156,8 +156,12 @@ def _cmd_verify(args) -> int:
         "result": "pass" if verdict.passed else "fail",
         "mode": verdict.mode,
         "circuits_checked": verdict.circuits_checked,
-        "witness": _witness_json(verdict.witness) if verdict.witness else None,
     }
+    if verdict.stop_reason is not None:
+        report["samples_requested"] = verdict.samples_requested
+        report["attempts"] = verdict.attempts
+        report["stop_reason"] = verdict.stop_reason
+    report["witness"] = _witness_json(verdict.witness) if verdict.witness else None
     _emit(report, started, args.quiet)
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 

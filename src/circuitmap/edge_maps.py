@@ -164,6 +164,10 @@ class Verdict:
     mode: str
     circuits_checked: int
     witness: MapWitness | None = None
+    # Sampled mode only: why the run stopped (see check_circuit_injection).
+    samples_requested: int | None = None
+    attempts: int | None = None
+    stop_reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -180,15 +184,24 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     generator: fundamental circuits of a random spanning tree, then random
     symmetric differences of known circuits filtered back to circuits. A
     sampled Pass is evidence, not proof; a sampled Fail is always genuine.
+
+    Each circuit is tested in time linear in its length, so a sampled run
+    costs O(n + m) plus time linear in the circuits drawn and the pairs
+    mixed (see _sampled_circuits). Its verdict also carries
+    samples_requested, attempts (mixes tried) and stop_reason: "samples",
+    "witness", "attempt_limit" or "too_few_circuits".
     """
+    stats = None
     if mode == "exhaustive":
         pool = (c.edges for c in enumerate_circuits(edge_map.source, max_count))
     elif mode == "sampled":
-        pool = _sampled_circuits(edge_map.source, samples, seed)
+        stats = {}
+        pool = _sampled_circuits(edge_map.source, samples, seed, stats=stats)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     checked = 0
+    witness = None
     for ids in pool:
         checked += 1
         image = edge_map.image(ids)
@@ -196,8 +209,12 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
             witness = MapWitness("forward",
                                  Circuit(edge_map.source, ids),
                                  EdgeSet(edge_map.target, image))
-            return Verdict(False, mode, checked, witness)
-    return Verdict(True, mode, checked)
+            break
+    if stats is None:
+        return Verdict(witness is None, mode, checked, witness)
+    return Verdict(witness is None, mode, checked, witness,
+                   samples_requested=samples, attempts=stats["attempts"],
+                   stop_reason="witness" if witness else stats["stop_reason"])
 
 
 def check_circuit_isomorphism(edge_map: EdgeMap,
@@ -222,60 +239,92 @@ def check_circuit_isomorphism(edge_map: EdgeMap,
     return Verdict(True, "exhaustive", checked)
 
 
-def _sampled_circuits(graph: Graph, samples: int, seed: int):
+def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
+                      stats: dict | None = None):
     """Seeded stream of distinct circuits: spanning-tree fundamental circuits,
-    then random pairwise symmetric differences kept when they are circuits."""
+    then random pairwise symmetric differences kept when they are circuits.
+
+    Kruskal over a seeded shuffle of the edges picks the spanning forest
+    (list union-find on vertex indices); one iterative DFS roots every tree,
+    recording each vertex's parent, parent edge and depth. The fundamental
+    circuit of a chord (u, v) is then read by lifting the deeper end to the
+    other's depth and both ends together until they meet (Paton, CACM
+    12(9), 1969). Mixing draws random pairs from the pool; edge-disjoint
+    pairs are skipped, since their symmetric difference is never a circuit.
+    Cost: O(n + m) for the forest plus time linear in the circuits found
+    and in the pairs mixed, of which there are at most 20 × samples.
+
+    When `stats` is given it receives "attempts" (mixes tried, kept up to
+    date while the stream runs) and, once the stream ends by itself,
+    "stop_reason": "samples" when all were drawn, "attempt_limit" when the
+    20 × samples bound on mixes was hit, or "too_few_circuits" when fewer
+    than two circuits exist to mix.
+    """
+    if stats is None:
+        stats = {}
+    stats["attempts"] = 0
     rng = XorShift64Star(seed)
     order = list(range(graph.edge_count()))
     rng.shuffle(order)
+    ends = graph._ends
+    n = graph.vertex_count()
 
-    # Kruskal-style forest over the shuffled edge order.
-    parent = {v: v for v in graph.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree_adj: dict[str, list[tuple[str, int]]] = {v: [] for v in graph.vertices}
+    # Kruskal-style forest over the shuffled edge order (union-find with
+    # path halving).
+    leader = list(range(n))
+    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     chords = []
     for eid in order:
-        u, v = graph.endpoints(eid)
-        ru, rv = find(u), find(v)
+        u, v = ru, rv = ends[eid]
+        while leader[ru] != ru:
+            leader[ru] = ru = leader[leader[ru]]
+        while leader[rv] != rv:
+            leader[rv] = rv = leader[leader[rv]]
         if ru == rv:
             chords.append(eid)
         else:
-            parent[ru] = rv
+            leader[ru] = rv
             tree_adj[u].append((v, eid))
             tree_adj[v].append((u, eid))
 
-    def tree_path(u: str, v: str) -> list[int]:
-        back: dict[str, tuple[str, int]] = {u: (u, -1)}
-        stack = [u]
+    # Root every tree once: parent vertex, parent edge and depth per vertex.
+    up = [-1] * n
+    up_edge = [-1] * n
+    depth = [-1] * n
+    for r in range(n):
+        if depth[r] >= 0:
+            continue
+        depth[r] = 0
+        stack = [r]
         while stack:
             x = stack.pop()
-            if x == v:
-                break
             for y, eid in tree_adj[x]:
-                if y not in back:
-                    back[y] = (x, eid)
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    up[y] = x
+                    up_edge[y] = eid
                     stack.append(y)
-        ids = []
-        x = v
-        while x != u:
-            x, eid = back[x]
-            ids.append(eid)
-        return ids
 
     emitted: set[frozenset[int]] = set()
     pool: list[frozenset[int]] = []
     produced = 0
     for eid in chords:
         if produced >= samples:
+            stats["stop_reason"] = "samples"
             return
-        u, v = graph.endpoints(eid)
-        ids = frozenset(tree_path(u, v) + [eid])
+        u, v = ends[eid]
+        ids = [eid]
+        while depth[u] > depth[v]:
+            ids.append(up_edge[u])
+            u = up[u]
+        while depth[v] > depth[u]:
+            ids.append(up_edge[v])
+            v = up[v]
+        while u != v:
+            ids.append(up_edge[u])
+            ids.append(up_edge[v])
+            u, v = up[u], up[v]
+        ids = frozenset(ids)
         if ids not in emitted:
             emitted.add(ids)
             pool.append(ids)
@@ -286,16 +335,23 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int):
     limit = samples * 20
     while produced < samples and len(pool) >= 2 and attempts < limit:
         attempts += 1
+        stats["attempts"] = attempts
         i = rng.randrange(len(pool))
         j = rng.randrange(len(pool))
-        if i == j:
+        if i == j or pool[i].isdisjoint(pool[j]):
             continue
         mix = pool[i] ^ pool[j]
-        if mix and mix not in emitted and _edge_ids_form_circuit(graph, mix):
+        if mix not in emitted and _edge_ids_form_circuit(graph, mix):
             emitted.add(mix)
             pool.append(mix)
             produced += 1
             yield mix
+    if produced >= samples:
+        stats["stop_reason"] = "samples"
+    elif len(pool) < 2:
+        stats["stop_reason"] = "too_few_circuits"
+    else:
+        stats["stop_reason"] = "attempt_limit"
 
 
 # -- star classification ------------------------------------------------------

@@ -70,19 +70,24 @@ class Graph:
         return out
 
     @cached_property
+    def _ends(self) -> tuple[tuple[int, int], ...]:
+        """Per edge id: its endpoints as vertex indices."""
+        index = self._index
+        return tuple((index[u], index[v]) for u, v in self.edges)
+
+    @cached_property
     def _incident(self) -> tuple[tuple[int, ...], ...]:
         lists: list[list[int]] = [[] for _ in self.vertices]
-        for i, (u, v) in enumerate(self.edges):
-            lists[self._index[u]].append(i)
-            lists[self._index[v]].append(i)
+        for i, (ui, vi) in enumerate(self._ends):
+            lists[ui].append(i)
+            lists[vi].append(i)
         return tuple(tuple(l) for l in lists)
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex index: (neighbor index, edge id) pairs sorted by neighbor."""
         lists: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for i, (u, v) in enumerate(self.edges):
-            ui, vi = self._index[u], self._index[v]
+        for i, (ui, vi) in enumerate(self._ends):
             lists[ui].append((vi, i))
             lists[vi].append((ui, i))
         return tuple(tuple(sorted(l)) for l in lists)
@@ -251,29 +256,42 @@ def _edge_ids_form_circuit(graph: Graph, ids: frozenset[int]) -> bool:
     """True iff the edge subset is the edge set of one simple cycle:
     nonempty, every touched vertex has degree exactly 2, and the touched
     vertices form a single connected piece. Simplicity then forces size >= 3.
+
+    Works on vertex indices in O(|ids|): record the first and second
+    neighbour of each touched vertex, giving up at a third incidence, then
+    walk the cycle once along the last edge read. The set is a circuit iff
+    the walk closes after visiting every touched vertex.
     """
     if not ids:
         return False
-    degree: dict[str, int] = {}
-    adjacent: dict[str, list[str]] = {}
+    ends = graph._ends
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
     for i in ids:
-        u, v = graph.endpoints(i)
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        adjacent.setdefault(u, []).append(v)
-        adjacent.setdefault(v, []).append(u)
-    if any(d != 2 for d in degree.values()):
+        u, v = ends[i]
+        if u not in first:
+            first[u] = v
+        elif u not in second:
+            second[u] = v
+        else:
+            return False
+        if v not in first:
+            first[v] = u
+        elif v not in second:
+            second[v] = u
+        else:
+            return False
+    if len(second) != len(first):
         return False
-    start = next(iter(degree))
-    stack = [start]
-    reached = {start}
-    while stack:
-        x = stack.pop()
-        for y in adjacent[x]:
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
-    return len(reached) == len(degree)
+    # The graph is simple, so a vertex's two neighbours differ and each
+    # step leaves by the edge it did not arrive on.
+    prev, x = u, v
+    visited = 1
+    while x != u:
+        y = first[x]
+        prev, x = x, (second[x] if y == prev else y)
+        visited += 1
+    return visited == len(first)
 
 
 @dataclass(frozen=True)

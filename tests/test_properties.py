@@ -1,5 +1,6 @@
 """Randomized invariants, checked with hypothesis on small graphs."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from circuitmap import (
@@ -27,7 +28,12 @@ from circuitmap import (
     validate_attached_path,
 )
 from conftest import CORPUS, seeded_relabel
-from oracle import brute_circuits, brute_components, brute_is_k_connected
+from oracle import (
+    brute_circuits,
+    brute_components,
+    brute_is_circuit,
+    brute_is_k_connected,
+)
 
 
 @st.composite
@@ -67,6 +73,52 @@ def test_json_round_trip(g):
 @given(graphs(max_vertices=6, max_edges=9))
 def test_enumeration_matches_powerset_oracle(g):
     assert {c.edges for c in enumerate_circuits(g)} == brute_circuits(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_vertices=7, max_edges=14), st.data())
+def test_circuit_test_matches_oracle_on_arbitrary_subsets(g, data):
+    edge = st.integers(0, max(g.edge_count() - 1, 0))
+    circuits = [c.edges for c in enumerate_circuits(g)]
+    if circuits and data.draw(st.booleans()):
+        # Circuits, unions of two and near misses are rare among arbitrary
+        # subsets: build them from up to two circuits and a few toggles.
+        picks = data.draw(st.lists(st.sampled_from(circuits), min_size=1, max_size=2))
+        ids = frozenset().union(*picks)
+        ids ^= data.draw(st.frozensets(edge, max_size=2))
+    else:
+        ids = data.draw(st.frozensets(edge, max_size=g.edge_count()))
+    assert is_circuit(g, EdgeSet(g, ids)) is brute_is_circuit(g, ids)
+
+
+def _circuit_test_case(name):
+    """(host graph, edge ids) for the named shape."""
+    if name == "isolated_vertices":
+        g = build_graph(["a", "b", "c", "x", "y"],
+                        [("a", "b"), ("b", "c"), ("a", "c")])
+        return g, range(3)
+    if name in ("two_triangles", "bowtie"):
+        shared = name == "bowtie"
+        second = ["a", "d", "e"] if shared else ["d", "e", "f"]
+        vertices = ["a", "b", "c"] + second[shared:]
+        edges = [("a", "b"), ("b", "c"), ("a", "c"),
+                 (second[0], second[1]), (second[1], second[2]),
+                 (second[0], second[2])]
+        return build_graph(vertices, edges), range(6)
+    g = named_graph("prism")   # a0 a1 a2 / b0 b1 b2, rungs a_i b_i
+    ids = {"empty": [], "single_edge": [0], "path": [0, 1, 6]}[name]
+    return g, ids
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("empty", False), ("single_edge", False), ("path", False),
+    ("two_triangles", False), ("bowtie", False), ("isolated_vertices", True),
+])
+def test_circuit_test_on_edge_cases(name, expected):
+    g, ids = _circuit_test_case(name)
+    ids = frozenset(ids)
+    assert brute_is_circuit(g, ids) is expected
+    assert is_circuit(g, EdgeSet(g, ids)) is expected
 
 
 @settings(max_examples=40, deadline=None)
