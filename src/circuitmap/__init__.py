@@ -12,7 +12,6 @@ showing the 3-connectivity requirement is sharp.
 from .circuits import (
     DEFAULT_MAX_CIRCUITS,
     circuit_and_attached_path,
-    circuit_through_two_edges,
     enumerate_circuits,
     is_circuit,
     validate_attached_path,
@@ -49,7 +48,6 @@ from .errors import (
     InvalidWitnessError,
     IsolatedVertexError,
     LoopEdgeError,
-    NoSuchCircuitError,
     NoTwoPathsError,
     NotABijectionError,
     NotInducedError,
@@ -91,76 +89,3 @@ from .structure import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_MAX_CIRCUITS",
-    "Circuit",
-    "CircuitMapError",
-    "DecompositionViolationError",
-    "DuplicateEdgeError",
-    "EdgeMap",
-    "EdgeSet",
-    "ForeignEdgeSetError",
-    "FormatError",
-    "GenerationFailedError",
-    "Graph",
-    "HypothesisViolationError",
-    "IndependentEdges",
-    "InvalidPrimeError",
-    "InvalidWitnessError",
-    "IsolatedVertexError",
-    "LinkedCircuitPair",
-    "LoopEdgeError",
-    "MapWitness",
-    "NoSuchCircuitError",
-    "NoTwoPathsError",
-    "NotABijectionError",
-    "NotInducedError",
-    "NotThreeConnectedError",
-    "NotTwoConnectedError",
-    "Path",
-    "StarAt",
-    "StarImageClass",
-    "StarViolation",
-    "TooManyCircuitsError",
-    "UnknownEdgeError",
-    "UnknownNameError",
-    "UnknownVertexError",
-    "Verdict",
-    "VertexIso",
-    "build_counterexample",
-    "build_graph",
-    "check_circuit_injection",
-    "check_circuit_isomorphism",
-    "circuit_and_attached_path",
-    "circuit_through_two_edges",
-    "classify_star_image",
-    "classify_star_preimage",
-    "complete_bipartite",
-    "components",
-    "connector_images_nonadjacent",
-    "cutpoints",
-    "decompose_by_star_preimage",
-    "delete_edges",
-    "edge_map_from_json",
-    "edge_map_to_json",
-    "edge_set_from_pairs",
-    "enumerate_circuits",
-    "find_crossing_structure",
-    "graph_from_json",
-    "graph_to_json",
-    "induced_subgraph",
-    "is_circuit",
-    "is_induced_by",
-    "is_k_connected",
-    "named_graph",
-    "permuted_edge_map",
-    "random_three_connected",
-    "random_two_connected",
-    "reconstruct_vertex_isomorphism",
-    "star",
-    "theta_graph",
-    "two_disjoint_paths",
-    "validate_attached_path",
-    "validate_linked_pair",
-]

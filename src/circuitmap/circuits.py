@@ -10,12 +10,7 @@ the exhaustive checks built on top of it are meant for desk-scale graphs.
 from __future__ import annotations
 
 from .connectivity import is_k_connected, two_disjoint_paths
-from .errors import (
-    NoSuchCircuitError,
-    NotTwoConnectedError,
-    TooManyCircuitsError,
-    UnknownEdgeError,
-)
+from .errors import NotTwoConnectedError, TooManyCircuitsError
 from .graph import (
     Circuit,
     EdgeSet,
@@ -70,26 +65,6 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> l
         extend(root, root, [root], [], {root})
     found.sort(key=sorted)
     return [Circuit(graph, ids) for ids in found]
-
-
-def circuit_through_two_edges(graph: Graph, edge_a: int, edge_b: int,
-                              max_count: int = DEFAULT_MAX_CIRCUITS) -> Circuit:
-    """First circuit in canonical order containing both edges.
-
-    In a 3-connected graph such a circuit exists for any two distinct
-    edges; NoSuchCircuitError therefore signals a precondition failure.
-    """
-    m = graph.edge_count()
-    for eid in (edge_a, edge_b):
-        if not 0 <= eid < m:
-            raise UnknownEdgeError(f"edge id {eid} is out of range")
-    if edge_a == edge_b:
-        raise ValueError("the two edges must be distinct")
-    for circuit in enumerate_circuits(graph, max_count):
-        if edge_a in circuit.edges and edge_b in circuit.edges:
-            return circuit
-    raise NoSuchCircuitError(
-        f"no circuit contains edges {edge_a} and {edge_b}")
 
 
 def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str

@@ -53,6 +53,7 @@ from .errors import (
 from .generators import build_counterexample, named_graph, random_three_connected
 from .graph import (
     Graph,
+    _is_string_pair,
     edge_set_from_pairs,
     graph_from_json,
     graph_to_json,
@@ -75,6 +76,8 @@ _INPUT_ERRORS = (
     ForeignEdgeSetError,
     InvalidPrimeError,
     UnknownNameError,
+    OSError,
+    ValueError,
 )
 
 
@@ -87,18 +90,15 @@ def _load_graph(path: str) -> Graph:
     return graph_from_json(_load_json(path))
 
 
-def _load_map(path: str, source: Graph, target: Graph) -> EdgeMap:
-    return edge_map_from_json(source, target, _load_json(path))
+def _load_map_files(args) -> EdgeMap:
+    """The edge map of args.map between the graphs of args.source and args.target."""
+    source = _load_graph(args.source)
+    target = _load_graph(args.target)
+    return edge_map_from_json(source, target, _load_json(args.map))
 
 
 def _dump_file(path: FilePath, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
-def _emit(report: dict, started: float, quiet: bool) -> None:
-    report["elapsed_ms"] = int(round((time.perf_counter() - started) * 1000))
-    if not quiet:
-        print(json.dumps(report, indent=2))
 
 
 def _pairs(graph: Graph, edge_ids) -> list[list[str]]:
@@ -142,16 +142,14 @@ def _linked_pair_json(graph: Graph, witness: LinkedCircuitPair) -> dict:
 
 
 # -- subcommand handlers ------------------------------------------------------
+#
+# Each handler returns (report, exit code); main times the run and prints.
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    source = _load_graph(args.source)
-    target = _load_graph(args.target)
-    edge_map = _load_map(args.map, source, target)
+def _cmd_verify(args) -> tuple[dict, int]:
     verdict = check_circuit_injection(
-        edge_map, mode=args.mode, samples=args.samples, seed=args.seed,
-        max_count=args.max_circuits)
+        _load_map_files(args), mode=args.mode, samples=args.samples,
+        seed=args.seed, max_count=args.max_circuits)
     report = {
         "result": "pass" if verdict.passed else "fail",
         "mode": verdict.mode,
@@ -162,38 +160,25 @@ def _cmd_verify(args) -> int:
         report["attempts"] = verdict.attempts
         report["stop_reason"] = verdict.stop_reason
     report["witness"] = _witness_json(verdict.witness) if verdict.witness else None
-    _emit(report, started, args.quiet)
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    return report, EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
-def _cmd_reconstruct(args) -> int:
-    started = time.perf_counter()
-    source = _load_graph(args.source)
-    target = _load_graph(args.target)
-    edge_map = _load_map(args.map, source, target)
+def _cmd_reconstruct(args) -> tuple[dict, int]:
+    edge_map = _load_map_files(args)
     try:
         iso = reconstruct_vertex_isomorphism(edge_map)
     except NotThreeConnectedError as err:
-        _emit({"result": "not_three_connected", "detail": str(err)},
-              started, args.quiet)
-        return EXIT_PRECONDITION
+        return {"result": "not_three_connected", "detail": str(err)}, EXIT_PRECONDITION
     except NotInducedError as err:
         witness = {"vertex": err.vertex}
         if err.star_class is not None:
-            witness["class"] = _star_class_json(target, err.star_class)
-        _emit({"result": "not_induced", "detail": str(err), "witness": witness},
-              started, args.quiet)
-        return EXIT_NOT_INDUCED
-    report = {
-        "result": "induced",
-        "vertex_map": {u: w for u, w in iso.pairs},
-    }
-    _emit(report, started, args.quiet)
-    return EXIT_PASS
+            witness["class"] = _star_class_json(edge_map.target, err.star_class)
+        return ({"result": "not_induced", "detail": str(err), "witness": witness},
+                EXIT_NOT_INDUCED)
+    return {"result": "induced", "vertex_map": {u: w for u, w in iso.pairs}}, EXIT_PASS
 
 
-def _cmd_generate(args) -> int:
-    started = time.perf_counter()
+def _cmd_generate(args) -> tuple[dict, int]:
     if args.kind == "counterexample":
         prefix = args.out or f"counterexample_p{args.p}"
         source, target, edge_map = build_counterexample(args.p)
@@ -212,12 +197,10 @@ def _cmd_generate(args) -> int:
         files = {f"{prefix}.json": graph_to_json(graph)}
     for name, data in files.items():
         _dump_file(FilePath(name), data)
-    _emit({"result": "ok", "files": sorted(files)}, started, args.quiet)
-    return EXIT_PASS
+    return {"result": "ok", "files": sorted(files)}, EXIT_PASS
 
 
-def _cmd_enumerate(args) -> int:
-    started = time.perf_counter()
+def _cmd_enumerate(args) -> tuple[dict, int]:
     graph = _load_graph(args.graph)
     circuits = enumerate_circuits(graph, args.max_circuits)
     report = {
@@ -225,15 +208,12 @@ def _cmd_enumerate(args) -> int:
         "count": len(circuits),
         "circuits": [_pairs(graph, c.edges) for c in circuits],
     }
-    _emit(report, started, args.quiet)
-    return EXIT_PASS
+    return report, EXIT_PASS
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter()
-    source = _load_graph(args.source)
-    target = _load_graph(args.target)
-    edge_map = _load_map(args.map, source, target)
+def _cmd_classify(args) -> tuple[dict, int]:
+    edge_map = _load_map_files(args)
+    source, target = edge_map.source, edge_map.target
     report = {
         "result": "ok",
         "star_images": {
@@ -243,37 +223,29 @@ def _cmd_classify(args) -> int:
             w: _star_class_json(source, classify_star_preimage(edge_map, w))
             for w in target.vertices},
     }
-    _emit(report, started, args.quiet)
-    return EXIT_PASS
+    return report, EXIT_PASS
 
 
-def _cmd_decompose(args) -> int:
-    started = time.perf_counter()
-    source = _load_graph(args.source)
-    target = _load_graph(args.target)
-    edge_map = _load_map(args.map, source, target)
+def _cmd_decompose(args) -> tuple[dict, int]:
+    edge_map = _load_map_files(args)
     try:
         side_a, side_b, crossing = decompose_by_star_preimage(edge_map, args.vertex)
     except DecompositionViolationError as err:
-        _emit({"result": "decomposition_violation", "detail": str(err)},
-              started, args.quiet)
-        return EXIT_FAIL
+        return {"result": "decomposition_violation", "detail": str(err)}, EXIT_FAIL
     report = {
         "result": "ok",
         "vertex": args.vertex,
         "side_a": list(side_a),
         "side_b": list(side_b),
-        "crossing": _pairs(source, crossing.members),
+        "crossing": _pairs(edge_map.source, crossing.members),
     }
-    _emit(report, started, args.quiet)
-    return EXIT_PASS
+    return report, EXIT_PASS
 
 
-def _cmd_crossing(args) -> int:
-    started = time.perf_counter()
+def _cmd_crossing(args) -> tuple[dict, int]:
     graph = _load_graph(args.graph)
     cut_pairs = _load_json(args.cut)
-    if not isinstance(cut_pairs, list):
+    if not isinstance(cut_pairs, list) or not all(map(_is_string_pair, cut_pairs)):
         raise FormatError("cut file must hold a JSON list of endpoint pairs")
     crossing = edge_set_from_pairs(graph, cut_pairs)
     outcome = find_crossing_structure(graph, crossing)
@@ -285,8 +257,7 @@ def _cmd_crossing(args) -> int:
                   "circuit": _pairs(graph, outcome.edges),
                   "crossing_edges_used":
                       len(set(outcome.edges) & crossing.members)}
-    _emit(report, started, args.quiet)
-    return EXIT_PASS
+    return report, EXIT_PASS
 
 
 # -- parser -------------------------------------------------------------------
@@ -385,24 +356,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        report, code = args.handler(args)
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotInducedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NOT_INDUCED
-    except DecompositionViolationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
     except CircuitMapError as err:
         # Connectivity guards, desk-scale bounds, hypothesis violations.
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
+    report["elapsed_ms"] = int(round((time.perf_counter() - started) * 1000))
+    if not args.quiet:
+        print(json.dumps(report, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -35,8 +35,9 @@ from .graph import (
     EdgeSet,
     Graph,
     _edge_ids_form_circuit,
-    components,
-    delete_edges,
+    _is_string_pair,
+    _rooted_forest,
+    _two_sides,
     star,
 )
 from .rng import XorShift64Star
@@ -124,7 +125,7 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
     assignment: dict[int, int] = {}
     for k, entry in enumerate(entries):
         if (not isinstance(entry, list) or len(entry) != 2
-                or any(not isinstance(p, list) or len(p) != 2 for p in entry)):
+                or not all(map(_is_string_pair, entry))):
             raise FormatError(f"map entry {k} must be [[u, v], [x, y]]")
         (u, v), (x, y) = entry
         i = source.edge_id(u, v)
@@ -245,8 +246,8 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
     then random pairwise symmetric differences kept when they are circuits.
 
     Kruskal over a seeded shuffle of the edges picks the spanning forest
-    (list union-find on vertex indices); one iterative DFS roots every tree,
-    recording each vertex's parent, parent edge and depth. The fundamental
+    (list union-find on vertex indices); graph._rooted_forest roots every
+    tree, giving each vertex's parent, parent edge and depth. The fundamental
     circuit of a chord (u, v) is then read by lifting the deeper end to the
     other's depth and both ends together until they meet (Paton, CACM
     12(9), 1969). Mixing draws random pairs from the pool; edge-disjoint
@@ -287,23 +288,7 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
             tree_adj[u].append((v, eid))
             tree_adj[v].append((u, eid))
 
-    # Root every tree once: parent vertex, parent edge and depth per vertex.
-    up = [-1] * n
-    up_edge = [-1] * n
-    depth = [-1] * n
-    for r in range(n):
-        if depth[r] >= 0:
-            continue
-        depth[r] = 0
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            for y, eid in tree_adj[x]:
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
-                    up[y] = x
-                    up_edge[y] = eid
-                    stack.append(y)
+    up, up_edge, depth, _ = _rooted_forest(tree_adj)
 
     emitted: set[frozenset[int]] = set()
     pool: list[frozenset[int]] = []
@@ -468,18 +453,9 @@ def decompose_by_star_preimage(edge_map: EdgeMap, w: str
             f"star preimage of {w!r} is {type(kind).__name__}, not independent")
     crossing = EdgeSet(edge_map.source,
                        edge_map.preimage(star(edge_map.target, w).members))
-    reduced, _ = delete_edges(edge_map.source, crossing)
-    blocks = components(reduced)
-    if len(blocks) != 2:
-        raise DecompositionViolationError(
-            f"deleting the preimage left {len(blocks)} components, not 2")
-    side_a, side_b = set(blocks[0]), set(blocks[1])
-    for eid in crossing:
-        u, v = edge_map.source.endpoints(eid)
-        if not ((u in side_a and v in side_b) or (u in side_b and v in side_a)):
-            raise DecompositionViolationError(
-                f"preimage edge ({u!r}, {v!r}) does not cross the split")
-    return blocks[0], blocks[1], crossing
+    side_a, side_b = _two_sides(edge_map.source, crossing,
+                                DecompositionViolationError, "preimage")
+    return side_a, side_b, crossing
 
 
 # -- reconstruction -----------------------------------------------------------

@@ -50,10 +50,6 @@ class TooManyCircuitsError(CircuitMapError):
     """Circuit enumeration would exceed the configured bound."""
 
 
-class NoSuchCircuitError(CircuitMapError):
-    """No circuit contains the two requested edges."""
-
-
 class NotTwoConnectedError(CircuitMapError):
     """The graph is not 2-connected where 2-connectivity is required."""
 

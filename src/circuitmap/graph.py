@@ -332,27 +332,42 @@ def star(graph: Graph, v: str) -> EdgeSet:
     return EdgeSet(graph, frozenset(graph.incident_edges(v)))
 
 
-def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by least label."""
-    unseen = set(graph.vertices)
-    blocks = []
-    for v in graph.vertices:
-        if v not in unseen:
+def _rooted_forest(adjacency) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Root every component of an index graph with one iterative DFS.
+
+    adjacency[x] lists (neighbour index, edge id) pairs of vertex index x.
+    Returns per vertex its parent, parent edge (both -1 at a root), depth
+    and root; roots are the least index of each component.
+    """
+    n = len(adjacency)
+    up = [-1] * n
+    up_edge = [-1] * n
+    depth = [-1] * n
+    root = [-1] * n
+    for r in range(n):
+        if depth[r] >= 0:
             continue
-        block = [v]
-        unseen.discard(v)
-        stack = [v]
+        depth[r] = 0
+        root[r] = r
+        stack = [r]
         while stack:
             x = stack.pop()
-            for ni, _ in graph._adjacency[graph._index[x]]:
-                y = graph.vertices[ni]
-                if y in unseen:
-                    unseen.discard(y)
-                    block.append(y)
+            for y, eid in adjacency[x]:
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    up[y] = x
+                    up_edge[y] = eid
+                    root[y] = r
                     stack.append(y)
-        blocks.append(tuple(sorted(block)))
-    blocks.sort(key=lambda b: b[0])
-    return tuple(blocks)
+    return up, up_edge, depth, root
+
+
+def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by least label."""
+    blocks: dict[int, list[str]] = {}
+    for v, r in zip(graph.vertices, _rooted_forest(graph._adjacency)[3]):
+        blocks.setdefault(r, []).append(v)
+    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
 def delete_edges(graph: Graph, removed: EdgeSet) -> tuple[Graph, tuple[int, ...]]:
@@ -365,6 +380,22 @@ def delete_edges(graph: Graph, removed: EdgeSet) -> tuple[Graph, tuple[int, ...]
     keep = [i for i in range(graph.edge_count()) if i not in removed.members]
     reduced = Graph(graph.vertices, tuple(graph.edges[i] for i in keep))
     return reduced, tuple(keep)
+
+
+def _two_sides(graph: Graph, cut: EdgeSet, error: type[Exception], what: str
+               ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The two components left by deleting `cut`, every cut edge joining
+    them; otherwise raise `error`, naming the cut as `what`."""
+    reduced, _ = delete_edges(graph, cut)
+    blocks = components(reduced)
+    if len(blocks) != 2:
+        raise error(f"deleting the {what} left {len(blocks)} components, not 2")
+    side_a = set(blocks[0])
+    for eid in cut:
+        u, v = graph.endpoints(eid)
+        if (u in side_a) == (v in side_a):
+            raise error(f"{what} edge ({u!r}, {v!r}) does not cross the split")
+    return blocks
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[str]) -> tuple[Graph, tuple[int, ...]]:
@@ -384,6 +415,12 @@ def induced_subgraph(graph: Graph, vertices: Iterable[str]) -> tuple[Graph, tupl
 
 
 # -- JSON wire format --
+
+
+def _is_string_pair(value) -> bool:
+    """Is value a wire-format endpoint pair: a JSON list of two strings?"""
+    return (isinstance(value, list) and len(value) == 2
+            and isinstance(value[0], str) and isinstance(value[1], str))
 
 
 def graph_to_json(graph: Graph) -> dict:
@@ -408,8 +445,7 @@ def graph_from_json(data) -> Graph:
         raise FormatError("'edges' must be a list of endpoint pairs")
     pairs = []
     for k, e in enumerate(edges):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, str) for x in e)):
+        if not _is_string_pair(e):
             raise FormatError(f"edge entry {k} must be a pair of strings")
         pairs.append((e[0], e[1]))
     return Graph(tuple(vertices), tuple(pairs))

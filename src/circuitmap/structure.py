@@ -27,7 +27,7 @@ from .errors import (
     HypothesisViolationError,
     InvalidWitnessError,
 )
-from .graph import Circuit, EdgeSet, Graph, Path, components, delete_edges, induced_subgraph
+from .graph import Circuit, EdgeSet, Graph, Path, _two_sides, components, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -149,17 +149,8 @@ def find_crossing_structure(graph: Graph, crossing: EdgeSet
                     f"crossing set is not independent at {v!r}")
             touched.add(v)
 
-    reduced, _ = delete_edges(graph, crossing)
-    blocks = components(reduced)
-    if len(blocks) != 2:
-        raise HypothesisViolationError(
-            f"deleting the crossing set leaves {len(blocks)} components, not 2")
-    side_a, side_b = set(blocks[0]), set(blocks[1])
-    for eid in crossing:
-        u, v = graph.endpoints(eid)
-        if not ((u in side_a and v in side_b) or (u in side_b and v in side_a)):
-            raise HypothesisViolationError(
-                f"edge ({u!r}, {v!r}) does not cross between the sides")
+    blocks = _two_sides(graph, crossing, HypothesisViolationError, "crossing set")
+    side_a = set(blocks[0])
     if len(crossing) < 3:
         raise HypothesisViolationError(
             "a 3-connected graph forces at least three crossing edges")

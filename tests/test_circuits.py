@@ -3,14 +3,12 @@ from collections import Counter
 import pytest
 
 from circuitmap import (
+    Circuit,
     EdgeSet,
-    NoSuchCircuitError,
     NotTwoConnectedError,
     TooManyCircuitsError,
-    UnknownEdgeError,
     build_graph,
     circuit_and_attached_path,
-    circuit_through_two_edges,
     enumerate_circuits,
     is_circuit,
     named_graph,
@@ -93,37 +91,6 @@ def test_max_count_guard(k4):
     assert len(enumerate_circuits(k4, max_count=7)) == 7
 
 
-def test_circuit_through_two_edges_first_canonical(k4):
-    # edges 0=(0,1) and 5=(2,3) are disjoint; smallest key containing both
-    assert circuit_through_two_edges(k4, 0, 5).key() == (0, 1, 4, 5)
-
-
-def test_circuit_through_two_edges_adjacent(k4):
-    assert circuit_through_two_edges(k4, 0, 1).key() == (0, 1, 3)
-
-
-def test_circuit_through_two_matching_edges_of_prism(prism):
-    # the square a0-a1-b1-b0 is the canonically first circuit through the
-    # matching edges (a0,b0) and (a1,b1)
-    c = circuit_through_two_edges(prism, 6, 7)
-    assert c.key() == (0, 3, 6, 7)
-
-
-def test_circuit_through_two_edges_errors(k4, prism):
-    with pytest.raises(ValueError):
-        circuit_through_two_edges(k4, 2, 2)
-    with pytest.raises(UnknownEdgeError):
-        circuit_through_two_edges(k4, 0, 9)
-    # bowtie-ish: bridge between triangles can never sit on a circuit
-    g = build_graph(
-        ["a", "b", "c", "d", "e", "f"],
-        [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"),
-         ("d", "e"), ("e", "f"), ("f", "d")],
-    )
-    with pytest.raises(NoSuchCircuitError):
-        circuit_through_two_edges(g, 0, 3)
-
-
 class TestAttachedPath:
     def test_theta_vertex_already_on_circuit(self, theta3):
         c, p, t = circuit_and_attached_path(theta3, "u", "w", "x_2_1")
@@ -169,6 +136,6 @@ class TestAttachedPath:
         with pytest.raises(ValueError):
             validate_attached_path(theta3, "x_0_1", "x_1_1", "x_2_2", c, p, "u")
         # a circuit that misses b entirely cannot carry the same attachment
-        other = circuit_through_two_edges(theta3, 0, 6)
+        other = Circuit(theta3, frozenset({0, 1, 2, 6, 7, 8}))
         with pytest.raises(ValueError):
             validate_attached_path(theta3, "x_0_1", "x_1_1", "x_2_2", other, p, t)

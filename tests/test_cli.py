@@ -141,6 +141,14 @@ class TestVerify:
         (in_tmp / "bad.json").write_text("{", encoding="utf-8")
         assert main(["verify", "bad.json", "bad.json", "bad.json"]) == EXIT_INPUT
 
+    def test_non_string_map_endpoint_is_input_error(self, in_tmp, capsys):
+        write_graph(in_tmp / "k4.json", "K4")
+        pairs = [[list(e), list(e)] for e in named_graph("K4").edges]
+        pairs[0] = [["0", 7], ["0", "1"]]
+        (in_tmp / "map.json").write_text(json.dumps({"map": pairs}), encoding="utf-8")
+        assert main(["verify", "k4.json", "k4.json", "map.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: map entry 0")
+
     def test_quiet_suppresses_report(self, capsys):
         src, tgt, fmap = generate_counterexample()
         assert main(["verify", src, tgt, fmap, "--quiet"]) == EXIT_PASS
@@ -246,7 +254,31 @@ class TestClassifyDecomposeCrossing:
         (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
         assert main(["crossing", "theta.json", "cut.json"]) == EXIT_PRECONDITION
 
+    def test_decompose_violation_exits_2(self, in_tmp, capsys):
+        # The matching {a0a1, b0b1, a2b2} of the prism goes onto the star of
+        # b0 in K33; deleting it leaves the prism connected.
+        write_graph(in_tmp / "prism.json", "prism")
+        write_graph(in_tmp / "k33.json", "K33")
+        onto_star = {("a0", "a1"): 0, ("b0", "b1"): 1, ("a2", "b2"): 2}
+        k33 = named_graph("K33").edges
+        rest = iter(k33[3:])
+        pairs = [[list(e), list(k33[onto_star[e]] if e in onto_star else next(rest))]
+                 for e in named_graph("prism").edges]
+        (in_tmp / "map.json").write_text(json.dumps({"map": pairs}), encoding="utf-8")
+        assert main(["decompose", "prism.json", "k33.json", "map.json",
+                     "--vertex", "b0"]) == EXIT_FAIL
+        report = last_report(capsys)
+        assert report["result"] == "decomposition_violation"
+        assert report["detail"] == "deleting the preimage left 1 components, not 2"
+
     def test_crossing_cut_must_be_list(self, in_tmp):
         write_graph(in_tmp / "prism.json", "prism")
         (in_tmp / "cut.json").write_text("{}", encoding="utf-8")
         assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("cut", [[1, 2], [["0", 5]]])
+    def test_malformed_cut_entry_is_input_error(self, in_tmp, capsys, cut):
+        write_graph(in_tmp / "prism.json", "prism")
+        (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
+        assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cut file")

@@ -23,6 +23,7 @@ from circuitmap import (
     named_graph,
     star,
 )
+from circuitmap.graph import _two_sides
 
 
 def test_build_graph_coerces_and_orders():
@@ -129,6 +130,22 @@ def test_components_of_connected_graph_is_one_block():
 def test_components_orders_by_least_label():
     g = build_graph(["x", "m", "a"], [])
     assert components(g) == (("a",), ("m",), ("x",))
+
+
+def test_two_sides_checks_count_and_crossing():
+    # A triangle 0-1-2 with a pendant edge 2-3.
+    g = build_graph("0123", [("0", "1"), ("1", "2"), ("2", "0"), ("2", "3")])
+    assert _two_sides(g, edge_set_from_pairs(g, [("2", "3")]), ValueError,
+                      "cut") == (("0", "1", "2"), ("3",))
+    with pytest.raises(ValueError, match="left 1 components, not 2"):
+        _two_sides(g, edge_set_from_pairs(g, [("0", "1")]), ValueError, "cut")
+    with pytest.raises(ValueError, match="left 3 components, not 2"):
+        _two_sides(g, edge_set_from_pairs(g, [("0", "1"), ("1", "2"), ("2", "3")]),
+                   ValueError, "cut")
+    # Two sides remain, but the cut edge 0-1 lies inside one of them.
+    with pytest.raises(ValueError, match=r"cut edge \('0', '1'\) does not cross"):
+        _two_sides(g, edge_set_from_pairs(g, [("0", "1"), ("2", "3")]),
+                   ValueError, "cut")
 
 
 def test_induced_subgraph(prism):
