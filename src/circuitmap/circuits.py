@@ -32,39 +32,71 @@ def is_circuit(graph: Graph, edge_set: EdgeSet) -> bool:
 def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> list[Circuit]:
     """All distinct circuits of the graph in canonical order.
 
-    Depth-first elementary-cycle search: each circuit is discovered exactly
-    once from its smallest vertex (by vertex index), walking only through
-    larger vertices, with one of the two traversal directions kept. Raises
-    TooManyCircuitsError as soon as the count would exceed max_count.
+    Elementary-cycle search on an explicit stack: each circuit is
+    discovered exactly once from its smallest vertex (by vertex index),
+    walking only through live vertices, with one of the two traversal
+    directions kept. A vertex is live while it is no smaller than the
+    current root and has at least two live neighbours: once a root is
+    done it is peeled, together with every vertex whose live degree then
+    drops to 1 or less, since none of them lies on a circuit left to find.
+    Peeling costs O(n + m) over the whole run, and the search depth is
+    bounded by memory, not by the interpreter's recursion limit.
+
+    Circuits are held as edge-id tuples while searching; TooManyCircuitsError
+    fires as soon as the count would exceed max_count, before any Circuit
+    is built.
     """
     if max_count < 1:
         raise ValueError("max_count must be positive")
     adjacency = graph._adjacency
-    found: list[frozenset[int]] = []
+    n = len(adjacency)
+    live = [True] * n
+    degree = [len(nbrs) for nbrs in adjacency]
+    on_path = [False] * n
+    found: list[tuple[int, ...]] = []
 
-    def extend(root: int, current: int, path_vertices: list[int],
-               path_edges: list[int], on_path: set[int]) -> None:
-        for nbr, eid in adjacency[current]:
-            if nbr == root:
-                # Close the cycle; need length >= 3 and one fixed direction.
-                if len(path_edges) >= 2 and path_vertices[1] < current:
-                    if len(found) >= max_count:
-                        raise TooManyCircuitsError(
-                            f"more than {max_count} circuits")
-                    found.append(frozenset(path_edges + [eid]))
-            elif nbr > root and nbr not in on_path:
-                path_vertices.append(nbr)
-                path_edges.append(eid)
-                on_path.add(nbr)
-                extend(root, nbr, path_vertices, path_edges, on_path)
-                on_path.discard(nbr)
-                path_edges.pop()
-                path_vertices.pop()
+    def peel(doomed: list[int]) -> None:
+        while doomed:
+            v = doomed.pop()
+            if live[v]:
+                live[v] = False
+                for w, _ in adjacency[v]:
+                    if live[w]:
+                        degree[w] -= 1
+                        if degree[w] <= 1:
+                            doomed.append(w)
 
-    for root in range(graph.vertex_count()):
-        extend(root, root, [root], [], {root})
+    peel([v for v in range(n) if degree[v] <= 1])
+    for root in range(n):
+        if not live[root]:
+            continue
+        path_vertices = [root]
+        path_edges: list[int] = []
+        pending = [iter(adjacency[root])]
+        on_path[root] = True
+        while pending:
+            for nbr, eid in pending[-1]:
+                if nbr == root:
+                    # Close the cycle; need length >= 3 and one fixed direction.
+                    if len(path_edges) >= 2 and path_vertices[1] < path_vertices[-1]:
+                        if len(found) >= max_count:
+                            raise TooManyCircuitsError(
+                                f"more than {max_count} circuits")
+                        found.append((*path_edges, eid))
+                elif live[nbr] and not on_path[nbr]:
+                    on_path[nbr] = True
+                    path_vertices.append(nbr)
+                    path_edges.append(eid)
+                    pending.append(iter(adjacency[nbr]))
+                    break
+            else:
+                pending.pop()
+                on_path[path_vertices.pop()] = False
+                if path_edges:
+                    path_edges.pop()
+        peel([root])
     found.sort(key=sorted)
-    return [Circuit(graph, ids) for ids in found]
+    return [Circuit(graph, frozenset(ids)) for ids in found]
 
 
 def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str

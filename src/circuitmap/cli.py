@@ -42,6 +42,7 @@ from .errors import (
     ForeignEdgeSetError,
     FormatError,
     InvalidPrimeError,
+    IsolatedVertexError,
     LoopEdgeError,
     NotABijectionError,
     NotInducedError,
@@ -75,6 +76,7 @@ _INPUT_ERRORS = (
     NotABijectionError,
     ForeignEdgeSetError,
     InvalidPrimeError,
+    IsolatedVertexError,
     UnknownNameError,
     OSError,
     ValueError,
@@ -263,8 +265,26 @@ def _cmd_crossing(args) -> tuple[dict, int]:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad parameters: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circuitmap",
         description="Verify circuit-preserving edge maps between finite "
                     "graphs, reconstruct inducing vertex isomorphisms, and "
@@ -282,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map", help="edge map JSON file")
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--samples", type=int, default=500,
+    p.add_argument("--samples", type=_positive_int, default=500,
                    help="circuits to draw in sampled mode")
     p.add_argument("--seed", type=int, default=1,
                    help="seed for sampled mode")

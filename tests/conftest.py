@@ -29,12 +29,26 @@ def corpus_graphs():
     return [(name, named_graph(name)) for name in CORPUS]
 
 
+def cycle_graph(n: int):
+    labels = [f"v{i}" for i in range(n)]
+    return build_graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+
+
 def seeded_relabel(graph, seed: int) -> dict[str, str]:
     """Deterministic vertex permutation within the graph's own label set."""
     labels = sorted(graph.vertices)
     shuffled = list(labels)
     XorShift64Star(seed).shuffle(shuffled)
     return dict(zip(labels, shuffled))
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test under CPython's default recursion limit."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
 
 
 @pytest.fixture

@@ -1,4 +1,7 @@
+import json
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +11,23 @@ from circuitmap import (
     NotTwoConnectedError,
     TooManyCircuitsError,
     build_graph,
+    check_circuit_isomorphism,
     circuit_and_attached_path,
     enumerate_circuits,
     is_circuit,
     named_graph,
+    permuted_edge_map,
+    random_three_connected,
+    random_two_connected,
     validate_attached_path,
 )
+from circuitmap import circuits as circuits_module
+from conftest import cycle_graph, seeded_relabel
 from oracle import brute_circuits
+
+GOLDEN_LISTS = Path(__file__).parent / "data" / "enumerated_circuits_golden.json"
+CATALOG = ("K4", "K5", "K33", "prism", "Q3", "double_bowtie",
+           "W5", "W6", "theta3", "theta5")
 
 # Counts checked once against the powerset oracle, then pinned here so a
 # regression in either enumerator or oracle shows up as a plain mismatch.
@@ -85,10 +98,97 @@ def test_enumeration_deterministic(k4):
     assert a == b
 
 
+def complete(n):
+    labels = [str(i) for i in range(n)]
+    return build_graph(labels, [(u, v) for i, u in enumerate(labels)
+                                for v in labels[i + 1:]])
+
+
+def blocks_and_trees():
+    """Bowtie with a pendant path, a separate K4, a small tree and an
+    isolated vertex: cutpoints, bridges and circuit-free parts together."""
+    edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"),
+             ("d", "e"), ("e", "p0"), ("p0", "p1"),
+             ("k0", "k1"), ("k0", "k2"), ("k0", "k3"), ("k1", "k2"),
+             ("k1", "k3"), ("k2", "k3"),
+             ("t0", "t1"), ("t0", "t2"), ("t2", "t3")]
+    vertices = sorted({v for e in edges for v in e} | {"z"})
+    return build_graph(vertices, edges)
+
+
+def enumeration_cases():
+    """(case name, graph) for every case of the golden file."""
+    cases = [(name, named_graph(name)) for name in CATALOG]
+    cases.append(("K7", complete(7)))
+    cases += [(f"random3c_n{n}_s{seed}", random_three_connected(n, seed))
+              for n, seed in ((8, 1), (10, 3), (12, 1))]
+    cases += [(f"random2c_n{n}_s{seed}", random_two_connected(n, seed))
+              for n, seed in ((16, 2), (24, 1), (40, 1))]
+    cases.append(("blocks_and_trees", blocks_and_trees()))
+    return cases
+
+
+def enumerated_lists() -> dict[str, list[list[int]]]:
+    """Each case's circuits as sorted edge-id lists, in returned order."""
+    return {name: [list(c.key()) for c in enumerate_circuits(graph)]
+            for name, graph in enumeration_cases()}
+
+
+def test_enumeration_reproduces_recorded_lists():
+    assert enumerated_lists() == json.loads(GOLDEN_LISTS.read_text())
+
+
 def test_max_count_guard(k4):
     with pytest.raises(TooManyCircuitsError):
         enumerate_circuits(k4, max_count=3)
     assert len(enumerate_circuits(k4, max_count=7)) == 7
+
+
+def test_budget_boundary():
+    # K7 has exactly 1,172 circuits: a budget of that many passes, one less
+    # is refused with the budget in the message.
+    assert len(enumerate_circuits(complete(7), max_count=1172)) == 1172
+    with pytest.raises(TooManyCircuitsError, match=r"^more than 1171 circuits$"):
+        enumerate_circuits(complete(7), max_count=1171)
+
+
+@pytest.mark.parametrize("max_count", [0, -1])
+def test_budget_must_be_positive(k4, max_count):
+    with pytest.raises(ValueError, match="max_count must be positive"):
+        enumerate_circuits(k4, max_count=max_count)
+
+
+def test_refusal_builds_no_circuit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Circuit built before the budget was settled")
+
+    monkeypatch.setattr(circuits_module, "Circuit", refuse)
+    with pytest.raises(TooManyCircuitsError):
+        enumerate_circuits(complete(7), max_count=1171)
+
+
+def test_long_cycle_under_default_recursion_limit(default_recursion_limit):
+    g = cycle_graph(1500)
+    (only,) = enumerate_circuits(g)
+    assert only.edges == frozenset(range(1500))
+
+
+def test_3000_vertex_cycle_in_linear_time():
+    # Peeling after the first root leaves one walk round the cycle. A search
+    # that walks the rest of the cycle from every root is quadratic here
+    # (about 2.7 s on a 2-vCPU VM) and, if recursive, overflows the default
+    # recursion limit.
+    g = cycle_graph(3000)
+    started = time.perf_counter()
+    assert len(enumerate_circuits(g)) == 1
+    assert time.perf_counter() - started < 0.5
+
+
+def test_isomorphism_check_on_relabelled_long_cycle(default_recursion_limit):
+    g = cycle_graph(1500)
+    f = permuted_edge_map(g, seeded_relabel(g, 5))
+    verdict = check_circuit_isomorphism(f)
+    assert verdict.passed and verdict.circuits_checked == 2
 
 
 class TestAttachedPath:

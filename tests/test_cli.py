@@ -17,6 +17,7 @@ from circuitmap.cli import (
     EXIT_PRECONDITION,
     main,
 )
+from conftest import cycle_graph, seeded_relabel
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +42,10 @@ def generate_counterexample(p=3):
 
 def write_graph(path, name):
     path.write_text(json.dumps(graph_to_json(named_graph(name))), encoding="utf-8")
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
 
 
 class TestGenerate:
@@ -154,6 +159,39 @@ class TestVerify:
         assert main(["verify", src, tgt, fmap, "--quiet"]) == EXIT_PASS
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "a.json", "b.json"],
+        ["verify", "a.json", "b.json", "m.json", "--samples", "abc"],
+        ["verify", "a.json", "b.json", "m.json", "--mode", "sampled", "--samples", "0"],
+        ["verify", "a.json", "b.json", "m.json", "--mode", "sampled", "--samples", "-5"],
+    ], ids=["missing_map", "samples_not_integer", "samples_zero", "samples_negative"])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        # Exit 2 means a refuted map, so a usage error must not produce it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_INPUT
+        assert "error: " in capsys.readouterr().err
+
+    def test_isolated_target_vertex_is_input_error(self, in_tmp, capsys):
+        write_json(in_tmp / "s.json", {"vertices": ["x", "y"], "edges": [["x", "y"]]})
+        write_json(in_tmp / "t.json", {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]})
+        write_json(in_tmp / "m.json", {"map": [[["x", "y"], ["a", "b"]]]})
+        assert main(["verify", "s.json", "t.json", "m.json"]) == EXIT_INPUT
+        assert "'c' is isolated" in capsys.readouterr().err
+
+    def test_relabelled_long_cycle_has_one_circuit(self, in_tmp, capsys,
+                                                   default_recursion_limit):
+        from circuitmap import edge_map_to_json, permuted_edge_map
+
+        g = cycle_graph(1500)
+        f = permuted_edge_map(g, seeded_relabel(g, 3))
+        write_json(in_tmp / "s.json", graph_to_json(f.source))
+        write_json(in_tmp / "t.json", graph_to_json(f.target))
+        write_json(in_tmp / "m.json", edge_map_to_json(f))
+        assert main(["verify", "s.json", "t.json", "m.json"]) == EXIT_PASS
+        report = last_report(capsys)
+        assert report["result"] == "pass" and report["circuits_checked"] == 1
+
 
 class TestReconstruct:
     def test_counterexample_hits_guard(self, capsys):
@@ -209,6 +247,12 @@ class TestEnumerate:
         report = last_report(capsys)
         assert report["count"] == 7 and len(report["circuits"]) == 7
 
+    def test_long_cycle(self, in_tmp, capsys, default_recursion_limit):
+        write_json(in_tmp / "cycle.json", graph_to_json(cycle_graph(1500)))
+        assert main(["enumerate", "cycle.json"]) == EXIT_PASS
+        report = last_report(capsys)
+        assert report["count"] == 1 and len(report["circuits"][0]) == 1500
+
     def test_budget_exhaustion_is_precondition_exit(self, in_tmp):
         write_graph(in_tmp / "k4.json", "K4")
         assert main(["enumerate", "k4.json", "--max-circuits",
@@ -224,6 +268,13 @@ class TestClassifyDecomposeCrossing:
         assert report["star_images"]["x_0_1"] == {"kind": "independent"}
         assert report["star_preimages"]["b0"] == {"kind": "star", "vertex": "u"}
         assert report["star_preimages"]["c0"] == {"kind": "independent"}
+
+    def test_classify_isolated_source_vertex_is_input_error(self, in_tmp, capsys):
+        write_json(in_tmp / "s.json", {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]})
+        write_json(in_tmp / "t.json", {"vertices": ["x", "y"], "edges": [["x", "y"]]})
+        write_json(in_tmp / "m.json", {"map": [[["a", "b"], ["x", "y"]]]})
+        assert main(["classify", "s.json", "t.json", "m.json"]) == EXIT_INPUT
+        assert "'c' has no incident edges" in capsys.readouterr().err
 
     def test_decompose_counterexample(self, capsys):
         src, tgt, fmap = generate_counterexample()

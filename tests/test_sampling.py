@@ -18,7 +18,7 @@ from circuitmap import (
 )
 from circuitmap.cli import EXIT_PASS, main
 from circuitmap.edge_maps import _sampled_circuits
-from conftest import seeded_relabel
+from conftest import cycle_graph, seeded_relabel
 
 GOLDEN_STREAMS = Path(__file__).parent / "data" / "sampled_circuits_golden.json"
 CATALOG = ("K4", "K5", "K33", "prism", "Q3", "double_bowtie",
@@ -76,11 +76,6 @@ def identity(graph):
     return permuted_edge_map(graph, {v: v for v in graph.vertices})
 
 
-def cycle(n):
-    labels = [f"c{i}" for i in range(n)]
-    return build_graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-
-
 def test_stop_reason_samples():
     v = check_circuit_injection(identity(named_graph("K5")), mode="sampled",
                                 samples=20, seed=3)
@@ -107,7 +102,7 @@ def test_stop_reason_attempt_limit():
 
 
 def test_stop_reason_too_few_circuits():
-    v = check_circuit_injection(identity(cycle(9)), mode="sampled",
+    v = check_circuit_injection(identity(cycle_graph(9)), mode="sampled",
                                 samples=50, seed=1)
     assert v.passed and v.stop_reason == "too_few_circuits"
     assert v.circuits_checked == 1 and v.attempts == 0
