@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="circuits to draw in sampled mode")
     p.add_argument("--seed", type=int, default=1,
                    help="seed for sampled mode")
-    p.add_argument("--max-circuits", type=int, default=DEFAULT_MAX_CIRCUITS)
+    p.add_argument("--max-circuits", type=_positive_int, default=DEFAULT_MAX_CIRCUITS)
     common(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every circuit of a graph")
     p.add_argument("graph")
-    p.add_argument("--max-circuits", type=int, default=DEFAULT_MAX_CIRCUITS)
+    p.add_argument("--max-circuits", type=_positive_int, default=DEFAULT_MAX_CIRCUITS)
     common(p)
     p.set_defaults(handler=_cmd_enumerate)
 

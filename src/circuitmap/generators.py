@@ -9,6 +9,8 @@ not induced by any vertex relabeling.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .connectivity import is_k_connected
 from .edge_maps import EdgeMap
 from .errors import (
@@ -195,32 +197,78 @@ def named_graph(name: str, size: int | None = None) -> Graph:
 # -- seeded random graphs -----------------------------------------------------
 
 
-def _random_cycle_with_chords(n: int, rng: XorShift64Star,
-                              chords: int) -> tuple[list[str], list[tuple[str, str]]]:
+class _AbsentPairs:
+    """The vertex-index pairs (i, j), i < j, that are not edges yet, in
+    lexicographic order, without listing them.
+
+    `pop(k)` removes and returns the k-th remaining pair, exactly as
+    `list.pop(k)` would on the materialised list. Pair (i, j) has rank
+    i*(2n-i-1)/2 + (j-i-1); only the sorted ranks of removed pairs are
+    stored, so memory is O(n + removed) instead of Theta(n^2).
+    """
+
+    def __init__(self, n: int, present) -> None:
+        """`present`: distinct index pairs (either order) already in use."""
+        self._n = n
+        pairs = (sorted(pair) for pair in present)
+        self._removed = sorted(i * (2 * n - i - 1) // 2 + (j - i - 1) for i, j in pairs)
+
+    def __len__(self) -> int:
+        return self._n * (self._n - 1) // 2 - len(self._removed)
+
+    def pop(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < len(self):
+            raise IndexError("pop index out of range")
+        # removed[t] - t is nondecreasing, and the k-th absent rank is k plus
+        # the number of t with removed[t] - t <= k; that count is also where
+        # the new rank goes in the sorted list.
+        removed = self._removed
+        lo, hi = 0, len(removed)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if removed[mid] - mid <= k:
+                lo = mid + 1
+            else:
+                hi = mid
+        rank = k + lo
+        removed.insert(lo, rank)
+        # Unrank by counting from the last pair: rows i = n-2, n-3, ... hold
+        # 1, 2, ... pairs, so the reversed rank's row follows from isqrt.
+        back = self._n * (self._n - 1) // 2 - 1 - rank
+        row = (isqrt(8 * back + 1) - 1) // 2
+        i = self._n - 2 - row
+        return i, self._n - 1 - (back - row * (row + 1) // 2)
+
+
+def _random_cycle_with_chords(
+        n: int, rng: XorShift64Star, chords: int,
+) -> tuple[list[str], list[tuple[str, str]], _AbsentPairs]:
+    """A random Hamiltonian cycle on v0..v{n-1} plus up to `chords` random
+    chords; also returns the pairs still absent."""
     labels = [f"v{i}" for i in range(n)]
     order = list(range(n))
     rng.shuffle(order)
-    edges = []
-    present = set()
-    for k in range(n):
-        u, v = labels[order[k]], labels[order[(k + 1) % n]]
-        edges.append((u, v))
-        present.add(frozenset((u, v)))
-    missing = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
-               if frozenset((labels[i], labels[j])) not in present]
-    for _ in range(min(chords, len(missing))):
-        pick = rng.randrange(len(missing))
-        edges.append(missing.pop(pick))
-    return labels, edges
+    cycle = [(order[k], order[(k + 1) % n]) for k in range(n)]
+    absent = _AbsentPairs(n, cycle)
+    edges = [(labels[a], labels[b]) for a, b in cycle]
+    for _ in range(min(chords, len(absent))):
+        i, j = absent.pop(rng.randrange(len(absent)))
+        edges.append((labels[i], labels[j]))
+    return labels, edges, absent
 
 
 def random_two_connected(n: int, seed: int) -> Graph:
     """Random Hamiltonian cycle plus a seeded number of chords; always
-    2-connected since chords never break the cycle."""
+    2-connected since chords never break the cycle.
+
+    Costs O((n + chords) * log n), for sorting the cycle's pair ranks and
+    one binary search per chord, plus the shifts of one sorted list of at
+    most 2n integers; no structure of size Theta(n^2) is built.
+    """
     if n < 3:
         raise GenerationFailedError("2-connected graphs need at least 3 vertices")
     rng = XorShift64Star(seed)
-    labels, edges = _random_cycle_with_chords(n, rng, rng.randrange(n + 1))
+    labels, edges, _ = _random_cycle_with_chords(n, rng, rng.randrange(n + 1))
     return build_graph(labels, edges)
 
 
@@ -231,29 +279,31 @@ def random_three_connected(n: int, seed: int) -> Graph:
     minimum degree reaches 3, then keep adding chords until the flow-based
     3-connectivity check passes. Densifying toward the complete graph makes
     success certain, but a retry bound guards the loop anyway.
+
+    Drawing the chords costs O((n + chords) * log n) plus the shifts of
+    one sorted list of the used pair ranks; the 3-connectivity checks come
+    on top.
     """
     if n < 4:
         raise GenerationFailedError(
             "3-connected graphs need at least 4 vertices")
     rng = XorShift64Star(seed)
-    labels, edges = _random_cycle_with_chords(n, rng, 0)
-    present = {frozenset(e) for e in edges}
-    missing = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
-               if frozenset((labels[i], labels[j])) not in present]
+    labels, edges, absent = _random_cycle_with_chords(n, rng, 0)
 
-    degree = {v: 2 for v in labels}
-    limit = len(missing)
-    for _ in range(limit + 1):
-        if min(degree.values()) >= 3:
+    degree = [2] * n
+    below_three = n
+    for _ in range(len(absent) + 1):
+        if below_three == 0:
             graph = build_graph(labels, edges)
             if is_k_connected(graph, 3):
                 return graph
-        if not missing:
+        if not absent:
             break
-        pick = rng.randrange(len(missing))
-        u, v = missing.pop(pick)
-        edges.append((u, v))
-        degree[u] += 1
-        degree[v] += 1
+        i, j = absent.pop(rng.randrange(len(absent)))
+        edges.append((labels[i], labels[j]))
+        for v in (i, j):
+            degree[v] += 1
+            if degree[v] == 3:
+                below_three -= 1
     raise GenerationFailedError(
         f"could not reach a 3-connected graph on {n} vertices")

@@ -172,6 +172,20 @@ class TestVerify:
         assert exit_info.value.code == EXIT_INPUT
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_max_circuits_is_input_error(self, in_tmp, capsys,
+                                                      mode, budget):
+        # Sampled mode never reads the budget, so the parser must refuse it.
+        write_graph(in_tmp / "k4.json", "K4")
+        write_json(in_tmp / "id.json", {"map": [[list(e), list(e)]
+                                                for e in named_graph("K4").edges]})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "k4.json", "k4.json", "id.json", "--mode", mode,
+                  "--max-circuits", budget])
+        assert exit_info.value.code == EXIT_INPUT
+        assert "must be positive" in capsys.readouterr().err
+
     def test_isolated_target_vertex_is_input_error(self, in_tmp, capsys):
         write_json(in_tmp / "s.json", {"vertices": ["x", "y"], "edges": [["x", "y"]]})
         write_json(in_tmp / "t.json", {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]})
@@ -257,6 +271,14 @@ class TestEnumerate:
         write_graph(in_tmp / "k4.json", "K4")
         assert main(["enumerate", "k4.json", "--max-circuits",
                      "2"]) == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_max_circuits_is_input_error(self, in_tmp, capsys, budget):
+        write_graph(in_tmp / "k4.json", "K4")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["enumerate", "k4.json", "--max-circuits", budget])
+        assert exit_info.value.code == EXIT_INPUT
+        assert "must be positive" in capsys.readouterr().err
 
 
 class TestClassifyDecomposeCrossing:

@@ -1,4 +1,11 @@
+import hashlib
+import importlib.util
+import json
+import tracemalloc
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from circuitmap import (
     GenerationFailedError,
@@ -18,8 +25,13 @@ from circuitmap import (
     reconstruct_vertex_isomorphism,
     theta_graph,
 )
+from circuitmap.generators import _AbsentPairs
 from circuitmap.rng import XorShift64Star
 from oracle import brute_is_k_connected
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_GRAPHS = Path(__file__).parent / "data" / "random_graphs_golden.json"
+RANDOM_GRAPHS = {"random2c": random_two_connected, "random3c": random_three_connected}
 
 
 class TestTheta:
@@ -171,6 +183,96 @@ class TestRandomGraphs:
             random_three_connected(3, seed=1)
         with pytest.raises(GenerationFailedError):
             random_two_connected(2, seed=1)
+
+
+def fingerprint(graph):
+    """The edge list of a graph on at most 12 vertices, else the SHA-256 of
+    that list as compact JSON."""
+    edges = [list(e) for e in graph.edges]
+    if len(graph.vertices) <= 12:
+        return edges
+    return hashlib.sha256(json.dumps(edges, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(RANDOM_GRAPHS))
+def test_random_graphs_reproduce_recorded_output(family):
+    # Keys are "<family>/n<n>/seed<seed>"; the file was recorded from the
+    # list-based chord draw that the rank-based one replaced.
+    cases = {key: want for key, want in json.loads(GOLDEN_GRAPHS.read_text()).items()
+             if key.startswith(family + "/")}
+    assert cases
+    for key, want in cases.items():
+        _, n, seed = key.split("/")
+        graph = RANDOM_GRAPHS[family](int(n[1:]), int(seed[4:]))
+        assert fingerprint(graph) == want, key
+
+
+def test_pool_rows_reproduce(tmp_path):
+    """bench/pool.json pins generator output; read it, never rewrite it."""
+    spec = importlib.util.spec_from_file_location("pin", ROOT / "bench" / "pin.py")
+    pin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pin)
+    digests = 0
+    for key, rows in json.loads((ROOT / "bench" / "pool.json").read_text()).items():
+        family, n = key.split("/")[:2]
+        for row in rows:
+            if family == "random2c":
+                g = random_two_connected(int(n), row["seed"])
+                assert (g.edge_count(), g.edge_count() - int(n) + 1) == (
+                    row["m"], row["rank"]), (key, row["seed"])
+            elif "sha256" in row:
+                assert pin.artifact_digest(int(n), row["seed"], tmp_path) == \
+                    row["sha256"], (key, row["seed"])
+                digests += 1
+    assert digests == 24   # random3c/{40,80,120}, eight seeds each
+
+
+def test_two_connected_memory_is_linear():
+    # The seed with the most chords among 1..20; listing every absent pair
+    # at this size would take about 50 million tuples.
+    n = 10_000
+    seed = max(range(1, 21), key=lambda s: XorShift64Star(s).randrange(n + 1))
+    tracemalloc.start()
+    try:
+        g = random_two_connected(n, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() > 1.9 * n
+    assert peak < 32 * 2**20
+
+
+@st.composite
+def absent_pair_scripts(draw):
+    """n, a set of present pairs in either orientation, and pop indices
+    for a random number of pops (each index taken modulo the length left)."""
+    n = draw(st.integers(3, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    present = draw(st.sets(st.sampled_from(pairs)))
+    flipped = [(j, i) if draw(st.booleans()) else (i, j) for i, j in sorted(present)]
+    picks = draw(st.lists(st.integers(0, 10**6), max_size=len(pairs)))
+    return n, flipped, picks
+
+
+@settings(max_examples=200, deadline=None)
+@given(absent_pair_scripts())
+@example((3, [(0, 1), (2, 1), (0, 2)], [0]))
+@example((4, [], list(range(6))))
+def test_absent_pairs_pop_like_the_listed_pairs(script):
+    n, present, picks = script
+    used = {frozenset(p) for p in present}
+    listed = [(i, j) for i in range(n) for j in range(i + 1, n)
+              if frozenset((i, j)) not in used]
+    absent = _AbsentPairs(n, present)
+    assert len(absent) == len(listed)
+    for pick in picks:
+        if not listed:
+            with pytest.raises(IndexError):
+                absent.pop(0)
+            break
+        k = pick % len(listed)
+        assert absent.pop(k) == listed.pop(k)
+        assert len(absent) == len(listed)
 
 
 class TestRng:
