@@ -39,24 +39,10 @@ from .edge_maps import (
 from .errors import (
     CircuitMapError,
     DecompositionViolationError,
-    DuplicateEdgeError,
-    ForeignEdgeSetError,
-    FormatError,
-    GenerationFailedError,
-    HypothesisViolationError,
-    InvalidPrimeError,
-    InvalidWitnessError,
-    IsolatedVertexError,
-    LoopEdgeError,
-    NoTwoPathsError,
-    NotABijectionError,
+    InputError,
+    InternalError,
     NotInducedError,
-    NotThreeConnectedError,
-    NotTwoConnectedError,
-    TooManyCircuitsError,
-    UnknownEdgeError,
-    UnknownNameError,
-    UnknownVertexError,
+    PreconditionError,
 )
 from .generators import (
     build_counterexample,

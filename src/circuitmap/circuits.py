@@ -10,7 +10,7 @@ the exhaustive checks built on top of it are meant for desk-scale graphs.
 from __future__ import annotations
 
 from .connectivity import is_k_connected, two_disjoint_paths
-from .errors import NotTwoConnectedError, TooManyCircuitsError
+from .errors import InputError, InternalError, PreconditionError
 from .graph import (
     Circuit,
     EdgeSet,
@@ -42,12 +42,12 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> l
     Peeling costs O(n + m) over the whole run, and the search depth is
     bounded by memory, not by the interpreter's recursion limit.
 
-    Circuits are held as edge-id tuples while searching; TooManyCircuitsError
+    Circuits are held as edge-id tuples while searching; PreconditionError
     fires as soon as the count would exceed max_count, before any Circuit
     is built.
     """
     if max_count < 1:
-        raise ValueError("max_count must be positive")
+        raise InputError("max_count must be positive")
     adjacency = graph._adjacency
     n = len(adjacency)
     live = [True] * n
@@ -80,7 +80,7 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> l
                     # Close the cycle; need length >= 3 and one fixed direction.
                     if len(path_edges) >= 2 and path_vertices[1] < path_vertices[-1]:
                         if len(found) >= max_count:
-                            raise TooManyCircuitsError(
+                            raise PreconditionError(
                                 f"more than {max_count} circuits")
                         found.append((*path_edges, eid))
                 elif live[nbr] and not on_path[nbr]:
@@ -111,9 +111,9 @@ def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str
     for v in (a, b, c):
         graph.require_vertex(v)
     if len({a, b, c}) != 3:
-        raise ValueError("a, b, c must be distinct")
+        raise InputError("a, b, c must be distinct")
     if not is_k_connected(graph, 2):
-        raise NotTwoConnectedError("attachment search needs a 2-connected graph")
+        raise PreconditionError("attachment search needs a 2-connected graph")
 
     first, second = two_disjoint_paths(graph, a, b)
     circuit = Circuit(graph, frozenset(first.edges) | frozenset(second.edges))
@@ -148,27 +148,27 @@ def _cut_at_first_contact(path: Path, targets: frozenset[str]) -> tuple[Path, st
     for k, v in enumerate(path.vertices):
         if k > 0 and v in targets:
             return Path(path.host, path.vertices[:k + 1], path.edges[:k]), v
-    raise ValueError("path never meets the target set")
+    raise InternalError("path never meets the target set")
 
 
 def validate_attached_path(graph: Graph, a: str, b: str, c: str,
                            circuit: Circuit, path: Path, t: str) -> None:
-    """Assert the circuit-plus-attached-path postcondition; ValueError if broken."""
+    """Assert the circuit-plus-attached-path postcondition; InternalError if broken."""
     on_circuit = circuit.vertex_set()
     if circuit.host != graph or path.host != graph:
-        raise ValueError("result hosted on the wrong graph")
+        raise InternalError("result hosted on the wrong graph")
     if a not in on_circuit or b not in on_circuit:
-        raise ValueError("circuit misses a or b")
+        raise InternalError("circuit misses a or b")
     if t not in on_circuit:
-        raise ValueError("attachment vertex is not on the circuit")
+        raise InternalError("attachment vertex is not on the circuit")
     if path.is_empty():
         if t != c or c not in on_circuit:
-            raise ValueError("empty path requires t = c on the circuit")
+            raise InternalError("empty path requires t = c on the circuit")
         return
     if t in (a, b):
-        raise ValueError("nonempty path may not attach at a or b")
+        raise InternalError("nonempty path may not attach at a or b")
     if path.ends() != (c, t):
-        raise ValueError("path must run from c to t")
+        raise InternalError("path must run from c to t")
     overlap = set(path.vertices) & on_circuit
     if overlap != {t}:
-        raise ValueError(f"path meets the circuit at {sorted(overlap)}, not only t")
+        raise InternalError(f"path meets the circuit at {sorted(overlap)}, not only t")

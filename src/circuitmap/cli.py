@@ -10,6 +10,7 @@ stable interface:
     2  verification failed (a witness shows the map breaks circuits)
     3  map verified but induced by no vertex isomorphism
     4  precondition failed (connectivity guards, desk-scale bounds)
+    5  internal error (a result failed the library's own check: a bug)
 """
 
 from __future__ import annotations
@@ -36,20 +37,11 @@ from .edge_maps import (
     reconstruct_vertex_isomorphism,
 )
 from .errors import (
-    CircuitMapError,
     DecompositionViolationError,
-    DuplicateEdgeError,
-    ForeignEdgeSetError,
-    FormatError,
-    InvalidPrimeError,
-    IsolatedVertexError,
-    LoopEdgeError,
-    NotABijectionError,
+    InputError,
+    InternalError,
     NotInducedError,
-    NotThreeConnectedError,
-    UnknownEdgeError,
-    UnknownNameError,
-    UnknownVertexError,
+    PreconditionError,
 )
 from .generators import build_counterexample, named_graph, random_three_connected
 from .graph import (
@@ -66,26 +58,22 @@ EXIT_INPUT = 1
 EXIT_FAIL = 2
 EXIT_NOT_INDUCED = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
-_INPUT_ERRORS = (
-    FormatError,
-    LoopEdgeError,
-    DuplicateEdgeError,
-    UnknownVertexError,
-    UnknownEdgeError,
-    NotABijectionError,
-    ForeignEdgeSetError,
-    InvalidPrimeError,
-    IsolatedVertexError,
-    UnknownNameError,
-    OSError,
-    ValueError,
-)
+
+def _file_error(path, err: Exception) -> InputError:
+    """A file that cannot be read, decoded, parsed or written, by name."""
+    reason = err.strerror if isinstance(err, OSError) and err.strerror else err
+    return InputError(f"{path}: {reason}")
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: JSON nested deeper than the decoder can follow.
+        raise _file_error(path, err) from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -100,7 +88,10 @@ def _load_map_files(args) -> EdgeMap:
 
 
 def _dump_file(path: FilePath, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    try:
+        path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    except OSError as err:
+        raise _file_error(path, err) from None
 
 
 def _pairs(graph: Graph, edge_ids) -> list[list[str]]:
@@ -169,7 +160,7 @@ def _cmd_reconstruct(args) -> tuple[dict, int]:
     edge_map = _load_map_files(args)
     try:
         iso = reconstruct_vertex_isomorphism(edge_map)
-    except NotThreeConnectedError as err:
+    except PreconditionError as err:
         return {"result": "not_three_connected", "detail": str(err)}, EXIT_PRECONDITION
     except NotInducedError as err:
         witness = {"vertex": err.vertex}
@@ -248,7 +239,7 @@ def _cmd_crossing(args) -> tuple[dict, int]:
     graph = _load_graph(args.graph)
     cut_pairs = _load_json(args.cut)
     if not isinstance(cut_pairs, list) or not all(map(_is_string_pair, cut_pairs)):
-        raise FormatError("cut file must hold a JSON list of endpoint pairs")
+        raise InputError("cut file must hold a JSON list of endpoint pairs")
     crossing = edge_set_from_pairs(graph, cut_pairs)
     outcome = find_crossing_structure(graph, crossing)
     if isinstance(outcome, LinkedCircuitPair):
@@ -379,13 +370,21 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except _INPUT_ERRORS as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except CircuitMapError as err:
-        # Connectivity guards, desk-scale bounds, hypothesis violations.
+    except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as err:  # InternalError, or a fault no check anticipated
+        from traceback import extract_tb
+
+        detail = err if isinstance(err, InternalError) else f"{type(err).__name__}: {err}"
+        where = extract_tb(err.__traceback__)[-1]
+        print(f"error: internal error: {detail} "
+              f"(raised at {FilePath(where.filename).name}:{where.lineno})",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     report["elapsed_ms"] = int(round((time.perf_counter() - started) * 1000))
     if not args.quiet:
         print(json.dumps(report, indent=2))

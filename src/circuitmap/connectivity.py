@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Collection
 
-from .errors import NoTwoPathsError
+from .errors import InputError, InternalError, PreconditionError
 from .graph import Graph, Path
 
 
@@ -74,7 +74,7 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     G - S, which are not adjacent. S separates either pair.
     """
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise InputError("k must be a positive integer")
     n = graph.vertex_count()
     if n <= k:
         return False
@@ -142,22 +142,22 @@ def two_disjoint_paths(graph: Graph, a: str, b: str,
                        forbidden: Collection[str] = ()) -> tuple[Path, Path]:
     """Two internally vertex-disjoint paths from a to b avoiding forbidden.
 
-    Raises NoTwoPathsError when no such pair exists (that is, when a and b
+    Raises PreconditionError when no such pair exists (that is, when a and b
     are not 2-connected to each other in the graph minus forbidden).
     """
     graph.require_vertex(a)
     graph.require_vertex(b)
     if a == b:
-        raise ValueError("endpoints must be distinct")
+        raise InputError("endpoints must be distinct")
     banned = {graph.require_vertex(v) for v in forbidden}
     if a in banned or b in banned:
-        raise ValueError("endpoints may not be forbidden")
+        raise InputError("endpoints may not be forbidden")
 
     index = graph._index
     ai, bi = index[a], index[b]
     count, into = _augment(graph, ai, bi, 2, {index[v] for v in banned})
     if count < 2:
-        raise NoTwoPathsError(
+        raise PreconditionError(
             f"no two internally disjoint paths join {a!r} and {b!r}")
 
     # Decompose the flow: from each out-node take the first saturated arc in
@@ -171,7 +171,7 @@ def two_disjoint_paths(graph: Graph, a: str, b: str,
             step = next((w for w, _ in graph._adjacency[u]
                          if n + u in into.get(w, ())), None)
             if step is None:
-                raise NoTwoPathsError("flow decomposition failed")
+                raise InternalError("flow decomposition failed")
             into[step].discard(n + u)
             sequence.append(step)
             u = step
@@ -186,10 +186,10 @@ def two_disjoint_paths(graph: Graph, a: str, b: str,
 def _validate_disjoint_pair(graph: Graph, a: str, b: str,
                             first: Path, second: Path) -> None:
     if first.ends() != (a, b) or second.ends() != (a, b):
-        raise NoTwoPathsError("internal check failed: wrong endpoints")
+        raise InternalError("internal check failed: wrong endpoints")
     shared = set(first.vertices) & set(second.vertices)
     if shared != {a, b}:
-        raise NoTwoPathsError(
+        raise InternalError(
             f"internal check failed: paths share {sorted(shared)}")
     if set(first.edges) & set(second.edges):
-        raise NoTwoPathsError("internal check failed: paths share an edge")
+        raise InternalError("internal check failed: paths share an edge")

@@ -23,12 +23,9 @@ from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
 from .connectivity import is_k_connected
 from .errors import (
     DecompositionViolationError,
-    FormatError,
-    HypothesisViolationError,
-    IsolatedVertexError,
-    NotABijectionError,
+    InputError,
     NotInducedError,
-    NotThreeConnectedError,
+    PreconditionError,
 )
 from .graph import (
     Circuit,
@@ -59,17 +56,17 @@ class EdgeMap:
         m_src = self.source.edge_count()
         m_tgt = self.target.edge_count()
         if m_src != m_tgt:
-            raise NotABijectionError(
+            raise InputError(
                 f"source has {m_src} edges but target has {m_tgt}")
         if len(self.assignment) != m_src:
-            raise NotABijectionError(
+            raise InputError(
                 f"assignment covers {len(self.assignment)} of {m_src} edges")
         seen = set()
         for i, j in enumerate(self.assignment):
             if not isinstance(j, int) or not 0 <= j < m_tgt:
-                raise NotABijectionError(f"edge {i} maps to invalid id {j!r}")
+                raise InputError(f"edge {i} maps to invalid id {j!r}")
             if j in seen:
-                raise NotABijectionError(f"target edge {j} has two preimages")
+                raise InputError(f"target edge {j} has two preimages")
             seen.add(j)
 
     @cached_property
@@ -114,28 +111,28 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
     that its edges fully cover).
     """
     if not isinstance(data, dict) or "map" not in data:
-        raise FormatError("map document needs a 'map' entry")
+        raise InputError("map document needs a 'map' entry")
     entries = data["map"]
     if not isinstance(entries, list):
-        raise FormatError("'map' must be a list of pair-of-pairs entries")
+        raise InputError("'map' must be a list of pair-of-pairs entries")
     for v in target.vertices:
         if target.degree(v) == 0:
-            raise IsolatedVertexError(
+            raise InputError(
                 f"target vertex {v!r} is isolated; the map cannot be onto")
     assignment: dict[int, int] = {}
     for k, entry in enumerate(entries):
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(map(_is_string_pair, entry))):
-            raise FormatError(f"map entry {k} must be [[u, v], [x, y]]")
+            raise InputError(f"map entry {k} must be [[u, v], [x, y]]")
         (u, v), (x, y) = entry
         i = source.edge_id(u, v)
         j = target.edge_id(x, y)
         if i in assignment:
-            raise NotABijectionError(
+            raise InputError(
                 f"source edge ({u!r}, {v!r}) appears twice in the map")
         assignment[i] = j
     if len(assignment) != source.edge_count():
-        raise NotABijectionError(
+        raise InputError(
             f"map covers {len(assignment)} of {source.edge_count()} source edges")
     return EdgeMap(source, target,
                    tuple(assignment[i] for i in range(source.edge_count())))
@@ -199,7 +196,7 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
         stats = {}
         pool = _sampled_circuits(edge_map.source, samples, seed, stats=stats)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
 
     checked = 0
     witness = None
@@ -418,7 +415,7 @@ def classify_star_image(edge_map: EdgeMap, v: str) -> StarImageClass:
     """Classify the image of v's star in the target (target edge ids)."""
     ids = star(edge_map.source, v).members
     if not ids:
-        raise IsolatedVertexError(f"source vertex {v!r} has no incident edges")
+        raise InputError(f"source vertex {v!r} has no incident edges")
     return _classify_edge_ids(edge_map.target, edge_map.image(ids))
 
 
@@ -426,7 +423,7 @@ def classify_star_preimage(edge_map: EdgeMap, w: str) -> StarImageClass:
     """Classify the preimage of w's star in the source (source edge ids)."""
     ids = star(edge_map.target, w).members
     if not ids:
-        raise IsolatedVertexError(f"target vertex {w!r} has no incident edges")
+        raise InputError(f"target vertex {w!r} has no incident edges")
     return _classify_edge_ids(edge_map.source, edge_map.preimage(ids))
 
 
@@ -441,15 +438,15 @@ def decompose_by_star_preimage(edge_map: EdgeMap, w: str
     preimage at w is an independent set, deleting that preimage leaves
     exactly two components, with every preimage edge crossing between
     them. Returns (side containing the least label, other side, crossing
-    edges). Guard failures raise HypothesisViolationError; a wrong
+    edges). Guard failures raise PreconditionError; a wrong
     component structure raises DecompositionViolationError and means the
     map was not actually a circuit injection.
     """
     if not is_k_connected(edge_map.source, 2):
-        raise HypothesisViolationError("decomposition needs a 2-connected source")
+        raise PreconditionError("decomposition needs a 2-connected source")
     kind = classify_star_preimage(edge_map, w)
     if not isinstance(kind, IndependentEdges):
-        raise HypothesisViolationError(
+        raise PreconditionError(
             f"star preimage of {w!r} is {type(kind).__name__}, not independent")
     crossing = EdgeSet(edge_map.source,
                        edge_map.preimage(star(edge_map.target, w).members))
@@ -471,7 +468,7 @@ class VertexIso:
         sources = {p[0] for p in self.pairs}
         targets = {p[1] for p in self.pairs}
         if len(sources) != len(self.pairs) or len(targets) != len(self.pairs):
-            raise NotABijectionError("vertex map repeats a source or target")
+            raise InputError("vertex map repeats a source or target")
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str]) -> "VertexIso":
@@ -509,13 +506,13 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
     For a verified circuit injection whose source is 3-connected, every
     star maps onto exactly one target star, and reading off those centers
     yields the unique inducing vertex isomorphism. Raises
-    NotThreeConnectedError when the source guard fails (suppress with
+    PreconditionError when the source guard fails (suppress with
     check_connectivity=False to probe other maps), and NotInducedError at
     the first vertex whose star image is not a full star, or when the
     collected centers fail to be a bijection.
     """
     if check_connectivity and not is_k_connected(edge_map.source, 3):
-        raise NotThreeConnectedError(
+        raise PreconditionError(
             "reconstruction requires a 3-connected source")
     pairs = []
     for v in edge_map.source.vertices:

@@ -1,8 +1,16 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from CircuitMapError so callers
-(and the CLI) can map failure families to exit codes without matching on
-message text.
+Six classes, named by who is at fault. The CLI maps each one to an exit
+code, so callers match on the class, never on message text:
+
+* InputError (exit 1): a file, argument or object the caller supplied is
+  malformed or inconsistent.
+* PreconditionError (exit 4): well-formed input outside an operation's
+  hypotheses, such as a connectivity guard or the circuit budget.
+* NotInducedError (exit 3, reconstruct) and DecompositionViolationError
+  (exit 2, decompose): verdicts that carry their own report.
+* InternalError (exit 5): a postcondition of the library's own
+  construction failed; a bug, never the caller's input.
 """
 
 
@@ -10,71 +18,18 @@ class CircuitMapError(Exception):
     """Base class for all library errors."""
 
 
-# --- input / construction errors -------------------------------------------
-
-class FormatError(CircuitMapError):
-    """A JSON document does not have the expected shape."""
-
-
-class LoopEdgeError(CircuitMapError):
-    """An edge joins a vertex to itself."""
+class InputError(CircuitMapError, ValueError):
+    """A document, parameter or object from the caller is malformed or
+    inconsistent. Also a ValueError, so `except ValueError` catches it."""
 
 
-class DuplicateEdgeError(CircuitMapError):
-    """The same unordered endpoint pair appears twice."""
+class PreconditionError(CircuitMapError):
+    """Valid input outside an operation's hypotheses: a connectivity guard,
+    the circuit-count budget, or endpoints with no two disjoint paths."""
 
 
-class UnknownVertexError(CircuitMapError):
-    """A vertex label is not part of the graph."""
-
-
-class UnknownEdgeError(CircuitMapError):
-    """An endpoint pair does not name an edge of the graph."""
-
-
-class ForeignEdgeSetError(CircuitMapError):
-    """An edge set is hosted on a different graph than the operation target."""
-
-
-class NotABijectionError(CircuitMapError):
-    """A map that must be bijective is not."""
-
-
-class IsolatedVertexError(CircuitMapError):
-    """A vertex with no incident edges where at least one is required."""
-
-
-# --- circuit and connectivity errors ---------------------------------------
-
-class TooManyCircuitsError(CircuitMapError):
-    """Circuit enumeration would exceed the configured bound."""
-
-
-class NotTwoConnectedError(CircuitMapError):
-    """The graph is not 2-connected where 2-connectivity is required."""
-
-
-class NotThreeConnectedError(CircuitMapError):
-    """The graph is not 3-connected where 3-connectivity is required."""
-
-
-class NoTwoPathsError(CircuitMapError):
-    """No two internally disjoint paths join the requested endpoints."""
-
-
-# --- verification / structure errors ---------------------------------------
-
-class HypothesisViolationError(CircuitMapError):
-    """A stated precondition of an operation does not hold for the input."""
-
-
-class DecompositionViolationError(CircuitMapError):
-    """Deleting a star preimage did not split the source into two sides
-    joined only by crossing edges; the map was not a circuit injection."""
-
-
-class InvalidWitnessError(CircuitMapError):
-    """A structural witness fails its validity checks."""
+# The benchmark's pool scripts catch the circuit budget under this name.
+TooManyCircuitsError = PreconditionError
 
 
 class NotInducedError(CircuitMapError):
@@ -90,15 +45,10 @@ class NotInducedError(CircuitMapError):
         self.star_class = star_class
 
 
-# --- generator errors -------------------------------------------------------
-
-class InvalidPrimeError(CircuitMapError):
-    """The counterexample family needs a prime parameter greater than 2."""
-
-
-class UnknownNameError(CircuitMapError):
-    """The graph catalog has no entry under the requested name."""
+class DecompositionViolationError(CircuitMapError):
+    """Deleting a star preimage did not split the source into two sides
+    joined only by crossing edges; the map was not a circuit injection."""
 
 
-class GenerationFailedError(CircuitMapError):
-    """Random generation could not satisfy its postcondition."""
+class InternalError(CircuitMapError):
+    """A result the library built failed its own validity check."""

@@ -13,12 +13,7 @@ from math import isqrt
 
 from .connectivity import is_k_connected
 from .edge_maps import EdgeMap
-from .errors import (
-    GenerationFailedError,
-    InvalidPrimeError,
-    NotABijectionError,
-    UnknownNameError,
-)
+from .errors import InputError, InternalError
 from .graph import Graph, build_graph
 from .rng import XorShift64Star
 
@@ -34,7 +29,7 @@ def theta_graph(p: int) -> Graph:
     j = 0 incident to hub u and j = p-1 incident to hub w.
     """
     if p < 2:
-        raise UnknownNameError("theta graph needs at least 2 edges per path")
+        raise InputError("theta graph needs at least 2 edges per path")
     vertices = ["u", "w"]
     for i in range(p):
         for k in range(1, p):
@@ -51,7 +46,7 @@ def theta_graph(p: int) -> Graph:
 def complete_bipartite(p: int) -> Graph:
     """K_{p,p} on sides b0..b{p-1} and c0..c{p-1}; edge (j, t) has id j*p + t."""
     if p < 1:
-        raise UnknownNameError("complete bipartite part size must be positive")
+        raise InputError("complete bipartite part size must be positive")
     vertices = [f"b{j}" for j in range(p)] + [f"c{t}" for t in range(p)]
     edges = [(f"b{j}", f"c{t}") for j in range(p) for t in range(p)]
     return build_graph(vertices, edges)
@@ -78,7 +73,7 @@ def build_counterexample(p: int) -> tuple[Graph, Graph, EdgeMap]:
     a circuit isomorphism and the source is 2- but not 3-connected.
     """
     if not isinstance(p, int) or not _is_prime(p) or p <= 2:
-        raise InvalidPrimeError(f"parameter must be a prime greater than 2, got {p!r}")
+        raise InputError(f"parameter must be a prime greater than 2, got {p!r}")
     source = theta_graph(p)
     target = complete_bipartite(p)
     assignment = [0] * source.edge_count()
@@ -100,9 +95,9 @@ def permuted_edge_map(graph: Graph, relabel: dict[str, str]) -> EdgeMap:
     induced by the relabeling.
     """
     if set(relabel) != set(graph.vertices):
-        raise NotABijectionError("relabeling must cover exactly the vertices")
+        raise InputError("relabeling must cover exactly the vertices")
     if len(set(relabel.values())) != len(relabel):
-        raise NotABijectionError("relabeling repeats a target label")
+        raise InputError("relabeling repeats a target label")
     mapped = []
     for u, v in graph.edges:
         x, y = relabel[u], relabel[v]
@@ -124,7 +119,7 @@ def _complete(n: int) -> Graph:
 
 def _wheel(n: int) -> Graph:
     if n < 3:
-        raise UnknownNameError("wheel rim needs at least 3 vertices")
+        raise InputError("wheel rim needs at least 3 vertices")
     rim = [f"r{i}" for i in range(n)]
     edges = [(rim[i], rim[(i + 1) % n]) for i in range(n)]
     edges += [("hub", r) for r in rim]
@@ -178,20 +173,20 @@ def named_graph(name: str, size: int | None = None) -> Graph:
     }
     if key in plain:
         if size is not None:
-            raise UnknownNameError(f"{name!r} does not take a size parameter")
+            raise InputError(f"{name!r} does not take a size parameter")
         return plain[key]()
     for prefix, builder in (("w", _wheel), ("wheel", _wheel),
                             ("theta", theta_graph)):
         if key == prefix:
             if size is None:
-                raise UnknownNameError(f"{name!r} needs a size parameter")
+                raise InputError(f"{name!r} needs a size parameter")
             return builder(size)
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
+        if key.startswith(prefix) and key[len(prefix):].isdecimal():
             if size is not None:
-                raise UnknownNameError(
+                raise InputError(
                     f"{name!r} already carries its size parameter")
             return builder(int(key[len(prefix):]))
-    raise UnknownNameError(f"no catalog entry named {name!r}")
+    raise InputError(f"no catalog entry named {name!r}")
 
 
 # -- seeded random graphs -----------------------------------------------------
@@ -266,7 +261,7 @@ def random_two_connected(n: int, seed: int) -> Graph:
     most 2n integers; no structure of size Theta(n^2) is built.
     """
     if n < 3:
-        raise GenerationFailedError("2-connected graphs need at least 3 vertices")
+        raise InputError("2-connected graphs need at least 3 vertices")
     rng = XorShift64Star(seed)
     labels, edges, _ = _random_cycle_with_chords(n, rng, rng.randrange(n + 1))
     return build_graph(labels, edges)
@@ -285,7 +280,7 @@ def random_three_connected(n: int, seed: int) -> Graph:
     on top.
     """
     if n < 4:
-        raise GenerationFailedError(
+        raise InputError(
             "3-connected graphs need at least 4 vertices")
     rng = XorShift64Star(seed)
     labels, edges, absent = _random_cycle_with_chords(n, rng, 0)
@@ -305,5 +300,5 @@ def random_three_connected(n: int, seed: int) -> Graph:
             degree[v] += 1
             if degree[v] == 3:
                 below_three -= 1
-    raise GenerationFailedError(
+    raise InternalError(
         f"could not reach a 3-connected graph on {n} vertices")

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DuplicateEdgeError,
-    ForeignEdgeSetError,
-    FormatError,
-    LoopEdgeError,
-    UnknownEdgeError,
-    UnknownVertexError,
-)
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -38,21 +31,21 @@ class Graph:
         seen = set()
         for v in self.vertices:
             if not isinstance(v, str):
-                raise UnknownVertexError(f"vertex label {v!r} is not a string")
+                raise InputError(f"vertex label {v!r} is not a string")
             if v in seen:
-                raise ValueError(f"duplicate vertex label {v!r}")
+                raise InputError(f"duplicate vertex label {v!r}")
             seen.add(v)
         pairs = set()
         for i, (u, v) in enumerate(self.edges):
             if u == v:
-                raise LoopEdgeError(f"edge {i} is a loop at {u!r}")
+                raise InputError(f"edge {i} is a loop at {u!r}")
             if u not in seen:
-                raise UnknownVertexError(f"edge {i} uses unknown vertex {u!r}")
+                raise InputError(f"edge {i} uses unknown vertex {u!r}")
             if v not in seen:
-                raise UnknownVertexError(f"edge {i} uses unknown vertex {v!r}")
+                raise InputError(f"edge {i} uses unknown vertex {v!r}")
             key = (u, v) if u < v else (v, u)
             if key in pairs:
-                raise DuplicateEdgeError(f"edge {i} repeats pair {key!r}")
+                raise InputError(f"edge {i} repeats pair {key!r}")
             pairs.add(key)
 
     # -- derived lookups, built once per instance --
@@ -105,7 +98,7 @@ class Graph:
 
     def require_vertex(self, v) -> str:
         if v not in self._index:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
+            raise InputError(f"unknown vertex {v!r}")
         return v
 
     def endpoints(self, edge_id: int) -> tuple[str, str]:
@@ -121,7 +114,7 @@ class Graph:
         try:
             return self._pair_ids[key]
         except KeyError:
-            raise UnknownEdgeError(f"no edge joins {u!r} and {v!r}") from None
+            raise InputError(f"no edge joins {u!r} and {v!r}") from None
 
     def degree(self, v: str) -> int:
         return len(self._incident[self._index[self.require_vertex(v)]])
@@ -167,7 +160,7 @@ class EdgeSet:
         m = self.host.edge_count()
         for i in self.members:
             if not isinstance(i, int) or not 0 <= i < m:
-                raise ValueError(f"invalid edge id {i!r} for host with {m} edges")
+                raise InputError(f"invalid edge id {i!r} for host with {m} edges")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -202,7 +195,7 @@ def edge_set_from_pairs(graph: Graph, pairs: Iterable[Sequence[str]]) -> EdgeSet
 
 def require_same_host(graph: Graph, edge_set: EdgeSet) -> None:
     if edge_set.host != graph:
-        raise ForeignEdgeSetError("edge set is hosted on a different graph")
+        raise InputError("edge set is hosted on a different graph")
 
 
 @dataclass(frozen=True)
@@ -218,15 +211,15 @@ class Path:
 
     def __post_init__(self):
         if len(self.vertices) != len(self.edges) + 1 or not self.vertices:
-            raise ValueError("path needs exactly one more vertex than edges")
+            raise InputError("path needs exactly one more vertex than edges")
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("path repeats a vertex")
+            raise InputError("path repeats a vertex")
         for v in self.vertices:
             self.host.require_vertex(v)
         for k, eid in enumerate(self.edges):
             if frozenset(self.host.endpoints(eid)) != \
                     frozenset((self.vertices[k], self.vertices[k + 1])):
-                raise ValueError(f"edge {eid} does not join step {k} of the path")
+                raise InputError(f"edge {eid} does not join step {k} of the path")
 
     @classmethod
     def empty(cls, graph: Graph, at: str) -> "Path":
@@ -303,7 +296,7 @@ class Circuit:
 
     def __post_init__(self):
         if not _edge_ids_form_circuit(self.host, self.edges):
-            raise ValueError("edge set is not a circuit")
+            raise InputError("edge set is not a circuit")
 
     def key(self) -> tuple[int, ...]:
         """Canonical sort key: the sorted edge-id tuple."""
@@ -434,18 +427,18 @@ def graph_to_json(graph: Graph) -> dict:
 def graph_from_json(data) -> Graph:
     """Parse the wire format, accepting vertices and edges in any order."""
     if not isinstance(data, dict):
-        raise FormatError("graph document must be a JSON object")
+        raise InputError("graph document must be a JSON object")
     if "vertices" not in data or "edges" not in data:
-        raise FormatError("graph document needs 'vertices' and 'edges'")
+        raise InputError("graph document needs 'vertices' and 'edges'")
     vertices = data["vertices"]
     edges = data["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise FormatError("'vertices' must be a list of strings")
+        raise InputError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
-        raise FormatError("'edges' must be a list of endpoint pairs")
+        raise InputError("'edges' must be a list of endpoint pairs")
     pairs = []
     for k, e in enumerate(edges):
         if not _is_string_pair(e):
-            raise FormatError(f"edge entry {k} must be a pair of strings")
+            raise InputError(f"edge entry {k} must be a pair of strings")
         pairs.append((e[0], e[1]))
     return Graph(tuple(vertices), tuple(pairs))

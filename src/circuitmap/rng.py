@@ -13,6 +13,8 @@ Constants:
 
 from __future__ import annotations
 
+from .errors import InputError
+
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _ZERO_SEED_ESCAPE = 0x9E3779B97F4A7C15
@@ -38,12 +40,12 @@ class XorShift64Star:
         """Uniform-enough integer in [0, n). Uses the multiply-shift reduction,
         which is deterministic and avoids modulo bias for small n."""
         if n <= 0:
-            raise ValueError("randrange needs a positive bound")
+            raise InputError("randrange needs a positive bound")
         return (self.next_u64() * n) >> 64
 
     def choice(self, seq):
         if not seq:
-            raise ValueError("choice from an empty sequence")
+            raise InputError("choice from an empty sequence")
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, seq: list) -> None:

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from .circuits import circuit_and_attached_path
 from .connectivity import cutpoints, is_k_connected, two_disjoint_paths
 from .edge_maps import EdgeMap
-from .errors import (
-    ForeignEdgeSetError,
-    HypothesisViolationError,
-    InvalidWitnessError,
-)
+from .errors import InputError, InternalError, PreconditionError
 from .graph import Circuit, EdgeSet, Graph, Path, _two_sides, components, induced_subgraph
 
 
@@ -70,10 +66,10 @@ class LinkedCircuitPair:
 
 def validate_linked_pair(graph: Graph, witness: LinkedCircuitPair,
                          connectors_from: EdgeSet | None = None) -> None:
-    """Check every structural requirement; raise InvalidWitnessError if broken."""
+    """Check every structural requirement; raise InternalError if broken."""
 
     def fail(reason: str):
-        raise InvalidWitnessError(f"linked circuit pair invalid: {reason}")
+        raise InternalError(f"linked circuit pair invalid: {reason}")
 
     if witness.circuit_a.host != graph or witness.circuit_b.host != graph \
             or witness.path.host != graph:
@@ -116,7 +112,7 @@ def validate_linked_pair(graph: Graph, witness: LinkedCircuitPair,
 
     if connectors_from is not None:
         if connectors_from.host != graph:
-            raise ForeignEdgeSetError("connector edge set hosted elsewhere")
+            raise InputError("connector edge set hosted elsewhere")
         for eid in witness.connectors():
             if eid not in connectors_from.members:
                 u, v = graph.endpoints(eid)
@@ -129,30 +125,29 @@ def find_crossing_structure(graph: Graph, crossing: EdgeSet
 
     Preconditions, all checked here: graph is 3-connected; crossing is an
     independent edge set; deleting it leaves exactly two components with
-    every crossing edge between them. Violations raise
-    HypothesisViolationError.
+    every crossing edge between them. Violations raise PreconditionError.
 
     Returns a validated LinkedCircuitPair whose connectors come from
     `crossing` when both sides are 2-connected, and otherwise a validated
     Circuit containing at least four crossing edges.
     """
     if crossing.host != graph:
-        raise ForeignEdgeSetError("crossing set is hosted on a different graph")
+        raise InputError("crossing set is hosted on a different graph")
     if not is_k_connected(graph, 3):
-        raise HypothesisViolationError("graph is not 3-connected")
+        raise PreconditionError("graph is not 3-connected")
 
     touched = set()
     for eid in crossing:
         for v in graph.endpoints(eid):
             if v in touched:
-                raise HypothesisViolationError(
+                raise PreconditionError(
                     f"crossing set is not independent at {v!r}")
             touched.add(v)
 
-    blocks = _two_sides(graph, crossing, HypothesisViolationError, "crossing set")
+    blocks = _two_sides(graph, crossing, PreconditionError, "crossing set")
     side_a = set(blocks[0])
     if len(crossing) < 3:
-        raise HypothesisViolationError(
+        raise PreconditionError(
             "a 3-connected graph forces at least three crossing edges")
 
     sub_a, ids_a = induced_subgraph(graph, blocks[0])
@@ -207,7 +202,7 @@ def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
     weak = sub_a if not is_k_connected(sub_a, 2) else sub_b
     cut_vertices = cutpoints(weak)
     if not cut_vertices:
-        raise HypothesisViolationError(
+        raise InternalError(
             "a side is not 2-connected yet has no cutpoint; "
             "the input cannot come from a 3-connected graph")
     v = cut_vertices[0]
@@ -219,7 +214,7 @@ def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
     circuit = Circuit(graph, frozenset(first.edges) | frozenset(second.edges))
     used = len(set(circuit.edges) & crossing.members)
     if used < 4:
-        raise InvalidWitnessError(
+        raise InternalError(
             f"constructed circuit uses {used} crossing edges, expected >= 4")
     return circuit
 

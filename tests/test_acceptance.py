@@ -20,9 +20,10 @@ from circuitmap import (
     Circuit,
     EdgeSet,
     IndependentEdges,
+    InternalError,
     LinkedCircuitPair,
     NotInducedError,
-    NotThreeConnectedError,
+    PreconditionError,
     StarViolation,
     build_counterexample,
     check_circuit_injection,
@@ -107,8 +108,8 @@ def test_criterion_1_counterexample_suite():
         try:
             reconstruct_vertex_isomorphism(f)
             raise AssertionError("reconstruction accepted a 2-connected source")
-        except NotThreeConnectedError:
-            pass
+        except PreconditionError as err:
+            assert "3-connected" in str(err)
 
         try:
             reconstruct_vertex_isomorphism(f, check_connectivity=False)
@@ -152,7 +153,7 @@ def test_criterion_4_attached_path_suite():
         circuit, path, t = circuit_and_attached_path(g, a, b, c)
         try:
             validate_attached_path(g, a, b, c, circuit, path, t)
-        except ValueError:
+        except InternalError:
             failures += 1
     assert failures == 0
 

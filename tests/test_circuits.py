@@ -8,8 +8,9 @@ import pytest
 from circuitmap import (
     Circuit,
     EdgeSet,
-    NotTwoConnectedError,
-    TooManyCircuitsError,
+    InputError,
+    InternalError,
+    PreconditionError,
     build_graph,
     check_circuit_isomorphism,
     circuit_and_attached_path,
@@ -139,7 +140,7 @@ def test_enumeration_reproduces_recorded_lists():
 
 
 def test_max_count_guard(k4):
-    with pytest.raises(TooManyCircuitsError):
+    with pytest.raises(PreconditionError, match=r"^more than 3 circuits$"):
         enumerate_circuits(k4, max_count=3)
     assert len(enumerate_circuits(k4, max_count=7)) == 7
 
@@ -148,13 +149,13 @@ def test_budget_boundary():
     # K7 has exactly 1,172 circuits: a budget of that many passes, one less
     # is refused with the budget in the message.
     assert len(enumerate_circuits(complete(7), max_count=1172)) == 1172
-    with pytest.raises(TooManyCircuitsError, match=r"^more than 1171 circuits$"):
+    with pytest.raises(PreconditionError, match=r"^more than 1171 circuits$"):
         enumerate_circuits(complete(7), max_count=1171)
 
 
 @pytest.mark.parametrize("max_count", [0, -1])
 def test_budget_must_be_positive(k4, max_count):
-    with pytest.raises(ValueError, match="max_count must be positive"):
+    with pytest.raises(InputError, match="^max_count must be positive$"):
         enumerate_circuits(k4, max_count=max_count)
 
 
@@ -163,7 +164,7 @@ def test_refusal_builds_no_circuit(monkeypatch):
         raise AssertionError("Circuit built before the budget was settled")
 
     monkeypatch.setattr(circuits_module, "Circuit", refuse)
-    with pytest.raises(TooManyCircuitsError):
+    with pytest.raises(PreconditionError, match=r"^more than 1171 circuits$"):
         enumerate_circuits(complete(7), max_count=1171)
 
 
@@ -223,19 +224,20 @@ class TestAttachedPath:
         assert path.is_empty() and t == "1"
 
     def test_rejects_repeated_inputs(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^a, b, c must be distinct$"):
             circuit_and_attached_path(k4, "0", "0", "1")
 
     def test_requires_two_connected(self):
         p3 = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        with pytest.raises(NotTwoConnectedError):
+        with pytest.raises(PreconditionError,
+                           match="^attachment search needs a 2-connected graph$"):
             circuit_and_attached_path(p3, "a", "b", "c")
 
     def test_validator_rejects_tampering(self, theta3):
         c, p, t = circuit_and_attached_path(theta3, "x_0_1", "x_1_1", "x_2_2")
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalError, match="^path must run from c to t$"):
             validate_attached_path(theta3, "x_0_1", "x_1_1", "x_2_2", c, p, "u")
         # a circuit that misses b entirely cannot carry the same attachment
         other = Circuit(theta3, frozenset({0, 1, 2, 6, 7, 8}))
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalError, match="^circuit misses a or b$"):
             validate_attached_path(theta3, "x_0_1", "x_1_1", "x_2_2", other, p, t)

@@ -5,13 +5,15 @@ lives in the acceptance suite instead.
 """
 
 import json
+import re
 
 import pytest
 
-from circuitmap import graph_to_json, named_graph
+from circuitmap import InternalError, graph_to_json, named_graph
 from circuitmap.cli import (
     EXIT_FAIL,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NOT_INDUCED,
     EXIT_PASS,
     EXIT_PRECONDITION,
@@ -89,6 +91,23 @@ class TestGenerate:
     def test_bad_name_is_input_error(self):
         assert main(["generate", "named", "--name", "nope", "--quiet"]) == EXIT_INPUT
 
+    def test_non_decimal_size_suffix_is_unknown_name(self, capsys):
+        # "²" is a digit to str.isdigit but not to int().
+        assert main(["generate", "named", "--name", "theta²", "--quiet"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: no catalog entry named 'theta²'\n"
+
+    def test_random3c_below_four_vertices_is_input_error(self, in_tmp, capsys):
+        assert main(["generate", "random3c", "--n", "3"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: 3-connected graphs need at least 4 vertices\n"
+        assert list(in_tmp.iterdir()) == []
+
+    def test_out_prefix_in_missing_directory_is_input_error(self, in_tmp, capsys):
+        assert main(["generate", "named", "--name", "K4",
+                     "--out", "absent/k4"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: absent/k4.json: No such file or directory\n"
+
 
 class TestVerify:
     def test_counterexample_passes(self, capsys):
@@ -139,12 +158,31 @@ class TestVerify:
         assert main(["verify", src, tgt, fmap]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
-    def test_missing_file(self):
+    def test_missing_file(self, capsys):
         assert main(["verify", "no.json", "no.json", "no.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: no.json: No such file or directory\n"
 
     def test_malformed_json(self, in_tmp):
         (in_tmp / "bad.json").write_text("{", encoding="utf-8")
         assert main(["verify", "bad.json", "bad.json", "bad.json"]) == EXIT_INPUT
+
+    def test_truncated_map_file_is_named(self, in_tmp, capsys):
+        src, tgt, fmap = generate_counterexample()
+        text = (in_tmp / fmap).read_text(encoding="utf-8")
+        (in_tmp / fmap).write_text(text[:len(text) // 2], encoding="utf-8")
+        assert main(["verify", src, tgt, fmap]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {fmap}: Expecting ")
+
+    def test_non_utf8_graph_file_is_named(self, in_tmp, capsys):
+        (in_tmp / "latin1.json").write_bytes(b'{"vertices": ["\xe9"], "edges": []}')
+        assert main(["enumerate", "latin1.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            "error: latin1.json: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_deeply_nested_json_is_input_error(self, in_tmp, capsys):
+        (in_tmp / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+        assert main(["enumerate", "deep.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: deep.json: maximum recursion")
 
     def test_non_string_map_endpoint_is_input_error(self, in_tmp, capsys):
         write_graph(in_tmp / "k4.json", "K4")
@@ -355,3 +393,39 @@ class TestClassifyDecomposeCrossing:
         (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
         assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: cut file")
+
+
+class TestInternalFaults:
+    """A broken postcondition is a bug: exit 5, never 1 or 4, no traceback."""
+
+    @pytest.fixture
+    def prism_cut(self, in_tmp):
+        write_graph(in_tmp / "prism.json", "prism")
+        write_json(in_tmp / "cut.json", [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]])
+        return ["crossing", "prism.json", "cut.json"]
+
+    def test_failed_postcondition_exits_5(self, prism_cut, capsys, monkeypatch):
+        from circuitmap import circuits
+
+        def broken(*args):
+            raise InternalError("circuit misses a or b")
+
+        monkeypatch.setattr(circuits, "validate_attached_path", broken)
+        assert main(prism_cut) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: internal error: circuit misses a or b "
+                            r"\(raised at test_cli\.py:\d+\)\n", err)
+
+    def test_unexpected_exception_exits_5(self, prism_cut, capsys, monkeypatch):
+        from circuitmap import structure
+
+        def broken(*args):
+            raise KeyError("v9")
+
+        monkeypatch.setattr(structure, "_translate_circuit", broken)
+        assert main(prism_cut) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: internal error: KeyError: 'v9' "
+                            r"\(raised at test_cli\.py:\d+\)\n", err)

@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from circuitmap import (
-    NoTwoPathsError,
+    InputError,
+    PreconditionError,
     build_graph,
     complete_bipartite,
     cutpoints,
@@ -19,8 +21,10 @@ from oracle import brute_is_k_connected
 # Rows [graph name, a, b, forbidden vertex or null, [path, path] or
 # "NoTwoPathsError"], recorded from the earlier two_disjoint_paths that kept
 # its flow in one dict: every catalog graph, its first 40 vertex pairs in
-# order, each without and with one forbidden vertex.
+# order, each without and with one forbidden vertex. "NoTwoPathsError" was
+# the refusal's class name then; it is now the PreconditionError below.
 GOLDEN_PATHS = Path(__file__).parent / "data" / "two_disjoint_paths_golden.json"
+NO_TWO_PATHS = r"^no two internally disjoint paths join '[^']+' and '[^']+'$"
 
 
 def path_graph(n):
@@ -53,7 +57,7 @@ def test_path_and_degenerate_cases():
     assert not is_k_connected(path_graph(1), 1)  # needs more than k vertices
     g = build_graph(["a", "b"], [])
     assert not is_k_connected(g, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^k must be a positive integer$"):
         is_k_connected(path_graph(3), 0)
 
 
@@ -151,19 +155,19 @@ class TestTwoDisjointPaths:
         assert {p.vertices, q.vertices} == {("0", "1"), ("0", "3", "1")}
 
     def test_no_second_path(self, bowtie):
-        with pytest.raises(NoTwoPathsError):
+        with pytest.raises(PreconditionError, match=NO_TWO_PATHS):
             two_disjoint_paths(bowtie, "a", "d")  # everything funnels through c
-        with pytest.raises(NoTwoPathsError):
+        with pytest.raises(PreconditionError, match=NO_TWO_PATHS):
             two_disjoint_paths(path_graph(3), "0", "2")
 
     def test_forbidden_can_destroy_both_paths(self, bowtie):
-        with pytest.raises(NoTwoPathsError):
+        with pytest.raises(PreconditionError, match=NO_TWO_PATHS):
             two_disjoint_paths(bowtie, "a", "b", forbidden=("c",))
 
     def test_input_validation(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^endpoints must be distinct$"):
             two_disjoint_paths(k4, "0", "0")
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^endpoints may not be forbidden$"):
             two_disjoint_paths(k4, "0", "1", forbidden=("0",))
 
 
@@ -173,6 +177,7 @@ def test_two_disjoint_paths_reproduce_recorded_output():
         try:
             p, q = two_disjoint_paths(g, a, b, () if forbidden is None else (forbidden,))
             got = [list(p.vertices), list(q.vertices)]
-        except NoTwoPathsError:
+        except PreconditionError as err:
+            assert re.match(NO_TWO_PATHS, str(err)), str(err)
             got = "NoTwoPathsError"
         assert got == expected, (name, a, b, forbidden)

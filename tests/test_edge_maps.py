@@ -1,20 +1,17 @@
 import json
+import re
 
 import pytest
 
 from circuitmap import (
-    EdgeMap,
-    FormatError,
-    HypothesisViolationError,
     DecompositionViolationError,
+    EdgeMap,
     IndependentEdges,
-    IsolatedVertexError,
-    NotABijectionError,
+    InputError,
     NotInducedError,
-    NotThreeConnectedError,
+    PreconditionError,
     StarAt,
     StarViolation,
-    UnknownEdgeError,
     VertexIso,
     build_counterexample,
     build_graph,
@@ -53,19 +50,19 @@ class TestEdgeMapValidation:
         assert f.image_of(3) == 3 and f.preimage_of(3) == 3
 
     def test_wrong_length(self, k4):
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^assignment covers 3 of 6 edges$"):
             EdgeMap(k4, k4, (0, 1, 2))
 
     def test_repeated_target(self, k4):
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^target edge 0 has two preimages$"):
             EdgeMap(k4, k4, (0, 0, 2, 3, 4, 5))
 
     def test_out_of_range_target(self, k4):
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^edge 5 maps to invalid id 6$"):
             EdgeMap(k4, k4, (0, 1, 2, 3, 4, 6))
 
     def test_mismatched_edge_counts(self, k4, prism):
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^source has 6 edges but target has 9$"):
             EdgeMap(k4, prism, tuple(range(6)))
 
     def test_image_and_preimage_of_sets(self, k4):
@@ -92,37 +89,44 @@ class TestEdgeMapJson:
     def test_unknown_source_edge(self, k4):
         data = edge_map_to_json(identity_map(k4))
         data["map"][0][0] = ["0", "99"]
-        with pytest.raises(UnknownEdgeError):
+        with pytest.raises(InputError, match="^no edge joins '0' and '99'$"):
             edge_map_from_json(k4, k4, data)
 
     def test_duplicate_source_entry(self, k4):
         data = edge_map_to_json(identity_map(k4))
         data["map"][1][0] = data["map"][0][0]
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError,
+                           match=r"^source edge \('0', '1'\) appears twice in the map$"):
             edge_map_from_json(k4, k4, data)
 
     def test_missing_entry(self, k4):
         data = edge_map_to_json(identity_map(k4))
         del data["map"][0]
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^map covers 5 of 6 source edges$"):
             edge_map_from_json(k4, k4, data)
 
     def test_duplicate_target(self, k4):
         data = edge_map_to_json(identity_map(k4))
         data["map"][1][1] = data["map"][0][1]
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^target edge 0 has two preimages$"):
             edge_map_from_json(k4, k4, data)
 
     def test_isolated_target_vertex_rejected(self):
         src = build_graph(["a", "b"], [("a", "b")])
         tgt = build_graph(["x", "y", "z"], [("x", "y")])
         data = {"map": [[["a", "b"], ["x", "y"]]]}
-        with pytest.raises(IsolatedVertexError):
+        with pytest.raises(InputError,
+                           match="^target vertex 'z' is isolated; the map cannot be onto$"):
             edge_map_from_json(src, tgt, data)
 
-    @pytest.mark.parametrize("payload", [[], {}, {"map": "x"}, {"map": [["a"]]}])
-    def test_shape_errors(self, k4, payload):
-        with pytest.raises(FormatError):
+    @pytest.mark.parametrize("payload, message", [
+        ([], "map document needs a 'map' entry"),
+        ({}, "map document needs a 'map' entry"),
+        ({"map": "x"}, "'map' must be a list of pair-of-pairs entries"),
+        ({"map": [["a"]]}, "map entry 0 must be [[u, v], [x, y]]"),
+    ], ids=[f"payload{k}" for k in range(4)])
+    def test_shape_errors(self, k4, payload, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             edge_map_from_json(k4, k4, payload)
 
 
@@ -182,7 +186,7 @@ class TestInjectionCheck:
         assert a.witness.circuit.edges == b.witness.circuit.edges
 
     def test_unknown_mode(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="^unknown mode 'guess'$"):
             check_circuit_injection(identity_map(k4), mode="guess")
 
 
@@ -217,7 +221,7 @@ class TestStarClassification:
         src = build_graph(["a", "b", "c"], [("a", "b")])
         tgt = build_graph(["x", "y"], [("x", "y")])
         f = EdgeMap(src, tgt, (0,))
-        with pytest.raises(IsolatedVertexError):
+        with pytest.raises(InputError, match="^source vertex 'c' has no incident edges$"):
             classify_star_image(f, "c")
 
 
@@ -241,13 +245,15 @@ class TestDecomposition:
 
     def test_star_preimage_guard(self):
         _, _, f = build_counterexample(3)
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(PreconditionError,
+                           match="^star preimage of 'b0' is StarAt, not independent$"):
             decompose_by_star_preimage(f, "b0")  # preimage is a star, not independent
 
     def test_two_connected_guard(self):
         src = build_graph("ab", [("a", "b")])
         tgt = build_graph("xy", [("x", "y")])
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(PreconditionError,
+                           match="^decomposition needs a 2-connected source$"):
             decompose_by_star_preimage(EdgeMap(src, tgt, (0,)), "x")
 
     def test_reports_bad_split(self, k4, bowtie):
@@ -280,7 +286,8 @@ class TestReconstruction:
 
     def test_refuses_weakly_connected_source(self):
         _, _, f = build_counterexample(3)
-        with pytest.raises(NotThreeConnectedError):
+        with pytest.raises(PreconditionError,
+                           match="^reconstruction requires a 3-connected source$"):
             reconstruct_vertex_isomorphism(f)
 
     def test_guard_off_reports_interior_vertex(self):
@@ -306,9 +313,9 @@ class TestVertexIso:
         assert iso.as_dict == {"a": "x", "b": "y"}
 
     def test_duplicate_target_rejected(self):
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^vertex map repeats a source or target$"):
             VertexIso((("a", "x"), ("b", "x")))
 
     def test_duplicate_source_rejected(self):
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^vertex map repeats a source or target$"):
             VertexIso((("a", "x"), ("a", "y")))

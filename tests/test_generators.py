@@ -8,10 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from circuitmap import (
-    GenerationFailedError,
-    InvalidPrimeError,
-    NotABijectionError,
-    UnknownNameError,
+    InputError,
     build_counterexample,
     build_graph,
     check_circuit_injection,
@@ -50,7 +47,7 @@ class TestTheta:
         assert g.endpoints(9) == ("x_1_4", "w")
 
     def test_small_sizes_rejected(self):
-        with pytest.raises(UnknownNameError):
+        with pytest.raises(InputError, match="^theta graph needs at least 2 edges per path$"):
             theta_graph(1)
 
 
@@ -82,11 +79,13 @@ class TestCounterexample:
 
     @pytest.mark.parametrize("p", [2, 4, 6, 9, 1, 0, -5])
     def test_bad_sizes_rejected(self, p):
-        with pytest.raises(InvalidPrimeError):
+        with pytest.raises(InputError,
+                           match=f"^parameter must be a prime greater than 2, got {p}$"):
             build_counterexample(p)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(InvalidPrimeError):
+        with pytest.raises(InputError,
+                           match=r"^parameter must be a prime greater than 2, got 3\.0$"):
             build_counterexample(3.0)
 
 
@@ -116,9 +115,9 @@ class TestPermutedEdgeMap:
         assert check_circuit_injection(f).passed
 
     def test_bad_relabelings(self, k4):
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^relabeling must cover exactly the vertices$"):
             permuted_edge_map(k4, {"0": "a", "1": "b", "2": "c"})
-        with pytest.raises(NotABijectionError):
+        with pytest.raises(InputError, match="^relabeling repeats a target label$"):
             permuted_edge_map(k4, {"0": "a", "1": "a", "2": "b", "3": "c"})
 
 
@@ -147,12 +146,17 @@ class TestNamedCatalog:
         assert named_graph("double-bowtie") == named_graph("double_bowtie")
 
     @pytest.mark.parametrize(
-        "name,size",
-        [("nope", None), ("K4", 5), ("wheel", None), ("wheel", 2),
-         ("theta", None), ("w", None)],
+        "name,size,message",
+        [("nope", None, "no catalog entry named 'nope'"),
+         ("K4", 5, "'K4' does not take a size parameter"),
+         ("wheel", None, "'wheel' needs a size parameter"),
+         ("wheel", 2, "wheel rim needs at least 3 vertices"),
+         ("theta", None, "'theta' needs a size parameter"),
+         ("w", None, "'w' needs a size parameter")],
+        ids=["nope-None", "K4-5", "wheel-None", "wheel-2", "theta-None", "w-None"],
     )
-    def test_bad_names(self, name, size):
-        with pytest.raises(UnknownNameError):
+    def test_bad_names(self, name, size, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
             named_graph(name, size)
 
 
@@ -179,10 +183,24 @@ class TestRandomGraphs:
         assert g.edge_count() == 6
 
     def test_sizes_too_small(self):
-        with pytest.raises(GenerationFailedError):
+        with pytest.raises(InputError,
+                           match="^3-connected graphs need at least 4 vertices$"):
             random_three_connected(3, seed=1)
-        with pytest.raises(GenerationFailedError):
+        with pytest.raises(InputError,
+                           match="^2-connected graphs need at least 3 vertices$"):
             random_two_connected(2, seed=1)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_three_connected_size_below_range_is_input_error(self, n):
+        with pytest.raises(InputError,
+                           match="^3-connected graphs need at least 4 vertices$"):
+            random_three_connected(n, seed=1)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_two_connected_size_below_range_is_input_error(self, n):
+        with pytest.raises(InputError,
+                           match="^2-connected graphs need at least 3 vertices$"):
+            random_two_connected(n, seed=1)
 
 
 def fingerprint(graph):

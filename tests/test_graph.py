@@ -1,18 +1,14 @@
 import json
+import re
 
 import pytest
 
 from circuitmap import (
     Circuit,
-    DuplicateEdgeError,
     EdgeSet,
-    ForeignEdgeSetError,
-    FormatError,
     Graph,
-    LoopEdgeError,
+    InputError,
     Path,
-    UnknownEdgeError,
-    UnknownVertexError,
     build_graph,
     components,
     delete_edges,
@@ -35,22 +31,22 @@ def test_build_graph_coerces_and_orders():
 
 
 def test_loop_edge_rejected():
-    with pytest.raises(LoopEdgeError):
+    with pytest.raises(InputError, match=r"^edge 0 is a loop at 'a'$"):
         build_graph(["a"], [("a", "a")])
 
 
 def test_duplicate_edge_rejected_either_orientation():
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(InputError, match=r"^edge 1 repeats pair \('a', 'b'\)$"):
         build_graph(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_unknown_endpoint_rejected():
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(InputError, match=r"^edge 0 uses unknown vertex 'c'$"):
         build_graph(["a", "b"], [("a", "c")])
 
 
 def test_duplicate_vertex_label_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"^duplicate vertex label 'a'$"):
         Graph(("a", "a"), ())
 
 
@@ -62,9 +58,9 @@ def test_accessors(k4):
     assert k4.neighbors("0") == ("1", "2", "3")
     assert k4.incident_edges("3") == (2, 4, 5)
     assert k4.has_edge("2", "3") and not k4.has_edge("0", "0")
-    with pytest.raises(UnknownEdgeError):
+    with pytest.raises(InputError, match=r"^no edge joins '0' and '0'$"):
         k4.edge_id("0", "0")
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(InputError, match=r"^unknown vertex 'z'$"):
         k4.require_vertex("z")
 
 
@@ -92,7 +88,7 @@ def test_edge_set_iterates_in_id_order(k4):
 
 
 def test_edge_set_from_pairs_rejects_unknown(k4):
-    with pytest.raises(UnknownEdgeError):
+    with pytest.raises(InputError, match=r"^no edge joins '0' and '0'$"):
         edge_set_from_pairs(k4, [("0", "1"), ("0", "0")])
 
 
@@ -106,7 +102,7 @@ def test_delete_edges_splits_prism_into_triangles(prism):
 
 
 def test_delete_edges_rejects_foreign_set(k4, prism):
-    with pytest.raises(ForeignEdgeSetError):
+    with pytest.raises(InputError, match=r"^edge set is hosted on a different graph$"):
         delete_edges(prism, star(k4, "0"))
 
 
@@ -153,7 +149,7 @@ def test_induced_subgraph(prism):
     assert sub.vertices == ("a0", "a1", "a2")
     assert sub.edge_count() == 3
     assert old_id == (0, 1, 2)
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(InputError, match=r"^unknown vertex 'zz'$"):
         induced_subgraph(prism, {"a0", "zz"})
 
 
@@ -170,11 +166,11 @@ class TestPath:
         assert p.is_empty() and p.vertices == ("3",) and p.edges == ()
 
     def test_missing_edge_rejected(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^edge 1 does not join step 0 of the path$"):
             Path(k4, ("0", "1"), (1,))  # edge 1 is (0, 2)
 
     def test_revisited_vertex_rejected(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^path repeats a vertex$"):
             Path.from_vertices(k4, ["0", "1", "0"])
 
 
@@ -184,16 +180,16 @@ class TestCircuit:
         assert c.key() == (0, 1, 3)
 
     def test_path_shape_rejected(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^edge set is not a circuit$"):
             Circuit(k4, frozenset({0, 3}))
 
     def test_disconnected_union_rejected(self, prism):
         # two vertex-disjoint triangles: all degrees 2 but two components
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^edge set is not a circuit$"):
             Circuit(prism, frozenset({0, 1, 2, 3, 4, 5}))
 
     def test_empty_rejected(self, k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"^edge set is not a circuit$"):
             Circuit(k4, frozenset())
 
 
@@ -210,24 +206,27 @@ def test_json_vertices_sorted_edges_in_id_order():
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        [],
-        {"vertices": ["a"]},
-        {"edges": []},
-        {"vertices": "ab", "edges": []},
-        {"vertices": ["a", "b"], "edges": [["a", "b", "c"]]},
-        {"vertices": ["a", 1], "edges": []},
-        {"vertices": ["a", "b"], "edges": ["ab"]},
+        ([], "graph document must be a JSON object"),
+        ({"vertices": ["a"]}, "graph document needs 'vertices' and 'edges'"),
+        ({"edges": []}, "graph document needs 'vertices' and 'edges'"),
+        ({"vertices": "ab", "edges": []}, "'vertices' must be a list of strings"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b", "c"]]},
+         "edge entry 0 must be a pair of strings"),
+        ({"vertices": ["a", 1], "edges": []}, "'vertices' must be a list of strings"),
+        ({"vertices": ["a", "b"], "edges": ["ab"]},
+         "edge entry 0 must be a pair of strings"),
     ],
+    ids=[f"payload{k}" for k in range(7)],
 )
-def test_json_shape_errors(payload):
-    with pytest.raises(FormatError):
+def test_json_shape_errors(payload, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         graph_from_json(payload)
 
 
 def test_json_loader_keeps_graph_validation():
-    with pytest.raises(LoopEdgeError):
+    with pytest.raises(InputError, match=r"^edge 0 is a loop at 'a'$"):
         graph_from_json({"vertices": ["a"], "edges": [["a", "a"]]})
 
 

@@ -3,10 +3,10 @@ import pytest
 from circuitmap import (
     Circuit,
     EdgeMap,
-    ForeignEdgeSetError,
-    HypothesisViolationError,
-    InvalidWitnessError,
+    InputError,
+    InternalError,
     LinkedCircuitPair,
+    PreconditionError,
     Path,
     connector_images_nonadjacent,
     edge_set_from_pairs,
@@ -63,27 +63,31 @@ class TestHypothesisGuards:
     def test_not_three_connected(self, theta3):
         cut = edge_set_from_pairs(theta3, [("u", "x_0_1"), ("u", "x_1_1"),
                                            ("u", "x_2_1")])
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(PreconditionError, match="^graph is not 3-connected$"):
             find_crossing_structure(theta3, cut)
 
     def test_cut_must_be_independent(self, k4):
         cut = edge_set_from_pairs(k4, [("0", "1"), ("0", "2"), ("2", "3")])
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(PreconditionError,
+                           match="^crossing set is not independent at '0'$"):
             find_crossing_structure(k4, cut)
 
     def test_cut_must_disconnect(self, k4):
         cut = edge_set_from_pairs(k4, [("0", "1"), ("2", "3")])
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(PreconditionError,
+                           match="^deleting the crossing set left 1 components, not 2$"):
             find_crossing_structure(k4, cut)
 
     def test_cut_must_have_three_edges(self, prism):
         cut = edge_set_from_pairs(prism, [("a0", "b0"), ("a1", "b1")])
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(PreconditionError,
+                           match="^deleting the crossing set left 1 components, not 2$"):
             find_crossing_structure(prism, cut)
 
     def test_foreign_cut(self, prism, k4):
         cut = edge_set_from_pairs(k4, [("0", "1"), ("2", "3")])
-        with pytest.raises(ForeignEdgeSetError):
+        with pytest.raises(InputError,
+                           match="^crossing set is hosted on a different graph$"):
             find_crossing_structure(prism, cut)
 
 
@@ -92,26 +96,27 @@ class TestWitnessValidation:
         w = find_crossing_structure(prism, prism_matching(prism))
         bent = LinkedCircuitPair(w.circuit_a, w.circuit_b, w.bridge_a,
                                  w.bridge_b, Path.empty(prism, "a2"), w.path_edge)
-        with pytest.raises(InvalidWitnessError):
+        with pytest.raises(InternalError, match="^linked circuit pair invalid: connector path has no edges$"):
             validate_linked_pair(prism, bent)
 
     def test_overlapping_circuits_rejected(self, prism):
         w = find_crossing_structure(prism, prism_matching(prism))
         clash = LinkedCircuitPair(w.circuit_a, w.circuit_a, w.bridge_a,
                                   w.bridge_b, w.path, w.path_edge)
-        with pytest.raises(InvalidWitnessError):
+        with pytest.raises(InternalError, match="^linked circuit pair invalid: circuits share a vertex$"):
             validate_linked_pair(prism, clash)
 
     def test_connector_restriction_enforced(self, prism):
         w = find_crossing_structure(prism, prism_matching(prism))
         narrow = edge_set_from_pairs(prism, [("a0", "b0"), ("a1", "b1"),
                                              ("a0", "a1")])
-        with pytest.raises(InvalidWitnessError):
+        with pytest.raises(InternalError,
+                           match=r"^linked circuit pair invalid: connector \('a2', 'b2'\) is not in the crossing set$"):
             validate_linked_pair(prism, w, connectors_from=narrow)
 
     def test_wrong_host_rejected(self, prism, k4):
         w = find_crossing_structure(prism, prism_matching(prism))
-        with pytest.raises(InvalidWitnessError):
+        with pytest.raises(InternalError, match="^linked circuit pair invalid: parts hosted on the wrong graph$"):
             validate_linked_pair(k4, w)
 
 
@@ -138,5 +143,5 @@ class TestConnectorImages:
     def test_witness_must_match_source(self, prism, k4):
         w = find_crossing_structure(prism, prism_matching(prism))
         f = EdgeMap(k4, k4, tuple(range(6)))
-        with pytest.raises(InvalidWitnessError):
+        with pytest.raises(InternalError, match="^linked circuit pair invalid: parts hosted on the wrong graph$"):
             connector_images_nonadjacent(f, w)
