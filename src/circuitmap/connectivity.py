@@ -6,9 +6,10 @@ in_v -> out_v and edge {u, w} the arcs out_u -> in_w and out_w -> in_u, so
 disjoint units of flow from out_s to in_t are internally disjoint s-t paths.
 k-connectivity takes local flows bounded at k (Esfahanian and Hakimi, "On
 computing the connectivities of graphs and digraphs", Networks 14(2), 1984),
-O((n + delta^2) * k * m) in all. Cutpoints, and k <= 2, come from one
-lowpoint depth-first search (Tarjan, SIAM J. Comput. 1(2), 1972). Every
-search runs in index order, so results are deterministic for a given graph.
+O((n + delta^2) * k * m) in all. Cutpoints, and k <= 2, are read off the
+parents, depths and lowpoints of graph._rooted_forest, the package's one
+depth-first search. Every search runs in index order, so results are
+deterministic for a given graph.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 from typing import Collection
 
 from .errors import InputError, InternalError, PreconditionError
-from .graph import Graph, Path
+from .graph import Graph, Path, _rooted_forest
 
 
 def _augment(graph: Graph, s: int, t: int, limit: int,
@@ -64,7 +65,7 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     k vertices disconnects it. Under this convention K_n is (n-1)-connected
     but not n-connected.
 
-    For k <= 2 the lowpoint search answers: one component, and for k = 2 no
+    For k <= 2 the depth-first forest answers: one root, and for k = 2 no
     cutpoint. For k >= 3 let v be a vertex of least degree. The graph is
     k-connected iff deg(v) >= k, every w not adjacent to v is joined to v by
     k internally disjoint paths, and so is every non-adjacent pair of v's
@@ -79,7 +80,7 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     if n <= k:
         return False
     if k <= 2:
-        cut, components = _lowpoints(graph)
+        cut, components = _cuts_and_count(graph)
         return components == 1 and (k == 1 or not cut)
     adjacency = graph._adjacency
     v = min(range(n), key=lambda i: len(adjacency[i]))
@@ -94,48 +95,21 @@ def is_k_connected(graph: Graph, k: int) -> bool:
 
 def cutpoints(graph: Graph) -> tuple[str, ...]:
     """Vertices whose removal increases the number of components, sorted."""
-    return tuple(sorted(graph.vertices[i] for i in _lowpoints(graph)[0]))
+    return tuple(sorted(graph.vertices[i] for i in _cuts_and_count(graph)[0]))
 
 
-def _lowpoints(graph: Graph) -> tuple[set[int], int]:
-    """Cutpoint indices and component count from one lowpoint search."""
-    adjacency = graph._adjacency
-    n = len(adjacency)
-    order = [0] * n  # discovery time from 1; 0 means not yet discovered
-    low = [0] * n
-    parent = [-1] * n
-    cut = set()
-    clock = 0
-    for root in range(n):
-        if order[root]:
-            continue
-        clock += 1
-        order[root] = low[root] = clock
-        children = 0
-        stack = [(root, iter(adjacency[root]))]
-        while stack:
-            u, pending = stack[-1]
-            for w, _ in pending:
-                if not order[w]:
-                    clock += 1
-                    order[w] = low[w] = clock
-                    parent[w] = u
-                    stack.append((w, iter(adjacency[w])))
-                    break
-                if w != parent[u]:
-                    low[u] = min(low[u], order[w])
-            else:
-                stack.pop()
-                if stack:
-                    p = parent[u]
-                    low[p] = min(low[p], low[u])
-                    if p == root:
-                        children += 1
-                    elif low[u] >= order[p]:
-                        cut.add(p)
-        if children >= 2:
-            cut.add(root)
-    return cut, parent.count(-1)  # every root, and only a root, has no parent
+def _cuts_and_count(graph: Graph) -> tuple[set[int], int]:
+    """Cutpoint indices and component count from the depth-first forest.
+
+    A vertex is a cutpoint when it has a child u with low[u] >= its depth,
+    or, at a root, where every child qualifies, two children.
+    """
+    up, _, depth, _, low = _rooted_forest(graph._adjacency)
+    need = [1 if p >= 0 else 2 for p in up]  # qualifying children still needed
+    for u, p in enumerate(up):
+        if p >= 0 and low[u] >= depth[p]:
+            need[p] -= 1
+    return {x for x, left in enumerate(need) if left <= 0}, up.count(-1)
 
 
 def two_disjoint_paths(graph: Graph, a: str, b: str,

@@ -16,7 +16,7 @@ graphs, by id) and the checks built on it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
@@ -219,22 +219,19 @@ def check_circuit_isomorphism(edge_map: EdgeMap,
                               max_count: int = DEFAULT_MAX_CIRCUITS) -> Verdict:
     """Do circuits correspond in both directions under the map?
 
-    Runs the exhaustive forward check first, then the reverse direction on
-    the target's circuits. The verdict's witness names whichever circuit
-    breaks first, in its own graph.
+    Runs the exhaustive forward check, then the same check on the inverted
+    map, which walks the target's circuits. The verdict's witness names
+    whichever circuit breaks first, in its own graph; circuits_checked
+    counts both directions.
     """
     forward = check_circuit_injection(edge_map, "exhaustive", max_count=max_count)
     if not forward.passed:
         return forward
-    checked = forward.circuits_checked
-    for circuit in enumerate_circuits(edge_map.target, max_count):
-        checked += 1
-        pre = edge_map.preimage(circuit.edges)
-        if not _edge_ids_form_circuit(edge_map.source, pre):
-            witness = MapWitness("reverse", circuit,
-                                 EdgeSet(edge_map.source, pre))
-            return Verdict(False, "exhaustive", checked, witness)
-    return Verdict(True, "exhaustive", checked)
+    reverse = check_circuit_injection(edge_map.inverted(), "exhaustive",
+                                      max_count=max_count)
+    witness = None if reverse.passed else replace(reverse.witness, direction="reverse")
+    return Verdict(reverse.passed, "exhaustive",
+                   forward.circuits_checked + reverse.circuits_checked, witness)
 
 
 def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
@@ -285,7 +282,7 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
             tree_adj[u].append((v, eid))
             tree_adj[v].append((u, eid))
 
-    up, up_edge, depth, _ = _rooted_forest(tree_adj)
+    up, up_edge, depth, _, _ = _rooted_forest(tree_adj)
 
     emitted: set[frozenset[int]] = set()
     pool: list[frozenset[int]] = []

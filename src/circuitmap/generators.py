@@ -181,11 +181,17 @@ def named_graph(name: str, size: int | None = None) -> Graph:
             if size is None:
                 raise InputError(f"{name!r} needs a size parameter")
             return builder(size)
-        if key.startswith(prefix) and key[len(prefix):].isdecimal():
+        suffix = key[len(prefix):]
+        if key.startswith(prefix) and suffix.isdecimal():
             if size is not None:
                 raise InputError(
                     f"{name!r} already carries its size parameter")
-            return builder(int(key[len(prefix):]))
+            try:
+                size = int(suffix)
+            except ValueError:  # more digits than int() converts
+                raise InputError(
+                    f"size suffix of {len(suffix)} digits is too long") from None
+            return builder(size)
     raise InputError(f"no catalog entry named {name!r}")
 
 

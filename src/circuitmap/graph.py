@@ -325,34 +325,47 @@ def star(graph: Graph, v: str) -> EdgeSet:
     return EdgeSet(graph, frozenset(graph.incident_edges(v)))
 
 
-def _rooted_forest(adjacency) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Root every component of an index graph with one iterative DFS.
+def _rooted_forest(adjacency
+                   ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Root every component of an index graph with one iterative depth-first
+    search, the package's only forest traversal.
 
     adjacency[x] lists (neighbour index, edge id) pairs of vertex index x.
-    Returns per vertex its parent, parent edge (both -1 at a root), depth
-    and root; roots are the least index of each component.
+    Returns per vertex its parent, parent edge (both -1 at a root), depth,
+    root and low: the least depth that x's subtree reaches by one edge, its
+    parent edge included (Tarjan's lowpoint, SIAM J. Comput. 1(2), 1972).
+    Roots are the least index of each component. A tree has one rooting per
+    root, so on a forest parent, edge and depth do not depend on the order
+    of the search.
     """
     n = len(adjacency)
     up = [-1] * n
     up_edge = [-1] * n
     depth = [-1] * n
     root = [-1] * n
+    low = [-1] * n
     for r in range(n):
         if depth[r] >= 0:
             continue
-        depth[r] = 0
+        depth[r] = low[r] = 0
         root[r] = r
-        stack = [r]
+        stack = [(r, iter(adjacency[r]))]
         while stack:
-            x = stack.pop()
-            for y, eid in adjacency[x]:
+            x, pending = stack[-1]
+            for y, eid in pending:
                 if depth[y] < 0:
-                    depth[y] = depth[x] + 1
-                    up[y] = x
-                    up_edge[y] = eid
-                    root[y] = r
-                    stack.append(y)
-    return up, up_edge, depth, root
+                    depth[y] = low[y] = depth[x] + 1
+                    up[y], up_edge[y], root[y] = x, eid, r
+                    stack.append((y, iter(adjacency[y])))
+                    break
+                if depth[y] < low[x]:
+                    low[x] = depth[y]
+            else:
+                stack.pop()
+                p = up[x]
+                if p >= 0 and low[x] < low[p]:
+                    low[p] = low[x]
+    return up, up_edge, depth, root, low
 
 
 def components(graph: Graph) -> tuple[tuple[str, ...], ...]:

@@ -153,10 +153,16 @@ def find_crossing_structure(graph: Graph, crossing: EdgeSet
     sub_a, ids_a = induced_subgraph(graph, blocks[0])
     sub_b, ids_b = induced_subgraph(graph, blocks[1])
 
-    if is_k_connected(sub_a, 2) and is_k_connected(sub_b, 2):
-        return _linked_pair_from_two_connected_sides(
-            graph, crossing, side_a, sub_a, ids_a, sub_b, ids_b)
-    return _circuit_around_cutpoint(graph, crossing, sub_a, sub_b)
+    # Independence and three crossing edges give each connected side three
+    # vertices or more, so a side is 2-connected iff it has no cutpoint.
+    cut_a = cutpoints(sub_a)
+    cut_b = cutpoints(sub_b)
+    if cut_a:
+        return _circuit_around_cutpoint(graph, crossing, sub_a, cut_a[0])
+    if cut_b:
+        return _circuit_around_cutpoint(graph, crossing, sub_b, cut_b[0])
+    return _linked_pair_from_two_connected_sides(
+        graph, crossing, side_a, sub_a, ids_a, sub_b, ids_b)
 
 
 def _linked_pair_from_two_connected_sides(graph: Graph, crossing: EdgeSet,
@@ -195,17 +201,10 @@ def _linked_pair_from_two_connected_sides(graph: Graph, crossing: EdgeSet,
 
 
 def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
-                             sub_a: Graph, sub_b: Graph) -> Circuit:
-    """One side fails 2-connectivity: pick a cutpoint there, join two of
-    its split components by two disjoint paths through the whole graph,
-    and return the resulting circuit, which must use four crossing edges."""
-    weak = sub_a if not is_k_connected(sub_a, 2) else sub_b
-    cut_vertices = cutpoints(weak)
-    if not cut_vertices:
-        raise InternalError(
-            "a side is not 2-connected yet has no cutpoint; "
-            "the input cannot come from a 3-connected graph")
-    v = cut_vertices[0]
+                             weak: Graph, v: str) -> Circuit:
+    """Side `weak` has cutpoint v: join two of its split components by two
+    disjoint paths through the whole graph avoiding v, and return the
+    resulting circuit, which must use four crossing edges."""
     remainder, _ = induced_subgraph(weak, [x for x in weak.vertices if x != v])
     blocks = components(remainder)
     a = blocks[0][0]

@@ -103,3 +103,29 @@ def brute_components(graph) -> list[set[str]]:
         out.append(seen)
         remaining -= seen
     return sorted(out, key=min)
+
+
+def _component_count(graph, keep: set[str]) -> int:
+    """Components of the subgraph induced on keep."""
+    remaining = set(keep)
+    count = 0
+    while remaining:
+        count += 1
+        stack = [remaining.pop()]
+        while stack:
+            x = stack.pop()
+            for eid in range(graph.edge_count()):
+                u, v = graph.endpoints(eid)
+                y = v if u == x else u if v == x else None
+                if y in remaining:
+                    remaining.discard(y)
+                    stack.append(y)
+    return count
+
+
+def brute_cutpoints(graph) -> tuple[str, ...]:
+    """Vertices whose deletion raises the component count, sorted."""
+    everyone = set(graph.vertices)
+    before = _component_count(graph, everyone)
+    return tuple(sorted(v for v in graph.vertices
+                        if _component_count(graph, everyone - {v}) > before))

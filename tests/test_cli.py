@@ -96,6 +96,11 @@ class TestGenerate:
         assert main(["generate", "named", "--name", "theta²", "--quiet"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: no catalog entry named 'theta²'\n"
 
+    def test_size_suffix_too_long_is_input_error(self, capsys):
+        name = "theta" + "1" * 4400
+        assert main(["generate", "named", "--name", name, "--quiet"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: size suffix of 4400 digits is too long\n"
+
     def test_random3c_below_four_vertices_is_input_error(self, in_tmp, capsys):
         assert main(["generate", "random3c", "--n", "3"]) == EXIT_INPUT
         assert capsys.readouterr().err == \

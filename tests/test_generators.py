@@ -159,6 +159,11 @@ class TestNamedCatalog:
         with pytest.raises(InputError, match=f"^{message}$"):
             named_graph(name, size)
 
+    def test_size_suffix_too_long_to_convert(self):
+        # int() refuses more than 4,300 digits; no graph is built.
+        with pytest.raises(InputError, match="^size suffix of 4400 digits is too long$"):
+            named_graph("theta" + "1" * 4400)
+
 
 class TestRandomGraphs:
     def test_two_connected_deterministic(self):

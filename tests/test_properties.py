@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circuitmap import (
+    EdgeMap,
     EdgeSet,
     build_graph,
     check_circuit_injection,
+    check_circuit_isomorphism,
     circuit_and_attached_path,
     classify_star_image,
     classify_star_preimage,
@@ -31,6 +33,7 @@ from conftest import CORPUS, seeded_relabel
 from oracle import (
     brute_circuits,
     brute_components,
+    brute_cutpoints,
     brute_is_circuit,
     brute_is_k_connected,
 )
@@ -152,6 +155,71 @@ def test_two_connected_iff_connected_without_cutpoints(g):
     expected = (g.vertex_count() >= 3 and is_k_connected(g, 1)
                 and not cutpoints(g))
     assert is_k_connected(g, 2) is expected
+
+
+@st.composite
+def sparse_graphs(draw, max_vertices=9):
+    """Graphs with shuffled labels and edge order: forests (each vertex hangs
+    from at most one earlier one), or arbitrary edges inside consecutive
+    pieces, so isolated vertices and several components are common."""
+    n = draw(st.integers(1, max_vertices))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    if draw(st.booleans()):
+        parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
+        edges = [(labels[i], labels[p]) for i, p in enumerate(parents) if p >= 0]
+    else:
+        inner = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        bounds = [0, *inner, n]
+        pairs = [(labels[i], labels[j]) for lo, hi in zip(bounds, bounds[1:])
+                 for i in range(lo, hi) for j in range(i + 1, hi)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(labels, draw(st.permutations(edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs())
+def test_traversal_answers_match_oracle(g):
+    assert cutpoints(g) == brute_cutpoints(g)
+    assert [set(b) for b in components(g)] == brute_components(g)
+    for k in (1, 2):
+        assert is_k_connected(g, k) is brute_is_k_connected(g, k)
+
+
+@st.composite
+def small_edge_maps(draw):
+    """A relabelled copy of a graph with up to two image swaps, or any
+    bijection from a sparse graph onto a second graph, both cut to the same
+    edge count; a forest source fails in reverse only."""
+    if draw(st.booleans()):
+        g = draw(graphs(max_vertices=6, max_edges=9))
+        f = permuted_edge_map(g, seeded_relabel(g, draw(st.integers(0, 2**32))))
+        images = list(f.assignment)
+        for _ in range(draw(st.integers(0, 2)) if images else 0):
+            i = draw(st.integers(0, len(images) - 1))
+            j = draw(st.integers(0, len(images) - 1))
+            images[i], images[j] = images[j], images[i]
+        return EdgeMap(g, f.target, tuple(images))
+    g = draw(sparse_graphs(max_vertices=7))
+    h = draw(graphs(max_vertices=6, max_edges=9))
+    m = min(g.edge_count(), h.edge_count())
+    g = build_graph(g.vertices, g.edges[:m])
+    h = build_graph(h.vertices, h.edges[:m])
+    return EdgeMap(g, h, tuple(draw(st.permutations(range(m)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_edge_maps())
+def test_isomorphism_matches_oracle(f):
+    images = {f.image(c) for c in brute_circuits(f.source)}
+    verdict = check_circuit_isomorphism(f)
+    assert verdict.passed is (images == brute_circuits(f.target))
+    if not verdict.passed:
+        w = verdict.witness
+        own, other = ((f.source, f.target) if w.direction == "forward"
+                      else (f.target, f.source))
+        assert w.circuit.host == own and w.mapped.host == other
+        assert is_circuit(own, EdgeSet(own, w.circuit.edges))
+        assert not is_circuit(other, w.mapped)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path as FilePath
+
 import pytest
 
 from circuitmap import (
@@ -8,13 +11,24 @@ from circuitmap import (
     LinkedCircuitPair,
     PreconditionError,
     Path,
+    build_graph,
     connector_images_nonadjacent,
+    cutpoints,
     edge_set_from_pairs,
     find_crossing_structure,
+    induced_subgraph,
     named_graph,
+    random_three_connected,
     validate_linked_pair,
 )
+from circuitmap.graph import _two_sides
+from circuitmap.rng import XorShift64Star
 from oracle import brute_is_k_connected
+
+# One record per case of crossing_cases(): the witness's kind, circuits,
+# bridges, path vertices, path edge and anchors, recorded from the search
+# that asked each side for 2-connectivity before looking for a cutpoint.
+GOLDEN_WITNESSES = FilePath(__file__).parent / "data" / "crossing_golden.json"
 
 
 def prism_matching(prism):
@@ -57,6 +71,107 @@ def test_double_bowtie_fires_circuit_branch():
     w = find_crossing_structure(g, cut)
     assert isinstance(w, Circuit)
     assert len(w.edges & cut.members) >= 4
+
+
+def tagged(graph, tag):
+    """(vertices, edges) of a copy of graph with every label prefixed by tag."""
+    return ([tag + v for v in graph.vertices],
+            [(tag + u, tag + v) for u, v in graph.edges])
+
+
+def glued(seed, tag_1, tag_2, rng):
+    """Two random 3-connected 20-vertex blocks sharing one vertex: the
+    (vertices, edges) of the side, and each block's vertices but the shared
+    one."""
+    vs_1, es_1 = tagged(random_three_connected(20, seed), tag_1)
+    vs_2, es_2 = tagged(random_three_connected(20, seed + 1), tag_2)
+    glue_1, glue_2 = rng.choice(vs_1), rng.choice(vs_2)
+    rename = {glue_2: glue_1}
+    es_2 = [(rename.get(u, u), rename.get(v, v)) for u, v in es_2]
+    groups = [[v for v in vs_1 if v != glue_1], [v for v in vs_2 if v != glue_2]]
+    return (vs_1 + groups[1], es_1 + es_2), groups
+
+
+def joined(side_a, groups, side_b, rng):
+    """side_a and side_b joined by a 4-edge matching spread evenly over the
+    vertex groups of side_a: the graph and the matching."""
+
+    def sample(group, k):
+        picks = list(group)
+        rng.shuffle(picks)
+        return picks[:k]
+
+    ends_a = [v for group in groups for v in sample(group, 4 // len(groups))]
+    cut = list(zip(ends_a, sample(side_b[0], 4)))
+    graph = build_graph(side_a[0] + side_b[0], side_a[1] + side_b[1] + cut)
+    return graph, edge_set_from_pairs(graph, cut)
+
+
+def crossing_cases():
+    """(case name, graph, crossing set, expected kind) for every golden case.
+
+    "linked" joins two random 3-connected sides; "glued" puts two blocks
+    sharing a cutpoint on side A, the side holding the least label; "glued_b"
+    puts them on side B instead.
+    """
+    q3 = named_graph("Q3")
+    bowtie = named_graph("double_bowtie")
+    prism = named_graph("prism")
+    cases = [
+        ("prism", prism, prism_matching(prism), "linked_pair"),
+        ("Q3", q3, edge_set_from_pairs(q3, [("000", "100"), ("001", "101"),
+                                            ("010", "110"), ("011", "111")]),
+         "linked_pair"),
+        ("double_bowtie", bowtie, edge_set_from_pairs(
+            bowtie, [("p1", "q1"), ("p2", "q3"), ("p3", "q2"), ("p4", "q4")]),
+         "circuit"),
+    ]
+    for seed in (1, 2, 3):
+        rng = XorShift64Star(seed)
+        side_a = tagged(random_three_connected(60, seed), "a")
+        side_b = tagged(random_three_connected(60, seed + 1), "b")
+        cases.append((f"linked/s{seed}",
+                      *joined(side_a, [side_a[0]], side_b, rng), "linked_pair"))
+        side_a, groups = glued(seed, "a", "c", rng)
+        side_b = tagged(random_three_connected(45, seed + 2), "b")
+        cases.append((f"glued/s{seed}",
+                      *joined(side_a, groups, side_b, rng), "circuit"))
+        weak, groups = glued(seed, "x", "y", rng)
+        strong = tagged(random_three_connected(45, seed + 2), "b")
+        cases.append((f"glued_b/s{seed}",
+                      *joined(weak, groups, strong, rng), "circuit"))
+    return cases
+
+
+def witness_record(witness) -> dict:
+    if isinstance(witness, Circuit):
+        return {"kind": "circuit", "circuit": list(witness.key())}
+    return {"kind": "linked_pair",
+            "circuit_a": list(witness.circuit_a.key()),
+            "circuit_b": list(witness.circuit_b.key()),
+            "bridges": [witness.bridge_a, witness.bridge_b],
+            "path_vertices": list(witness.path.vertices),
+            "path_edge": witness.path_edge,
+            "anchors_a": list(witness.anchors_a()),
+            "anchors_b": list(witness.anchors_b())}
+
+
+def test_crossing_witnesses_reproduce_recorded_output():
+    golden = json.loads(GOLDEN_WITNESSES.read_text())
+    cases = crossing_cases()
+    assert [name for name, *_ in cases] == list(golden)
+    for name, graph, cut, kind in cases:
+        record = witness_record(find_crossing_structure(graph, cut))
+        assert record["kind"] == kind, name
+        assert record == golden[name], name
+
+
+def test_glued_cases_put_the_cutpoint_on_the_named_side():
+    for name, graph, cut, _ in crossing_cases():
+        if name.startswith("glued"):
+            sides = _two_sides(graph, cut, PreconditionError, "crossing set")
+            weak = [bool(cutpoints(induced_subgraph(graph, side)[0])) for side in sides]
+            assert weak == ([True, False] if name.startswith("glued/") else [False, True])
 
 
 class TestHypothesisGuards:
