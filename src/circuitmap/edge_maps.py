@@ -5,7 +5,8 @@ The central objects are EdgeMap (a bijection between the edge sets of two
 graphs, by id) and the checks built on it:
 
 * check_circuit_injection / check_circuit_isomorphism return a Verdict,
-  carrying a concrete witness circuit on failure;
+  carrying a concrete witness circuit on failure (isomorphism is exact
+  from one spanning forest of the source);
 * classify_star_image / classify_star_preimage sort the mapped star of a
   vertex into exactly-a-star, independent set, or a violation witness;
 * decompose_by_star_preimage splits the source along an independent star
@@ -16,7 +17,7 @@ graphs, by id) and the checks built on it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
@@ -32,8 +33,8 @@ from .graph import (
     EdgeSet,
     Graph,
     _edge_ids_form_circuit,
+    _fundamental_circuits,
     _is_string_pair,
-    _rooted_forest,
     _two_sides,
     star,
 )
@@ -156,7 +157,8 @@ class MapWitness:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a verification run. Truthy iff the check passed."""
+    """Outcome of a verification run. Truthy iff the check passed. mode is
+    "exhaustive", "sampled", or "basis" from check_circuit_isomorphism."""
 
     passed: bool
     mode: str
@@ -215,23 +217,38 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
                    stop_reason="witness" if witness else stats["stop_reason"])
 
 
-def check_circuit_isomorphism(edge_map: EdgeMap,
-                              max_count: int = DEFAULT_MAX_CIRCUITS) -> Verdict:
+def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
     """Do circuits correspond in both directions under the map?
 
-    Runs the exhaustive forward check, then the same check on the inverted
-    map, which walks the target's circuits. The verdict's witness names
-    whichever circuit breaks first, in its own graph; circuits_checked
-    counts both directions.
+    Exact from one spanning forest F of the source (Kruskal over a fixed
+    seeded shuffle), as a graphic matroid is binary and so fixed by one
+    basis and its fundamental circuits (Whitney, Amer. J. Math. 55, 1933;
+    Oxley, Matroid Theory, ch. 6). f is a circuit isomorphism iff every
+    fundamental circuit C(e, F) maps to a circuit ("forward" witness
+    otherwise) and a Kruskal pass over f(F) finds no circuit, whose
+    preimage would lie in the acyclic F ("reverse" witness). circuits_checked
+    counts the fundamental circuits tested. Costs O(n + m) plus their total
+    length; there is no budget.
     """
-    forward = check_circuit_injection(edge_map, "exhaustive", max_count=max_count)
-    if not forward.passed:
-        return forward
-    reverse = check_circuit_injection(edge_map.inverted(), "exhaustive",
-                                      max_count=max_count)
-    witness = None if reverse.passed else replace(reverse.witness, direction="reverse")
-    return Verdict(reverse.passed, "exhaustive",
-                   forward.circuits_checked + reverse.circuits_checked, witness)
+    source, target = edge_map.source, edge_map.target
+    order = list(range(source.edge_count()))
+    XorShift64Star(1).shuffle(order)
+    forest, chords, circuit_of = _fundamental_circuits(source, order)
+    for checked, eid in enumerate(chords, 1):
+        ids = frozenset(circuit_of(eid))
+        image = edge_map.image(ids)
+        if not _edge_ids_form_circuit(target, image):
+            return Verdict(False, "basis", checked,
+                           MapWitness("forward", Circuit(source, ids),
+                                      EdgeSet(target, image)))
+    _, cycles, image_circuit_of = _fundamental_circuits(
+        target, [edge_map.image_of(eid) for eid in forest])
+    if not cycles:
+        return Verdict(True, "basis", len(chords))
+    ids = frozenset(image_circuit_of(cycles[0]))
+    return Verdict(False, "basis", len(chords),
+                   MapWitness("reverse", Circuit(target, ids),
+                              EdgeSet(source, edge_map.preimage(ids))))
 
 
 def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
@@ -239,13 +256,10 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
     """Seeded stream of distinct circuits: spanning-tree fundamental circuits,
     then random pairwise symmetric differences kept when they are circuits.
 
-    Kruskal over a seeded shuffle of the edges picks the spanning forest
-    (list union-find on vertex indices); graph._rooted_forest roots every
-    tree, giving each vertex's parent, parent edge and depth. The fundamental
-    circuit of a chord (u, v) is then read by lifting the deeper end to the
-    other's depth and both ends together until they meet (Paton, CACM
-    12(9), 1969). Mixing draws random pairs from the pool; edge-disjoint
-    pairs are skipped, since their symmetric difference is never a circuit.
+    graph._fundamental_circuits over a seeded shuffle of the edges picks
+    the spanning forest and reads each chord's circuit. Mixing draws random
+    pairs from the pool; edge-disjoint pairs are skipped, since their
+    symmetric difference is never a circuit.
     Cost: O(n + m) for the forest plus time linear in the circuits found
     and in the pairs mixed, of which there are at most 20 × samples.
 
@@ -261,58 +275,24 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
     rng = XorShift64Star(seed)
     order = list(range(graph.edge_count()))
     rng.shuffle(order)
-    ends = graph._ends
-    n = graph.vertex_count()
+    _, chords, circuit_of = _fundamental_circuits(graph, order)
 
-    # Kruskal-style forest over the shuffled edge order (union-find with
-    # path halving).
-    leader = list(range(n))
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    chords = []
-    for eid in order:
-        u, v = ru, rv = ends[eid]
-        while leader[ru] != ru:
-            leader[ru] = ru = leader[leader[ru]]
-        while leader[rv] != rv:
-            leader[rv] = rv = leader[leader[rv]]
-        if ru == rv:
-            chords.append(eid)
-        else:
-            leader[ru] = rv
-            tree_adj[u].append((v, eid))
-            tree_adj[v].append((u, eid))
-
-    up, up_edge, depth, _, _ = _rooted_forest(tree_adj)
-
+    # Every circuit drawn joins the pool; fundamental circuits are distinct,
+    # each holding its own chord.
     emitted: set[frozenset[int]] = set()
     pool: list[frozenset[int]] = []
-    produced = 0
     for eid in chords:
-        if produced >= samples:
+        if len(pool) >= samples:
             stats["stop_reason"] = "samples"
             return
-        u, v = ends[eid]
-        ids = [eid]
-        while depth[u] > depth[v]:
-            ids.append(up_edge[u])
-            u = up[u]
-        while depth[v] > depth[u]:
-            ids.append(up_edge[v])
-            v = up[v]
-        while u != v:
-            ids.append(up_edge[u])
-            ids.append(up_edge[v])
-            u, v = up[u], up[v]
-        ids = frozenset(ids)
-        if ids not in emitted:
-            emitted.add(ids)
-            pool.append(ids)
-            produced += 1
-            yield ids
+        ids = frozenset(circuit_of(eid))
+        emitted.add(ids)
+        pool.append(ids)
+        yield ids
 
     attempts = 0
     limit = samples * 20
-    while produced < samples and len(pool) >= 2 and attempts < limit:
+    while 2 <= len(pool) < samples and attempts < limit:
         attempts += 1
         stats["attempts"] = attempts
         i = rng.randrange(len(pool))
@@ -323,9 +303,8 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
         if mix not in emitted and _edge_ids_form_circuit(graph, mix):
             emitted.add(mix)
             pool.append(mix)
-            produced += 1
             yield mix
-    if produced >= samples:
+    if len(pool) >= samples:
         stats["stop_reason"] = "samples"
     elif len(pool) < 2:
         stats["stop_reason"] = "too_few_circuits"

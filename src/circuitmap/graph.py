@@ -93,9 +93,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._index
-
     def require_vertex(self, v) -> str:
         if v not in self._index:
             raise InputError(f"unknown vertex {v!r}")
@@ -366,6 +363,57 @@ def _rooted_forest(adjacency
                 if p >= 0 and low[x] < low[p]:
                     low[p] = low[x]
     return up, up_edge, depth, root, low
+
+
+def _fundamental_circuits(graph: Graph, order: Iterable[int]):
+    """Kruskal forest over an edge order, and its fundamental circuits.
+
+    Walks the edge ids in `order`: an edge joining two trees of the forest
+    built so far joins the forest (list union-find on vertex indices with
+    path halving), any other is a chord. _rooted_forest roots every tree;
+    circuit_of(chord) reads the chord's fundamental circuit by lifting the
+    deeper end to the other's depth and both ends together until they meet
+    (Paton, CACM 12(9), 1969), in time linear in the circuit's length.
+    Returns (forest edge ids, chord ids, circuit_of), both lists in `order`;
+    circuit_of returns the circuit's edge ids, the chord first.
+    """
+    ends = graph._ends
+    n = graph.vertex_count()
+    leader = list(range(n))
+    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    forest_ids = []
+    chords = []
+    for eid in order:
+        u, v = ru, rv = ends[eid]
+        while leader[ru] != ru:
+            leader[ru] = ru = leader[leader[ru]]
+        while leader[rv] != rv:
+            leader[rv] = rv = leader[leader[rv]]
+        if ru == rv:
+            chords.append(eid)
+        else:
+            leader[ru] = rv
+            forest_ids.append(eid)
+            tree_adj[u].append((v, eid))
+            tree_adj[v].append((u, eid))
+    up, up_edge, depth, _, _ = _rooted_forest(tree_adj)
+
+    def circuit_of(chord: int) -> list[int]:
+        u, v = ends[chord]
+        ids = [chord]
+        while depth[u] > depth[v]:
+            ids.append(up_edge[u])
+            u = up[u]
+        while depth[v] > depth[u]:
+            ids.append(up_edge[v])
+            v = up[v]
+        while u != v:
+            ids.append(up_edge[u])
+            ids.append(up_edge[v])
+            u, v = up[u], up[v]
+        return ids
+
+    return forest_ids, chords, circuit_of
 
 
 def components(graph: Graph) -> tuple[tuple[str, ...], ...]:

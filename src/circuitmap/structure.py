@@ -48,20 +48,18 @@ class LinkedCircuitPair:
 
     def anchors_a(self) -> tuple[str, str, str]:
         """The three designated vertices on circuit_a, bridge ends first."""
-        va = self.circuit_a.vertex_set()
-        ends = []
-        for eid in (self.bridge_a, self.bridge_b):
-            u, v = self.circuit_a.host.endpoints(eid)
-            ends.append(u if u in va else v)
-        return ends[0], ends[1], self.path.vertices[0]
+        return self._anchors(self.circuit_a, self.path.vertices[0])
 
     def anchors_b(self) -> tuple[str, str, str]:
-        vb = self.circuit_b.vertex_set()
+        return self._anchors(self.circuit_b, self.path.vertices[-1])
+
+    def _anchors(self, circuit: Circuit, path_end: str) -> tuple[str, str, str]:
+        on = circuit.vertex_set()
         ends = []
         for eid in (self.bridge_a, self.bridge_b):
-            u, v = self.circuit_b.host.endpoints(eid)
-            ends.append(u if u in vb else v)
-        return ends[0], ends[1], self.path.vertices[-1]
+            u, v = circuit.host.endpoints(eid)
+            ends.append(u if u in on else v)
+        return ends[0], ends[1], path_end
 
 
 def validate_linked_pair(graph: Graph, witness: LinkedCircuitPair,

@@ -29,6 +29,12 @@ def corpus_graphs():
     return [(name, named_graph(name)) for name in CORPUS]
 
 
+def complete(n: int):
+    labels = [str(i) for i in range(n)]
+    return build_graph(labels, [(u, v) for i, u in enumerate(labels)
+                                for v in labels[i + 1:]])
+
+
 def cycle_graph(n: int):
     labels = [f"v{i}" for i in range(n)]
     return build_graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])

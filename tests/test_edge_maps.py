@@ -27,8 +27,13 @@ from circuitmap import (
     is_induced_by,
     named_graph,
     permuted_edge_map,
+    random_three_connected,
+    random_two_connected,
     reconstruct_vertex_isomorphism,
 )
+from circuitmap import edge_maps
+from circuitmap.rng import XorShift64Star
+from conftest import complete, seeded_relabel
 
 
 def identity_map(g):
@@ -188,6 +193,118 @@ class TestInjectionCheck:
     def test_unknown_mode(self, k4):
         with pytest.raises(InputError, match="^unknown mode 'guess'$"):
             check_circuit_injection(identity_map(k4), mode="guess")
+
+
+def with_swaps(f, swaps, seed):
+    """f with `swaps` seeded exchanges of two edges' images."""
+    images = list(f.assignment)
+    rng = XorShift64Star(seed)
+    for _ in range(swaps):
+        i, j = rng.randrange(len(images)), rng.randrange(len(images))
+        images[i], images[j] = images[j], images[i]
+    return EdgeMap(f.source, f.target, tuple(images))
+
+
+def whitney_twist(n_a, n_b, seed):
+    """Two random 3-connected blocks glued at two vertices, mapped edge for
+    edge onto the same blocks glued with the second block's pair swapped.
+
+    The second block's gluing pair is a non-edge, so neither gluing doubles
+    an edge. The map is a circuit isomorphism (a Whitney twist), and no
+    vertex relabeling induces it.
+    """
+    a = random_three_connected(n_a, seed)
+    b = random_three_connected(n_b, seed + 1)
+    y1, y2 = next((y1, y2) for y1 in b.vertices for y2 in b.vertices
+                  if y1 < y2 and not b.has_edge(y1, y2))
+    x1, x2 = "a" + a.vertices[0], "a" + a.vertices[1]
+
+    def glue(onto):
+        name = {y: onto[k] for k, y in enumerate((y1, y2))}
+        vertices = (["a" + v for v in a.vertices]
+                    + ["b" + v for v in b.vertices if v not in name])
+        edges = ([("a" + u, "a" + v) for u, v in a.edges]
+                 + [(name.get(u, "b" + u), name.get(v, "b" + v)) for u, v in b.edges])
+        return build_graph(vertices, edges)
+
+    source, target = glue((x1, x2)), glue((x2, x1))
+    return EdgeMap(source, target, tuple(range(source.edge_count())))
+
+
+def assert_witness_checks(f, verdict):
+    """The witness is a circuit of its own graph whose mapped edge set is
+    its image, or preimage, and fails the circuit test in the other graph."""
+    w = verdict.witness
+    if w.direction == "forward":
+        own, other, mapped = f.source, f.target, f.image(w.circuit.edges)
+    else:
+        own, other, mapped = f.target, f.source, f.preimage(w.circuit.edges)
+    assert w.circuit.host == own and w.mapped == EdgeSet(other, mapped)
+    assert is_circuit(own, EdgeSet(own, w.circuit.edges))
+    assert not is_circuit(other, w.mapped)
+
+
+def differential_instances():
+    """Edge maps with ids: relabelled complete graphs and random 2- and
+    3-connected graphs with 0-2 swapped images, the p = 3 and p = 5
+    counterexamples and their inverses, and Whitney twists."""
+    cases = []
+    for n in (5, 6, 7):
+        g = complete(n)
+        f = permuted_edge_map(g, seeded_relabel(g, n))
+        cases += [pytest.param(with_swaps(f, k, n), id=f"K{n}/swaps{k}")
+                  for k in range(3)]
+    for name, build in (("random3c", random_three_connected),
+                        ("random2c", random_two_connected)):
+        for n in range(5, 13):
+            g = build(n, n)
+            f = permuted_edge_map(g, seeded_relabel(g, n))
+            cases += [pytest.param(with_swaps(f, k, n), id=f"{name}_n{n}/swaps{k}")
+                      for k in range(3)]
+    for p in (3, 5):
+        f = build_counterexample(p)[2]
+        cases += [pytest.param(f, id=f"counterexample_p{p}"),
+                  pytest.param(f.inverted(), id=f"inverse_p{p}")]
+    for seed in range(10):
+        f = whitney_twist(4 + seed % 4, 6 + seed % 3, seed)
+        cases += [pytest.param(f, id=f"twist/seed{seed}"),
+                  pytest.param(with_swaps(f, 1, seed), id=f"twist/seed{seed}/swaps1")]
+    return cases
+
+
+class TestIsomorphismByBasis:
+    @pytest.mark.parametrize("p", [7, 11, 13, 31])
+    def test_counterexample_has_reverse_witness(self, p, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the basis check enumerated circuits")
+
+        monkeypatch.setattr(edge_maps, "enumerate_circuits", refuse)
+        monkeypatch.setattr(edge_maps, "check_circuit_injection", refuse)
+        f = build_counterexample(p)[2]
+        verdict = check_circuit_isomorphism(f)
+        assert not verdict.passed and verdict.mode == "basis"
+        # a circuit of K_{p,p} whose preimage fails the circuit test
+        assert verdict.witness.direction == "reverse"
+        assert_witness_checks(f, verdict)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_whitney_twist_is_isomorphism_but_not_induced(self, seed):
+        f = whitney_twist(5, 6, seed)
+        verdict = check_circuit_isomorphism(f)
+        # a pass tests m - n + 1 fundamental circuits on a connected source
+        assert verdict.passed and verdict.circuits_checked == (
+            f.source.edge_count() - f.source.vertex_count() + 1)
+        with pytest.raises(NotInducedError):
+            reconstruct_vertex_isomorphism(f, check_connectivity=False)
+
+    @pytest.mark.parametrize("f", differential_instances())
+    def test_matches_two_way_exhaustive(self, f):
+        verdict = check_circuit_isomorphism(f)
+        exhaustive = (check_circuit_injection(f).passed
+                      and check_circuit_injection(f.inverted()).passed)
+        assert verdict.passed is exhaustive
+        if not verdict.passed:
+            assert_witness_checks(f, verdict)
 
 
 class TestStarClassification:
