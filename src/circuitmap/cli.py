@@ -43,7 +43,6 @@ from .errors import (
     NotInducedError,
     PreconditionError,
 )
-from .generators import build_counterexample, named_graph, random_three_connected
 from .graph import (
     Graph,
     _is_string_pair,
@@ -172,6 +171,9 @@ def _cmd_reconstruct(args) -> tuple[dict, int]:
 
 
 def _cmd_generate(args) -> tuple[dict, int]:
+    # Imported here, so the other subcommands never load the generators.
+    from .generators import build_counterexample, named_graph, random_three_connected
+
     if args.kind == "counterexample":
         prefix = args.out or f"counterexample_p{args.p}"
         source, target, edge_map = build_counterexample(args.p)

@@ -14,8 +14,8 @@ deterministic for a given graph.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from itertools import combinations
-from typing import Collection
 
 from .errors import InputError, InternalError, PreconditionError
 from .graph import Graph, Path, _rooted_forest

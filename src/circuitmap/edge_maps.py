@@ -17,7 +17,6 @@ graphs, by id) and the checks built on it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
@@ -31,6 +30,7 @@ from .errors import (
 from .graph import (
     Circuit,
     EdgeSet,
+    Frozen,
     Graph,
     _edge_ids_form_circuit,
     _fundamental_circuits,
@@ -41,8 +41,7 @@ from .graph import (
 from .rng import XorShift64Star
 
 
-@dataclass(frozen=True)
-class EdgeMap:
+class EdgeMap(Frozen):
     """A one-to-one correspondence between the edges of two graphs.
 
     assignment[i] is the target edge id of source edge i. Construction
@@ -53,9 +52,10 @@ class EdgeMap:
     target: Graph
     assignment: tuple[int, ...]
 
-    def __post_init__(self):
-        m_src = self.source.edge_count()
-        m_tgt = self.target.edge_count()
+    def __init__(self, source: Graph, target: Graph, assignment: tuple[int, ...]):
+        self.__dict__.update(source=source, target=target, assignment=assignment)
+        m_src = source.edge_count()
+        m_tgt = target.edge_count()
         if m_src != m_tgt:
             raise InputError(
                 f"source has {m_src} edges but target has {m_tgt}")
@@ -142,8 +142,7 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapWitness:
+class MapWitness(Frozen):
     """A circuit whose mapped edge set is not a circuit.
 
     direction "forward": circuit lives in the source, mapped in the target.
@@ -154,9 +153,11 @@ class MapWitness:
     circuit: Circuit
     mapped: EdgeSet
 
+    def __init__(self, direction: str, circuit: Circuit, mapped: EdgeSet):
+        self.__dict__.update(direction=direction, circuit=circuit, mapped=mapped)
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Frozen):
     """Outcome of a verification run. Truthy iff the check passed. mode is
     "exhaustive", "sampled", or "basis" from check_circuit_isomorphism."""
 
@@ -168,6 +169,13 @@ class Verdict:
     samples_requested: int | None = None
     attempts: int | None = None
     stop_reason: str | None = None
+
+    def __init__(self, passed: bool, mode: str, circuits_checked: int,
+                 witness: MapWitness | None = None, samples_requested: int | None = None,
+                 attempts: int | None = None, stop_reason: str | None = None):
+        self.__dict__.update(
+            passed=passed, mode=mode, circuits_checked=circuits_checked, witness=witness,
+            samples_requested=samples_requested, attempts=attempts, stop_reason=stop_reason)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -315,20 +323,20 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
 # -- star classification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarAt:
+class StarAt(Frozen):
     """The mapped star is exactly the star of one vertex."""
 
     vertex: str
 
+    def __init__(self, vertex: str):
+        self.__dict__.update(vertex=vertex)
 
-@dataclass(frozen=True)
-class IndependentEdges:
+
+class IndependentEdges(Frozen):
     """The mapped star is pairwise nonadjacent."""
 
 
-@dataclass(frozen=True)
-class StarViolation:
+class StarViolation(Frozen):
     """The mapped star is neither a full star nor independent.
 
     kind "no_common_vertex": edges holds two adjacent members plus one
@@ -339,6 +347,9 @@ class StarViolation:
     kind: str
     edges: tuple[int, ...]
     vertex: str | None = None
+
+    def __init__(self, kind: str, edges: tuple[int, ...], vertex: str | None = None):
+        self.__dict__.update(kind=kind, edges=edges, vertex=vertex)
 
 
 StarImageClass = StarAt | IndependentEdges | StarViolation
@@ -434,13 +445,13 @@ def decompose_by_star_preimage(edge_map: EdgeMap, w: str
 # -- reconstruction -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexIso:
+class VertexIso(Frozen):
     """A bijective vertex relabeling, stored as (source, target) pairs."""
 
     pairs: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        self.__dict__.update(pairs=pairs)
         sources = {p[0] for p in self.pairs}
         targets = {p[1] for p in self.pairs}
         if len(sources) != len(self.pairs) or len(targets) != len(self.pairs):

@@ -9,15 +9,53 @@ between graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the package's immutable value objects.
+
+    The fields are the class-body annotations, base classes' first, in
+    order; a class attribute gives a field its default. Each subclass
+    writes its own __init__, which stores the fields with one
+    self.__dict__.update call, since the instance __setattr__ refuses every
+    assignment. Instances are equal when they have the same class and
+    equal fields, hash by their fields and repr like a dataclass.
+    functools.cached_property works as before: it, too, writes to the
+    instance __dict__.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = (*cls._fields, *cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Graph(Frozen):
     """Immutable simple graph.
 
     vertices: ordered tuple of distinct string labels.
@@ -27,7 +65,8 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+        self.__dict__.update(vertices=vertices, edges=edges)
         seen = set()
         for v in self.vertices:
             if not isinstance(v, str):
@@ -146,16 +185,16 @@ def build_graph(vertices: Iterable, edges: Iterable[Sequence]) -> Graph:
     return Graph(tuple(labels), tuple(pairs))
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(Frozen):
     """A subset of a specific graph's edges, by id."""
 
     host: Graph
     members: frozenset[int]
 
-    def __post_init__(self):
-        m = self.host.edge_count()
-        for i in self.members:
+    def __init__(self, host: Graph, members: frozenset[int]):
+        self.__dict__.update(host=host, members=members)
+        m = host.edge_count()
+        for i in members:
             if not isinstance(i, int) or not 0 <= i < m:
                 raise InputError(f"invalid edge id {i!r} for host with {m} edges")
 
@@ -195,8 +234,7 @@ def require_same_host(graph: Graph, edge_set: EdgeSet) -> None:
         raise InputError("edge set is hosted on a different graph")
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """A simple path, stored as its vertex sequence plus the matching edge ids.
 
     A path may be empty: a single vertex and no edges.
@@ -206,7 +244,8 @@ class Path:
     vertices: tuple[str, ...]
     edges: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, host: Graph, vertices: tuple[str, ...], edges: tuple[int, ...]):
+        self.__dict__.update(host=host, vertices=vertices, edges=edges)
         if len(self.vertices) != len(self.edges) + 1 or not self.vertices:
             raise InputError("path needs exactly one more vertex than edges")
         if len(set(self.vertices)) != len(self.vertices):
@@ -284,15 +323,15 @@ def _edge_ids_form_circuit(graph: Graph, ids: frozenset[int]) -> bool:
     return visited == len(first)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Frozen):
     """The edge set of a simple cycle. Construction validates the shape."""
 
     host: Graph
     edges: frozenset[int]
 
-    def __post_init__(self):
-        if not _edge_ids_form_circuit(self.host, self.edges):
+    def __init__(self, host: Graph, edges: frozenset[int]):
+        self.__dict__.update(host=host, edges=edges)
+        if not _edge_ids_form_circuit(host, edges):
             raise InputError("edge set is not a circuit")
 
     def key(self) -> tuple[int, ...]:

@@ -17,17 +17,15 @@ whose images under a circuit injection can never share an endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuits import circuit_and_attached_path
 from .connectivity import cutpoints, is_k_connected, two_disjoint_paths
 from .edge_maps import EdgeMap
 from .errors import InputError, InternalError, PreconditionError
-from .graph import Circuit, EdgeSet, Graph, Path, _two_sides, components, induced_subgraph
+from .graph import (
+    Circuit, EdgeSet, Frozen, Graph, Path, _two_sides, components, induced_subgraph)
 
 
-@dataclass(frozen=True)
-class LinkedCircuitPair:
+class LinkedCircuitPair(Frozen):
     """Two disjoint circuits tied together by three connectors.
 
     bridge_a and bridge_b each join a circuit_a vertex to a circuit_b
@@ -42,6 +40,11 @@ class LinkedCircuitPair:
     bridge_b: int
     path: Path
     path_edge: int
+
+    def __init__(self, circuit_a: Circuit, circuit_b: Circuit, bridge_a: int,
+                 bridge_b: int, path: Path, path_edge: int):
+        self.__dict__.update(circuit_a=circuit_a, circuit_b=circuit_b, bridge_a=bridge_a,
+                             bridge_b=bridge_b, path=path, path_edge=path_edge)
 
     def connectors(self) -> tuple[int, int, int]:
         return self.bridge_a, self.bridge_b, self.path_edge
