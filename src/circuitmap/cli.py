@@ -70,8 +70,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
-        # RecursionError: JSON nested deeper than the decoder can follow.
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError: undecodable bytes, malformed JSON or an integer literal past
+        # the int-conversion limit. RecursionError: JSON nested too deep to follow.
         raise _file_error(path, err) from None
 
 
@@ -276,6 +277,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_MAP_FILES = ("source", "target", "map")
+_FILE_HELP = {"source": "source graph JSON file", "target": "target graph JSON file",
+              "map": "edge map JSON file", "graph": "graph JSON file",
+              "cut": "JSON list of endpoint pairs"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="circuitmap",
@@ -285,84 +292,53 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress the JSON report")
+    def command(group, name, handler, help, *files):
+        p = group.add_parser(name, help=help)
+        for file in files:
+            p.add_argument(file, help=_FILE_HELP[file])
+        p.add_argument("--quiet", action="store_true", help="suppress the JSON report")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("verify", help="check that a map preserves circuits")
-    p.add_argument("source", help="source graph JSON file")
-    p.add_argument("target", help="target graph JSON file")
-    p.add_argument("map", help="edge map JSON file")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
+    p = command(sub, "verify", _cmd_verify, "check that a map preserves circuits",
+                *_MAP_FILES)
+    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--samples", type=_positive_int, default=500,
                    help="circuits to draw in sampled mode")
-    p.add_argument("--seed", type=int, default=1,
-                   help="seed for sampled mode")
+    p.add_argument("--seed", type=int, default=1, help="seed for sampled mode")
     p.add_argument("--max-circuits", type=_positive_int, default=DEFAULT_MAX_CIRCUITS)
-    common(p)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("reconstruct",
-                       help="recover the vertex isomorphism inducing a map")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("map")
-    common(p)
-    p.set_defaults(handler=_cmd_reconstruct)
+    command(sub, "reconstruct", _cmd_reconstruct,
+            "recover the vertex isomorphism inducing a map", *_MAP_FILES)
 
-    p = sub.add_parser("generate", help="write reference instances to files")
-    kinds = p.add_subparsers(dest="kind", required=True)
-    g = kinds.add_parser("counterexample",
-                         help="the non-induced circuit injection family")
-    g.add_argument("--p", type=int, required=True,
-                   help="prime parameter, greater than 2")
+    kinds = sub.add_parser("generate", help="write reference instances to files"
+                           ).add_subparsers(dest="kind", required=True)
+    g = command(kinds, "counterexample", _cmd_generate,
+                "the non-induced circuit injection family")
+    g.add_argument("--p", type=int, required=True, help="prime parameter, greater than 2")
     g.add_argument("--out", help="output file prefix")
-    common(g)
-    g.set_defaults(handler=_cmd_generate)
-    g = kinds.add_parser("named", help="catalog graph")
+    g = command(kinds, "named", _cmd_generate, "catalog graph")
     g.add_argument("--name", required=True)
     g.add_argument("--size", type=int)
     g.add_argument("--out")
-    common(g)
-    g.set_defaults(handler=_cmd_generate)
-    g = kinds.add_parser("random3c", help="seeded random 3-connected graph")
+    g = command(kinds, "random3c", _cmd_generate, "seeded random 3-connected graph")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--out")
-    common(g)
-    g.set_defaults(handler=_cmd_generate)
 
-    p = sub.add_parser("enumerate", help="list every circuit of a graph")
-    p.add_argument("graph")
+    p = command(sub, "enumerate", _cmd_enumerate, "list every circuit of a graph", "graph")
     p.add_argument("--max-circuits", type=_positive_int, default=DEFAULT_MAX_CIRCUITS)
-    common(p)
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("classify",
-                       help="star image and preimage classes under a map")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("map")
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
+    command(sub, "classify", _cmd_classify,
+            "star image and preimage classes under a map", *_MAP_FILES)
 
-    p = sub.add_parser("decompose",
-                       help="split the source along an independent star preimage")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("map")
+    p = command(sub, "decompose", _cmd_decompose,
+                "split the source along an independent star preimage", *_MAP_FILES)
     p.add_argument("--vertex", required=True,
                    help="target vertex whose star preimage to delete")
-    common(p)
-    p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("crossing",
-                       help="certify an independent crossing edge family")
-    p.add_argument("graph")
-    p.add_argument("cut", help="JSON list of endpoint pairs")
-    common(p)
-    p.set_defaults(handler=_cmd_crossing)
+    command(sub, "crossing", _cmd_crossing,
+            "certify an independent crossing edge family", "graph", "cut")
 
     return parser
 

@@ -116,10 +116,10 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
     entries = data["map"]
     if not isinstance(entries, list):
         raise InputError("'map' must be a list of pair-of-pairs entries")
-    for v in target.vertices:
-        if target.degree(v) == 0:
-            raise InputError(
-                f"target vertex {v!r} is isolated; the map cannot be onto")
+    isolated = set(range(target.vertex_count())).difference(*target._ends)
+    if isolated:
+        v = target.vertices[min(isolated)]
+        raise InputError(f"target vertex {v!r} is isolated; the map cannot be onto")
     assignment: dict[int, int] = {}
     for k, entry in enumerate(entries):
         if (not isinstance(entry, list) or len(entry) != 2
@@ -208,21 +208,25 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     else:
         raise InputError(f"unknown mode {mode!r}")
 
-    checked = 0
-    witness = None
-    for ids in pool:
-        checked += 1
-        image = edge_map.image(ids)
-        if not _edge_ids_form_circuit(edge_map.target, image):
-            witness = MapWitness("forward",
-                                 Circuit(edge_map.source, ids),
-                                 EdgeSet(edge_map.target, image))
-            break
+    checked, witness = _first_broken(edge_map, pool)
     if stats is None:
         return Verdict(witness is None, mode, checked, witness)
     return Verdict(witness is None, mode, checked, witness,
                    samples_requested=samples, attempts=stats["attempts"],
                    stop_reason="witness" if witness else stats["stop_reason"])
+
+
+def _first_broken(edge_map: EdgeMap, pool) -> tuple[int, MapWitness | None]:
+    """Test the source circuits in `pool` (edge-id sets) in turn: how many were
+    tested, and a forward witness for the first whose image is not a circuit."""
+    checked = 0
+    for ids in pool:
+        checked += 1
+        image = edge_map.image(ids)
+        if not _edge_ids_form_circuit(edge_map.target, image):
+            return checked, MapWitness("forward", Circuit(edge_map.source, ids),
+                                       EdgeSet(edge_map.target, image))
+    return checked, None
 
 
 def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
@@ -242,13 +246,9 @@ def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
     order = list(range(source.edge_count()))
     XorShift64Star(1).shuffle(order)
     forest, chords, circuit_of = _fundamental_circuits(source, order)
-    for checked, eid in enumerate(chords, 1):
-        ids = frozenset(circuit_of(eid))
-        image = edge_map.image(ids)
-        if not _edge_ids_form_circuit(target, image):
-            return Verdict(False, "basis", checked,
-                           MapWitness("forward", Circuit(source, ids),
-                                      EdgeSet(target, image)))
+    checked, witness = _first_broken(edge_map, map(frozenset, map(circuit_of, chords)))
+    if witness:
+        return Verdict(False, "basis", checked, witness)
     _, cycles, image_circuit_of = _fundamental_circuits(
         target, [edge_map.image_of(eid) for eid in forest])
     if not cycles:

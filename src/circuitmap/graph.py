@@ -66,54 +66,30 @@ class Graph(Frozen):
     edges: tuple[tuple[str, str], ...]
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
-        self.__dict__.update(vertices=vertices, edges=edges)
-        seen = set()
-        for v in self.vertices:
+        # The lookups are built by the loops that validate: label -> index,
+        # sorted pair -> edge id, and per edge id its endpoint indices.
+        index: dict[str, int] = {}
+        for i, v in enumerate(vertices):
             if not isinstance(v, str):
                 raise InputError(f"vertex label {v!r} is not a string")
-            if v in seen:
+            if v in index:
                 raise InputError(f"duplicate vertex label {v!r}")
-            seen.add(v)
-        pairs = set()
-        for i, (u, v) in enumerate(self.edges):
+            index[v] = i
+        pair_ids: dict[tuple[str, str], int] = {}
+        ends = []
+        for i, (u, v) in enumerate(edges):
             if u == v:
                 raise InputError(f"edge {i} is a loop at {u!r}")
-            if u not in seen:
-                raise InputError(f"edge {i} uses unknown vertex {u!r}")
-            if v not in seen:
-                raise InputError(f"edge {i} uses unknown vertex {v!r}")
+            for x in (u, v):
+                if x not in index:
+                    raise InputError(f"edge {i} uses unknown vertex {x!r}")
             key = (u, v) if u < v else (v, u)
-            if key in pairs:
+            if key in pair_ids:
                 raise InputError(f"edge {i} repeats pair {key!r}")
-            pairs.add(key)
-
-    # -- derived lookups, built once per instance --
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _pair_ids(self) -> dict[tuple[str, str], int]:
-        out = {}
-        for i, (u, v) in enumerate(self.edges):
-            key = (u, v) if u < v else (v, u)
-            out[key] = i
-        return out
-
-    @cached_property
-    def _ends(self) -> tuple[tuple[int, int], ...]:
-        """Per edge id: its endpoints as vertex indices."""
-        index = self._index
-        return tuple((index[u], index[v]) for u, v in self.edges)
-
-    @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in self.vertices]
-        for i, (ui, vi) in enumerate(self._ends):
-            lists[ui].append(i)
-            lists[vi].append(i)
-        return tuple(tuple(l) for l in lists)
+            pair_ids[key] = i
+            ends.append((index[u], index[v]))
+        self.__dict__.update(vertices=vertices, edges=edges, _index=index,
+                             _pair_ids=pair_ids, _ends=tuple(ends))
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -152,15 +128,18 @@ class Graph(Frozen):
         except KeyError:
             raise InputError(f"no edge joins {u!r} and {v!r}") from None
 
+    def _row(self, v: str) -> tuple[tuple[int, int], ...]:
+        return self._adjacency[self._index[self.require_vertex(v)]]
+
     def degree(self, v: str) -> int:
-        return len(self._incident[self._index[self.require_vertex(v)]])
+        return len(self._row(v))
 
     def incident_edges(self, v: str) -> tuple[int, ...]:
-        return self._incident[self._index[self.require_vertex(v)]]
+        """Edge ids at v, in id order."""
+        return tuple(sorted(eid for _, eid in self._row(v)))
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        vi = self._index[self.require_vertex(v)]
-        return tuple(self.vertices[ni] for ni, _ in self._adjacency[vi])
+        return tuple(self.vertices[ni] for ni, _ in self._row(v))
 
 
 def build_graph(vertices: Iterable, edges: Iterable[Sequence]) -> Graph:

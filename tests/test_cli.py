@@ -17,8 +17,10 @@ from circuitmap.cli import (
     EXIT_NOT_INDUCED,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    _build_parser,
     main,
 )
+from circuitmap.circuits import DEFAULT_MAX_CIRCUITS
 from conftest import cycle_graph, seeded_relabel
 
 
@@ -188,6 +190,22 @@ class TestVerify:
         (in_tmp / "deep.json").write_text("[" * 100_000, encoding="utf-8")
         assert main(["enumerate", "deep.json"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: deep.json: maximum recursion")
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "graph.json"],
+        ["verify", "k4.json", "k4.json", "map.json"],
+        ["crossing", "k4.json", "cut.json"],
+    ], ids=["graph", "map", "cut"])
+    def test_over_long_integer_is_input_error(self, in_tmp, capsys, argv):
+        # Past the interpreter's int-conversion limit (4,300 digits) the JSON
+        # decoder raises a plain ValueError, which is still a bad file.
+        big = "9" * 5000
+        write_graph(in_tmp / "k4.json", "K4")
+        (in_tmp / "graph.json").write_text(f'{{"vertices": [{big}], "edges": []}}')
+        (in_tmp / "map.json").write_text(f'{{"map": [[["0", "1"], [{big}, "1"]]]}}')
+        (in_tmp / "cut.json").write_text(f'[["0", {big}]]')
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {argv[-1]}: ")
 
     def test_non_string_map_endpoint_is_input_error(self, in_tmp, capsys):
         write_graph(in_tmp / "k4.json", "K4")
@@ -398,6 +416,65 @@ class TestClassifyDecomposeCrossing:
         (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
         assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: cut file")
+
+
+# argv prefix -> the positionals its --help names
+COMMANDS = {
+    ("verify",): ("source", "target", "map"),
+    ("reconstruct",): ("source", "target", "map"),
+    ("generate", "counterexample"): (),
+    ("generate", "named"): (),
+    ("generate", "random3c"): (),
+    ("enumerate",): ("graph",),
+    ("classify",): ("source", "target", "map"),
+    ("decompose",): ("source", "target", "map"),
+    ("crossing",): ("graph", "cut"),
+}
+
+
+class TestParser:
+    def test_every_command_is_listed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == EXIT_PASS
+        out = capsys.readouterr().out
+        assert all(prefix[0] in out for prefix in COMMANDS)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--help"])
+        assert exit_info.value.code == EXIT_PASS
+        out = capsys.readouterr().out
+        assert all(prefix[1] in out for prefix in COMMANDS if len(prefix) == 2)
+
+    @pytest.mark.parametrize("prefix", COMMANDS, ids=" ".join)
+    def test_help_names_positionals_and_quiet(self, capsys, prefix):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*prefix, "--help"])
+        assert exit_info.value.code == EXIT_PASS
+        out = capsys.readouterr().out
+        assert re.search(r"^  --quiet\b", out, re.M)
+        for name in COMMANDS[prefix]:
+            assert re.search(rf"^  {name}\b", out, re.M), name
+
+    def test_parsed_defaults(self):
+        parse = _build_parser().parse_args
+        args = parse(["verify", "s.json", "t.json", "m.json"])
+        assert (args.mode, args.samples, args.seed, args.max_circuits, args.quiet) == \
+            ("exhaustive", 500, 1, DEFAULT_MAX_CIRCUITS, False)
+        assert (args.source, args.target, args.map) == ("s.json", "t.json", "m.json")
+        assert parse(["enumerate", "g.json"]).max_circuits == DEFAULT_MAX_CIRCUITS
+        args = parse(["generate", "random3c", "--n", "8"])
+        assert (args.n, args.seed, args.out, args.quiet) == (8, 1, None, False)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "s.json", "t.json", "m.json", "--bogus"],
+        ["enumerate", "g.json", "--bogus"],
+        ["generate", "random3c", "--n", "8", "--bogus"],
+    ], ids=["verify", "enumerate", "generate"])
+    def test_unknown_option_is_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_INPUT
+        assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 class TestInternalFaults:

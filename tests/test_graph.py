@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circuitmap import (
     Circuit,
@@ -232,3 +233,36 @@ def test_json_loader_keeps_graph_validation():
 
 def test_named_graph_equality_is_structural():
     assert named_graph("K4") == named_graph("k4")
+
+
+@st.composite
+def build_graph_inputs(draw, max_vertices=7):
+    """Labels in any order, and edges in any order and orientation."""
+    n = draw(st.integers(0, max_vertices))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [(a, b) for k, a in enumerate(labels) for b in labels[k + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return labels, [(b, a) if draw(st.booleans()) else (a, b) for a, b in edges]
+
+
+@settings(max_examples=100, deadline=None)
+@given(build_graph_inputs())
+def test_lookups_match_vertices_and_edges(inputs):
+    g = build_graph(*inputs)
+    position = g.vertices.index
+    assert g._index == {v: position(v) for v in g.vertices}
+    assert g._pair_ids == {tuple(sorted(e)): i for i, e in enumerate(g.edges)}
+    assert g._ends == tuple((position(u), position(v)) for u, v in g.edges)
+    for v in g.vertices:
+        ids = tuple(i for i, e in enumerate(g.edges) if v in e)
+        others = [e[1] if e[0] == v else e[0] for e in g.edges if v in e]
+        assert g.incident_edges(v) == ids
+        assert g.degree(v) == len(ids)
+        assert g.neighbors(v) == tuple(sorted(others, key=position))
+
+
+def test_incident_edges_keep_id_order_when_neighbours_do_not():
+    g = build_graph("abc", [("a", "c"), ("a", "b")])
+    assert g.incident_edges("a") == (0, 1)
+    assert g.neighbors("a") == ("b", "c")
+    assert g.degree("a") == 2 and g.incident_edges("b") == (1,)

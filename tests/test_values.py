@@ -152,8 +152,15 @@ def test_cached_lookups_on_frozen_instances():
     (lambda: EdgeMap(triangle(), triangle(), (0, 0, 1)), r"^target edge 0 has two preimages$"),
     (lambda: EdgeMap(triangle(), triangle(), (0, 1)), r"^assignment covers 2 of 3 edges$"),
     (lambda: VertexIso((("a", "b"), ("c", "b"))), r"^vertex map repeats a source or target$"),
+    (lambda: Graph(("a", "b"), (("a", "b"), ("b", "a"))),
+     r"^edge 1 repeats pair \('a', 'b'\)$"),
+    (lambda: Graph(("a", "b"), (("b", "b"), ("a", "b"))), r"^edge 0 is a loop at 'b'$"),
+    (lambda: Graph(("a", 1, 1), ()), r"^vertex label 1 is not a string$"),
+    (lambda: Graph(("a", "b"), (("a", "b"), ("x", "y"))),
+     r"^edge 1 uses unknown vertex 'x'$"),
 ], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-step",
-        "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso"])
+        "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
+        "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first"])
 def test_constructor_validation(build, message):
     with pytest.raises(InputError, match=message):
         build()
