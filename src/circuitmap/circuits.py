@@ -120,25 +120,22 @@ def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str
     on_circuit = circuit.vertex_set()
     if c in on_circuit:
         result = (circuit, Path.empty(graph, c), c)
-        validate_attached_path(graph, a, b, c, *result)
-        return result
-
-    # Attach c: route two disjoint paths from c to some circuit vertex v
-    # other than a, b and cut each at its first contact with the circuit.
-    v = min(on_circuit - {a, b})
-    toward_1, toward_2 = two_disjoint_paths(graph, c, v)
-    prefix_1, t1 = _cut_at_first_contact(toward_1, on_circuit)
-    prefix_2, t2 = _cut_at_first_contact(toward_2, on_circuit)
-
-    if {t1, t2} == {a, b}:
-        # Both probes pass through a and b, so the two full probe paths
-        # close into a circuit through a and b that already contains c.
-        joined = Circuit(graph, frozenset(toward_1.edges) | frozenset(toward_2.edges))
-        result = (joined, Path.empty(graph, c), c)
-    elif t1 not in (a, b):
-        result = (circuit, prefix_1, t1)
     else:
-        result = (circuit, prefix_2, t2)
+        # Attach c: route two disjoint paths from c to some circuit vertex v
+        # other than a, b and cut each at its first contact with the circuit.
+        v = min(on_circuit - {a, b})
+        toward_1, toward_2 = two_disjoint_paths(graph, c, v)
+        prefix_1, t1 = _cut_at_first_contact(toward_1, on_circuit)
+        prefix_2, t2 = _cut_at_first_contact(toward_2, on_circuit)
+        if {t1, t2} == {a, b}:
+            # Both probes pass through a and b, so the two full probe paths
+            # close into a circuit through a and b that already contains c.
+            joined = Circuit(graph, frozenset(toward_1.edges) | frozenset(toward_2.edges))
+            result = (joined, Path.empty(graph, c), c)
+        elif t1 not in (a, b):
+            result = (circuit, prefix_1, t1)
+        else:
+            result = (circuit, prefix_2, t2)
     validate_attached_path(graph, a, b, c, *result)
     return result
 

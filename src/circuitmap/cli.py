@@ -8,7 +8,8 @@ stable interface:
     0  pass / success
     1  input error (unreadable or malformed files, bad parameters)
     2  verification failed (a witness shows the map breaks circuits)
-    3  map verified but induced by no vertex isomorphism
+    3  no vertex isomorphism induces the map (reconstruct: its source is
+       3-connected, so by the paper's theorem the map breaks a circuit)
     4  precondition failed (connectivity guards, desk-scale bounds)
     5  internal error (a result failed the library's own check: a bug)
 """
@@ -367,7 +368,3 @@ def main(argv=None) -> int:
     if not args.quiet:
         print(json.dumps(report, indent=2))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

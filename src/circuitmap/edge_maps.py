@@ -17,13 +17,12 @@ graphs, by id) and the checks built on it:
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
 from .connectivity import is_k_connected
 from .errors import (
     DecompositionViolationError,
     InputError,
+    InternalError,
     NotInducedError,
     PreconditionError,
 )
@@ -53,29 +52,23 @@ class EdgeMap(Frozen):
     assignment: tuple[int, ...]
 
     def __init__(self, source: Graph, target: Graph, assignment: tuple[int, ...]):
-        self.__dict__.update(source=source, target=target, assignment=assignment)
         m_src = source.edge_count()
         m_tgt = target.edge_count()
         if m_src != m_tgt:
             raise InputError(
                 f"source has {m_src} edges but target has {m_tgt}")
-        if len(self.assignment) != m_src:
+        if len(assignment) != m_src:
             raise InputError(
-                f"assignment covers {len(self.assignment)} of {m_src} edges")
-        seen = set()
-        for i, j in enumerate(self.assignment):
+                f"assignment covers {len(assignment)} of {m_src} edges")
+        inverse: list[int | None] = [None] * m_tgt
+        for i, j in enumerate(assignment):
             if not isinstance(j, int) or not 0 <= j < m_tgt:
                 raise InputError(f"edge {i} maps to invalid id {j!r}")
-            if j in seen:
+            if inverse[j] is not None:
                 raise InputError(f"target edge {j} has two preimages")
-            seen.add(j)
-
-    @cached_property
-    def _inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.assignment)
-        for i, j in enumerate(self.assignment):
-            inv[j] = i
-        return tuple(inv)
+            inverse[j] = i
+        self.__dict__.update(source=source, target=target, assignment=assignment,
+                             _inverse=tuple(inverse))
 
     def image_of(self, edge_id: int) -> int:
         return self.assignment[edge_id]
@@ -243,9 +236,7 @@ def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
     length; there is no budget.
     """
     source, target = edge_map.source, edge_map.target
-    order = list(range(source.edge_count()))
-    XorShift64Star(1).shuffle(order)
-    forest, chords, circuit_of = _fundamental_circuits(source, order)
+    forest, chords, circuit_of = _shuffled_forest(source, XorShift64Star(1))
     checked, witness = _first_broken(edge_map, map(frozenset, map(circuit_of, chords)))
     if witness:
         return Verdict(False, "basis", checked, witness)
@@ -259,13 +250,20 @@ def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
                               EdgeSet(source, edge_map.preimage(ids))))
 
 
+def _shuffled_forest(graph: Graph, rng: XorShift64Star):
+    """_fundamental_circuits over the edge ids in an order shuffled by rng."""
+    order = list(range(graph.edge_count()))
+    rng.shuffle(order)
+    return _fundamental_circuits(graph, order)
+
+
 def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
                       stats: dict | None = None):
     """Seeded stream of distinct circuits: spanning-tree fundamental circuits,
     then random pairwise symmetric differences kept when they are circuits.
 
-    graph._fundamental_circuits over a seeded shuffle of the edges picks
-    the spanning forest and reads each chord's circuit. Mixing draws random
+    _shuffled_forest picks the spanning forest from a seeded shuffle of
+    the edges and reads each chord's circuit. Mixing draws random
     pairs from the pool; edge-disjoint pairs are skipped, since their
     symmetric difference is never a circuit.
     Cost: O(n + m) for the forest plus time linear in the circuits found
@@ -281,18 +279,13 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
         stats = {}
     stats["attempts"] = 0
     rng = XorShift64Star(seed)
-    order = list(range(graph.edge_count()))
-    rng.shuffle(order)
-    _, chords, circuit_of = _fundamental_circuits(graph, order)
+    _, chords, circuit_of = _shuffled_forest(graph, rng)
 
     # Every circuit drawn joins the pool; fundamental circuits are distinct,
-    # each holding its own chord.
+    # each holding its own chord. A count below one draws none.
     emitted: set[frozenset[int]] = set()
     pool: list[frozenset[int]] = []
-    for eid in chords:
-        if len(pool) >= samples:
-            stats["stop_reason"] = "samples"
-            return
+    for eid in chords[:max(samples, 0)]:
         ids = frozenset(circuit_of(eid))
         emitted.add(ids)
         pool.append(ids)
@@ -451,19 +444,14 @@ class VertexIso(Frozen):
     pairs: tuple[tuple[str, str], ...]
 
     def __init__(self, pairs: tuple[tuple[str, str], ...]):
-        self.__dict__.update(pairs=pairs)
-        sources = {p[0] for p in self.pairs}
-        targets = {p[1] for p in self.pairs}
-        if len(sources) != len(self.pairs) or len(targets) != len(self.pairs):
+        as_dict = dict(pairs)
+        if len(as_dict) != len(pairs) or len(set(as_dict.values())) != len(pairs):
             raise InputError("vertex map repeats a source or target")
+        self.__dict__.update(pairs=pairs, as_dict=as_dict)
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str]) -> "VertexIso":
         return cls(tuple(sorted(mapping.items())))
-
-    @cached_property
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
 
     def apply(self, v: str) -> str:
         return self.as_dict[v]
@@ -496,7 +484,9 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
     PreconditionError when the source guard fails (suppress with
     check_connectivity=False to probe other maps), and NotInducedError at
     the first vertex whose star image is not a full star, or when the
-    collected centers fail to be a bijection.
+    collected centers fail to be a bijection. Each edge uv then maps into
+    star(c(u)) ∩ star(c(v)), the one edge c(u)c(v), so a map that
+    `is_induced_by` still rejects is a library fault: InternalError.
     """
     if check_connectivity and not is_k_connected(edge_map.source, 3):
         raise PreconditionError(
@@ -517,5 +507,5 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
         raise NotInducedError("star centers do not form a vertex bijection")
     iso = VertexIso(tuple(pairs))
     if not is_induced_by(edge_map, iso):
-        raise NotInducedError("collected star centers do not induce the map")
+        raise InternalError("collected star centers do not induce the map")
     return iso

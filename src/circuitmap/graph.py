@@ -191,12 +191,12 @@ class EdgeSet(Frozen):
         return tuple(self.host.endpoints(i) for i in sorted(self.members))
 
     def vertex_set(self) -> frozenset[str]:
-        out = set()
-        for i in self.members:
-            u, v = self.host.endpoints(i)
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
+        return _touched(self.host, self.members)
+
+
+def _touched(graph: Graph, ids: Iterable[int]) -> frozenset[str]:
+    """The vertices that the edges `ids` of graph touch."""
+    return frozenset([v for i in ids for v in graph.edges[i]])
 
 
 def edge_set_from_pairs(graph: Graph, pairs: Iterable[Sequence[str]]) -> EdgeSet:
@@ -321,12 +321,7 @@ class Circuit(Frozen):
         return len(self.edges)
 
     def vertex_set(self) -> frozenset[str]:
-        out = set()
-        for i in self.edges:
-            u, v = self.host.endpoints(i)
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
+        return _touched(self.host, self.edges)
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(self.host.endpoints(i) for i in self.key())

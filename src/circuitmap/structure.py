@@ -145,29 +145,19 @@ def find_crossing_structure(graph: Graph, crossing: EdgeSet
                     f"crossing set is not independent at {v!r}")
             touched.add(v)
 
-    blocks = _two_sides(graph, crossing, PreconditionError, "crossing set")
-    side_a = set(blocks[0])
-    if len(crossing) < 3:
-        raise PreconditionError(
-            "a 3-connected graph forces at least three crossing edges")
-
-    sub_a, ids_a = induced_subgraph(graph, blocks[0])
-    sub_b, ids_b = induced_subgraph(graph, blocks[1])
-
-    # Independence and three crossing edges give each connected side three
-    # vertices or more, so a side is 2-connected iff it has no cutpoint.
-    cut_a = cutpoints(sub_a)
-    cut_b = cutpoints(sub_b)
-    if cut_a:
-        return _circuit_around_cutpoint(graph, crossing, sub_a, cut_a[0])
-    if cut_b:
-        return _circuit_around_cutpoint(graph, crossing, sub_b, cut_b[0])
-    return _linked_pair_from_two_connected_sides(
-        graph, crossing, side_a, sub_a, ids_a, sub_b, ids_b)
+    # A 3-connected graph is 3-edge-connected, so a cut that splits it has
+    # three edges or more. With independence each connected side then has
+    # three vertices or more, and is 2-connected iff it has no cutpoint.
+    sides = [induced_subgraph(graph, block)
+             for block in _two_sides(graph, crossing, PreconditionError, "crossing set")]
+    for sub, _ in sides:
+        cut = cutpoints(sub)
+        if cut:
+            return _circuit_around_cutpoint(graph, crossing, sub, cut[0])
+    return _linked_pair_from_two_connected_sides(graph, crossing, *sides[0], *sides[1])
 
 
 def _linked_pair_from_two_connected_sides(graph: Graph, crossing: EdgeSet,
-                                          side_a: set[str],
                                           sub_a: Graph, ids_a: tuple[int, ...],
                                           sub_b: Graph, ids_b: tuple[int, ...]
                                           ) -> LinkedCircuitPair:
@@ -177,7 +167,7 @@ def _linked_pair_from_two_connected_sides(graph: Graph, crossing: EdgeSet,
 
     def split(eid: int) -> tuple[str, str]:
         u, v = graph.endpoints(eid)
-        return (u, v) if u in side_a else (v, u)
+        return (u, v) if u in sub_a._index else (v, u)
 
     a1, b1 = split(e1)
     a2, b2 = split(e2)

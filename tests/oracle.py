@@ -85,6 +85,40 @@ def brute_is_k_connected(graph, k: int) -> bool:
     return True
 
 
+def brute_star_class(graph, ids) -> tuple:
+    """Classify a nonempty edge-id set against the stars of graph.
+
+    ("star", v) when it is the full star of v, the first such v in label
+    order; else ("independent",) when its members are pairwise disjoint;
+    else ("partial_star", (e,), w) when every member passes through w, e
+    being the least edge of star(w) left out; else ("no_common_vertex",
+    (x, y, z)) with x, y the least adjacent pair by id and z the least
+    member missing their shared vertex.
+    """
+    ids = set(ids)
+    ends = {i: set(graph.endpoints(i)) for i in ids}
+
+    def star_of(v):
+        return {i for i in range(graph.edge_count()) if v in graph.endpoints(i)}
+
+    for v in sorted(graph.vertices):
+        if star_of(v) == ids:
+            return ("star", v)
+    ordered = sorted(ids)
+    adjacent = [(x, y) for x, y in itertools.combinations(ordered, 2)
+                if ends[x] & ends[y]]
+    if not adjacent:
+        return ("independent",)
+    common = set.intersection(*ends.values())
+    if common:
+        (w,) = common
+        return ("partial_star", (min(star_of(w) - ids),), w)
+    x, y = adjacent[0]
+    (shared,) = ends[x] & ends[y]
+    z = min(i for i in ordered if shared not in ends[i])
+    return ("no_common_vertex", (x, y, z))
+
+
 def brute_components(graph) -> list[set[str]]:
     remaining = set(graph.vertices)
     out = []

@@ -499,6 +499,21 @@ class TestInternalFaults:
         assert re.fullmatch(r"error: internal error: circuit misses a or b "
                             r"\(raised at test_cli\.py:\d+\)\n", err)
 
+    def test_failed_reconstruction_check_exits_5(self, in_tmp, capsys, monkeypatch):
+        from circuitmap import edge_map_to_json, edge_maps, permuted_edge_map
+
+        g = named_graph("W5")
+        f = permuted_edge_map(g, seeded_relabel(g, 3))
+        write_json(in_tmp / "src.json", graph_to_json(g))
+        write_json(in_tmp / "tgt.json", graph_to_json(f.target))
+        write_json(in_tmp / "map.json", edge_map_to_json(f))
+        monkeypatch.setattr(edge_maps, "is_induced_by", lambda *args: False)
+        assert main(["reconstruct", "src.json", "tgt.json", "map.json"]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: internal error: collected star centers do not "
+                            r"induce the map \(raised at edge_maps\.py:\d+\)\n", err)
+
     def test_unexpected_exception_exits_5(self, prism_cut, capsys, monkeypatch):
         from circuitmap import structure
 

@@ -8,6 +8,7 @@ from circuitmap import (
     EdgeMap,
     IndependentEdges,
     InputError,
+    InternalError,
     NotInducedError,
     PreconditionError,
     StarAt,
@@ -420,6 +421,17 @@ class TestReconstruction:
             reconstruct_vertex_isomorphism(swapped_k4_map())
         assert info.value.vertex == "0"
         assert isinstance(info.value.star_class, StarViolation)
+
+    def test_failed_induction_check_is_internal(self, monkeypatch):
+        # Full stars at distinct centres always induce the map, so a final
+        # is_induced_by failure is a library fault, not a verdict.
+        g = named_graph("W5")
+        f = permuted_edge_map(g, seeded_relabel(g, 3))
+        assert reconstruct_vertex_isomorphism(f)
+        monkeypatch.setattr(edge_maps, "is_induced_by", lambda *args: False)
+        with pytest.raises(InternalError,
+                           match="^collected star centers do not induce the map$"):
+            reconstruct_vertex_isomorphism(f)
 
 
 class TestVertexIso:

@@ -1,11 +1,13 @@
 """Randomized invariants, checked with hypothesis on small graphs."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circuitmap import (
     EdgeMap,
     EdgeSet,
+    IndependentEdges,
+    InputError,
     build_graph,
     check_circuit_injection,
     check_circuit_isomorphism,
@@ -36,6 +38,7 @@ from oracle import (
     brute_cutpoints,
     brute_is_circuit,
     brute_is_k_connected,
+    brute_star_class,
 )
 
 
@@ -220,6 +223,43 @@ def test_isomorphism_matches_oracle(f):
         assert w.circuit.host == own and w.mapped.host == other
         assert is_circuit(own, EdgeSet(own, w.circuit.edges))
         assert not is_circuit(other, w.mapped)
+
+
+def _star_class_tuple(kind) -> tuple:
+    if isinstance(kind, StarAt):
+        return ("star", kind.vertex)
+    if isinstance(kind, IndependentEdges):
+        return ("independent",)
+    return (kind.kind, kind.edges) + (() if kind.vertex is None else (kind.vertex,))
+
+
+# A K2 component and a path on both sides: single-edge stars at degree-1
+# vertices, a single edge that is no star, and a two-edge independent image.
+_K2_AND_PATH = EdgeMap(build_graph("abcde", [("a", "b"), ("c", "d"), ("d", "e")]),
+                       build_graph("xyuvw", [("x", "y"), ("u", "v"), ("v", "w")]),
+                       (1, 0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_edge_maps())
+@example(_K2_AND_PATH)
+def test_star_classes_match_oracle(f):
+    for v in f.source.vertices:
+        ids = f.image(star(f.source, v).members)
+        if not ids:
+            with pytest.raises(InputError, match="has no incident edges$"):
+                classify_star_image(f, v)
+            continue
+        assert (_star_class_tuple(classify_star_image(f, v))
+                == brute_star_class(f.target, ids))
+    for w in f.target.vertices:
+        ids = f.preimage(star(f.target, w).members)
+        if not ids:
+            with pytest.raises(InputError, match="has no incident edges$"):
+                classify_star_preimage(f, w)
+            continue
+        assert (_star_class_tuple(classify_star_preimage(f, w))
+                == brute_star_class(f.source, ids))
 
 
 @settings(max_examples=60, deadline=None)

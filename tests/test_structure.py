@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path as FilePath
 
@@ -6,6 +7,7 @@ import pytest
 from circuitmap import (
     Circuit,
     EdgeMap,
+    EdgeSet,
     InputError,
     InternalError,
     LinkedCircuitPair,
@@ -198,6 +200,26 @@ class TestHypothesisGuards:
         with pytest.raises(PreconditionError,
                            match="^deleting the crossing set left 1 components, not 2$"):
             find_crossing_structure(prism, cut)
+
+    @pytest.mark.parametrize("name", [
+        "K4", "K5", "K33", "prism", "Q3", "W4", "W5", "W6", "W7",
+        *(f"random3c_n{n}_s{seed}" for n in range(6, 11) for seed in (1, 2))])
+    def test_small_cuts_refused_before_the_split_is_used(self, name):
+        # A 3-connected graph is 3-edge-connected, so no cut of one or two
+        # edges gets past the independence check or the side split.
+        if name.startswith("random3c"):
+            n, seed = (int(part[1:]) for part in name.split("_")[1:])
+            graph = random_three_connected(n, seed)
+        else:
+            graph = named_graph(name)
+        assert brute_is_k_connected(graph, 3)
+        refusal = (r"^(crossing set is not independent at '[^']+'"
+                   r"|deleting the crossing set left 1 components, not 2)$")
+        m = graph.edge_count()
+        for size in (1, 2):
+            for ids in itertools.combinations(range(m), size):
+                with pytest.raises(PreconditionError, match=refusal):
+                    find_crossing_structure(graph, EdgeSet(graph, frozenset(ids)))
 
     def test_foreign_cut(self, prism, k4):
         cut = edge_set_from_pairs(k4, [("0", "1"), ("2", "3")])
