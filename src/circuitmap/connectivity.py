@@ -1,15 +1,16 @@
 """Vertex connectivity checks and internally disjoint path pairs.
 
-Disjoint paths, and k-connectivity for k >= 3, run on one engine: augmenting
-paths in the unit-capacity vertex-split network. Vertex v is the arc
-in_v -> out_v and edge {u, w} the arcs out_u -> in_w and out_w -> in_u, so
-disjoint units of flow from out_s to in_t are internally disjoint s-t paths.
-k-connectivity takes local flows bounded at k (Esfahanian and Hakimi, "On
-computing the connectivities of graphs and digraphs", Networks 14(2), 1984),
-O((n + delta^2) * k * m) in all. Cutpoints, and k <= 2, are read off the
-parents, depths and lowpoints of graph._rooted_forest, the package's one
-depth-first search. Every search runs in index order, so results are
-deterministic for a given graph.
+Cutpoints, and k-connectivity for k <= 3, are read off the parents, depths
+and lowpoints of graph._rooted_forest, the package's one depth-first
+search: one search for k <= 2, and for k = 3 one search per deleted vertex,
+O(n * (n + m)) in all. Disjoint paths, and k-connectivity for k >= 4, run
+on one engine: augmenting paths in the unit-capacity vertex-split network.
+Vertex v is the arc in_v -> out_v and edge {u, w} the arcs out_u -> in_w
+and out_w -> in_u, so disjoint units of flow from out_s to in_t are
+internally disjoint s-t paths. k >= 4 takes local flows bounded at k
+(Esfahanian and Hakimi, "On computing the connectivities of graphs and
+digraphs", Networks 14(2), 1984), O((n + delta^2) * k * m) in all. Every
+search runs in index order, so results are deterministic for a given graph.
 """
 
 from __future__ import annotations
@@ -66,9 +67,21 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     but not n-connected.
 
     For k <= 2 the depth-first forest answers: one root, and for k = 2 no
-    cutpoint. For k >= 3 let v be a vertex of least degree. The graph is
-    k-connected iff deg(v) >= k, every w not adjacent to v is joined to v by
-    k internally disjoint paths, and so is every non-adjacent pair of v's
+    cutpoint. For k >= 3 a vertex of degree below k fails at once: its
+    neighbours cut it off from the n - 1 - deg > 0 others.
+
+    For k = 3 (so n >= 4) the graph is 3-connected iff, for every vertex x,
+    G - x is connected and has no cutpoint; one forest search decides each
+    x. Why: if G is 3-connected, a cutpoint b of G - x, or G - x itself
+    disconnected, would give a separator {x, b} or {x}. Conversely take a
+    separator {a, b}: G - a is disconnected, or b is a cutpoint of it. A
+    separator {a}: G - a is disconnected. G disconnected: deleting a vertex
+    of a component with two or more vertices leaves the rest disconnected,
+    and if no such component exists all n >= 4 vertices are isolated.
+
+    For k >= 4 let v be a vertex of least degree. The graph is k-connected
+    iff deg(v) >= k, every w not adjacent to v is joined to v by k
+    internally disjoint paths, and so is every non-adjacent pair of v's
     neighbours. Why: take a minimum separator S with |S| < k. If v is not in
     S, a vertex w in another component of G - S is not adjacent to v. If v
     is in S, minimality gives v neighbours x and y in two components of
@@ -86,6 +99,8 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     v = min(range(n), key=lambda i: len(adjacency[i]))
     if len(adjacency[v]) < k:
         return False
+    if k == 3:
+        return all(_cuts_and_count(graph, x) == (set(), 1) for x in range(n))
     near = {w for w, _ in adjacency[v]}
     pairs = [(v, w) for w in range(n) if w != v and w not in near]
     pairs += [(x, y) for x, y in combinations(sorted(near), 2)
@@ -98,18 +113,21 @@ def cutpoints(graph: Graph) -> tuple[str, ...]:
     return tuple(sorted(graph.vertices[i] for i in _cuts_and_count(graph)[0]))
 
 
-def _cuts_and_count(graph: Graph) -> tuple[set[int], int]:
-    """Cutpoint indices and component count from the depth-first forest.
+def _cuts_and_count(graph: Graph, skip: int = -1) -> tuple[set[int], int]:
+    """Cutpoint indices and component count from the depth-first forest,
+    of the graph less vertex index `skip` when one is given.
 
     A vertex is a cutpoint when it has a child u with low[u] >= its depth,
-    or, at a root, where every child qualifies, two children.
+    or, at a root, where every child qualifies, two children. The skipped
+    vertex has no children, so it is never a cutpoint; it is no root either.
     """
-    up, _, depth, _, low = _rooted_forest(graph._adjacency)
+    up, _, depth, _, low = _rooted_forest(graph._adjacency, skip)
     need = [1 if p >= 0 else 2 for p in up]  # qualifying children still needed
     for u, p in enumerate(up):
         if p >= 0 and low[u] >= depth[p]:
             need[p] -= 1
-    return {x for x, left in enumerate(need) if left <= 0}, up.count(-1)
+    return ({x for x, left in enumerate(need) if left <= 0},
+            up.count(-1) - (skip >= 0))
 
 
 def two_disjoint_paths(graph: Graph, a: str, b: str,

@@ -17,6 +17,8 @@ graphs, by id) and the checks built on it:
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
 from .connectivity import is_k_connected
 from .errors import (
@@ -444,17 +446,22 @@ class VertexIso(Frozen):
     pairs: tuple[tuple[str, str], ...]
 
     def __init__(self, pairs: tuple[tuple[str, str], ...]):
-        as_dict = dict(pairs)
-        if len(as_dict) != len(pairs) or len(set(as_dict.values())) != len(pairs):
+        table = dict(pairs)
+        if len(table) != len(pairs) or len(set(table.values())) != len(pairs):
             raise InputError("vertex map repeats a source or target")
-        self.__dict__.update(pairs=pairs, as_dict=as_dict)
+        self.__dict__.update(pairs=pairs, _table=table)
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str]) -> "VertexIso":
         return cls(tuple(sorted(mapping.items())))
 
+    @property
+    def as_dict(self) -> MappingProxyType:
+        """The relabeling as a read-only source -> target mapping."""
+        return MappingProxyType(self._table)
+
     def apply(self, v: str) -> str:
-        return self.as_dict[v]
+        return self._table[v]
 
 
 def is_induced_by(edge_map: EdgeMap, iso: VertexIso) -> bool:
@@ -463,7 +470,7 @@ def is_induced_by(edge_map: EdgeMap, iso: VertexIso) -> bool:
     True iff for every source edge (u, v), the image edge's endpoints are
     precisely {iso(u), iso(v)}.
     """
-    table = iso.as_dict
+    table = iso._table
     if set(table) != set(edge_map.source.vertices):
         return False
     for i in range(edge_map.source.edge_count()):

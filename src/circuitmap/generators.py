@@ -277,7 +277,7 @@ def random_three_connected(n: int, seed: int) -> Graph:
     """Seeded random 3-connected graph on n >= 4 vertices.
 
     Start from a random Hamiltonian cycle, add random chords until the
-    minimum degree reaches 3, then keep adding chords until the flow-based
+    minimum degree reaches 3, then keep adding chords until the
     3-connectivity check passes. Densifying toward the complete graph makes
     success certain, but a retry bound guards the loop anyway.
 

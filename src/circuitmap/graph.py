@@ -335,7 +335,7 @@ def star(graph: Graph, v: str) -> EdgeSet:
     return EdgeSet(graph, frozenset(graph.incident_edges(v)))
 
 
-def _rooted_forest(adjacency
+def _rooted_forest(adjacency, skip: int = -1
                    ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """Root every component of an index graph with one iterative depth-first
     search, the package's only forest traversal.
@@ -347,6 +347,10 @@ def _rooted_forest(adjacency
     Roots are the least index of each component. A tree has one rooting per
     root, so on a forest parent, edge and depth do not depend on the order
     of the search.
+
+    A vertex index `skip` is searched as if deleted: it starts with depth
+    and low n, so the search never enters it, never roots at it, and no
+    edge to it lowers a lowpoint. Its parent, edge and root stay -1.
     """
     n = len(adjacency)
     up = [-1] * n
@@ -354,6 +358,8 @@ def _rooted_forest(adjacency
     depth = [-1] * n
     root = [-1] * n
     low = [-1] * n
+    if skip >= 0:
+        depth[skip] = low[skip] = n
     for r in range(n):
         if depth[r] >= 0:
             continue

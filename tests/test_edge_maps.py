@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import pytest
@@ -440,6 +441,22 @@ class TestVertexIso:
         assert iso.apply("a") == "x"
         assert VertexIso.from_dict({"a": "x", "b": "y"}) == iso
         assert iso.as_dict == {"a": "x", "b": "y"}
+
+    def test_as_dict_is_read_only(self, k4):
+        f = identity_map(k4)
+        iso = reconstruct_vertex_isomorphism(f)
+        with pytest.raises(TypeError):
+            iso.as_dict["0"] = "1"
+        with pytest.raises(TypeError):
+            del iso.as_dict["0"]
+        assert iso.apply("0") == "0" and is_induced_by(f, iso)
+        assert iso.as_dict == {v: v for v in k4.vertices}
+
+    def test_pickle_round_trip(self):
+        iso = VertexIso((("a", "x"), ("b", "y")))
+        copy = pickle.loads(pickle.dumps(iso))
+        assert copy == iso and hash(copy) == hash(iso)
+        assert copy.apply("b") == "y" and copy.as_dict == {"a": "x", "b": "y"}
 
     def test_duplicate_target_rejected(self):
         with pytest.raises(InputError, match="^vertex map repeats a source or target$"):

@@ -31,6 +31,7 @@ from circuitmap import (
     two_disjoint_paths,
     validate_attached_path,
 )
+from circuitmap.connectivity import _cuts_and_count
 from conftest import CORPUS, seeded_relabel
 from oracle import (
     brute_circuits,
@@ -186,6 +187,19 @@ def test_traversal_answers_match_oracle(g):
     assert [set(b) for b in components(g)] == brute_components(g)
     for k in (1, 2):
         assert is_k_connected(g, k) is brute_is_k_connected(g, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_graphs(), graphs()))
+def test_search_with_a_skipped_vertex_matches_oracle(g):
+    # _cuts_and_count(g, skip=x) must describe g - x, which the oracle reads
+    # off the subgraph built without x.
+    for x, label in enumerate(g.vertices):
+        rest = build_graph([v for v in g.vertices if v != label],
+                           [e for e in g.edges if label not in e])
+        cut, count = _cuts_and_count(g, skip=x)
+        assert tuple(sorted(g.vertices[i] for i in cut)) == brute_cutpoints(rest)
+        assert count == len(brute_components(rest))
 
 
 @st.composite
