@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path as FilePath
@@ -366,5 +367,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     report["elapsed_ms"] = int(round((time.perf_counter() - started) * 1000))
     if not args.quiet:
-        print(json.dumps(report, indent=2))
+        try:
+            print(json.dumps(report, indent=2), flush=True)
+        except BrokenPipeError:
+            # The reader left; the exit code stands. Stdout now points at
+            # devnull, so the interpreter's exit flush cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code

@@ -351,45 +351,31 @@ StarImageClass = StarAt | IndependentEdges | StarViolation
 
 
 def _classify_edge_ids(graph: Graph, ids: frozenset[int]) -> StarImageClass:
+    """Class of a nonempty edge-id set, read from one walk of its members.
+
+    at[v] lists the positions (in id order) of the members at v. Vertices
+    holding every member, both ends of a single edge and otherwise at most
+    one, are tried as star centers in label order. A pair x < y meeting at
+    s has at[s][0] <= x, and at[s][1] <= y when at[s][0] == x, so the least
+    adjacent pair is the least (at[s][0], at[s][1]) over every such s.
+    """
     ordered = sorted(ids)
-    pairs = [frozenset(graph.endpoints(i)) for i in ordered]
-
-    common = set(pairs[0])
-    for p in pairs[1:]:
-        common &= p
-
-    adjacent = None
-    for x in range(len(ordered)):
-        for y in range(x + 1, len(ordered)):
-            if pairs[x] & pairs[y]:
-                adjacent = (x, y)
-                break
-        if adjacent:
-            break
-
-    if adjacent is None:
-        # Pairwise nonadjacent. A single edge can still be a complete
-        # star, when its endpoint has degree 1; try endpoints in sorted
-        # order so the degenerate case stays deterministic.
-        if len(ordered) == 1:
-            for w in sorted(pairs[0]):
-                if set(graph.incident_edges(w)) == ids:
-                    return StarAt(w)
-        return IndependentEdges()
-
-    if common:
-        (w,) = common
+    at: dict[str, list[int]] = {}
+    for k, i in enumerate(ordered):
+        for v in graph.edges[i]:
+            at.setdefault(v, []).append(k)
+    common = sorted(v for v, ks in at.items() if len(ks) == len(ordered))
+    for w in common:
         star_ids = set(graph.incident_edges(w))
         if star_ids == ids:
             return StarAt(w)
-        extra = min(star_ids - ids)
-        return StarViolation("partial_star", (extra,), w)
-
-    # Some two members meet but no vertex carries them all: witness the
-    # least adjacent pair plus a least member missing their shared vertex.
-    x, y = adjacent
-    (shared,) = pairs[x] & pairs[y]
-    third = next(i for i, p in zip(ordered, pairs) if shared not in p)
+    meets = [(ks[0], ks[1], s) for s, ks in at.items() if len(ks) > 1]
+    if not meets:
+        return IndependentEdges()
+    if common:  # common == [w], and its star holds more than ids
+        return StarViolation("partial_star", (min(star_ids - ids),), w)
+    x, y, shared = min(meets)
+    third = next(i for i in ordered if shared not in graph.edges[i])
     return StarViolation("no_common_vertex", (ordered[x], ordered[y], third))
 
 

@@ -171,11 +171,8 @@ class EdgeSet(Frozen):
     members: frozenset[int]
 
     def __init__(self, host: Graph, members: frozenset[int]):
+        _require_edge_ids(host, members)
         self.__dict__.update(host=host, members=members)
-        m = host.edge_count()
-        for i in members:
-            if not isinstance(i, int) or not 0 <= i < m:
-                raise InputError(f"invalid edge id {i!r} for host with {m} edges")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -192,6 +189,14 @@ class EdgeSet(Frozen):
 
     def vertex_set(self) -> frozenset[str]:
         return _touched(self.host, self.members)
+
+
+def _require_edge_ids(host: Graph, ids: Iterable[int]) -> None:
+    """Refuse any id that is not an int in range(host.edge_count())."""
+    m = len(host.edges)
+    for i in ids:
+        if not isinstance(i, int) or not 0 <= i < m:
+            raise InputError(f"invalid edge id {i!r} for host with {m} edges")
 
 
 def _touched(graph: Graph, ids: Iterable[int]) -> frozenset[str]:
@@ -224,6 +229,7 @@ class Path(Frozen):
     edges: tuple[int, ...]
 
     def __init__(self, host: Graph, vertices: tuple[str, ...], edges: tuple[int, ...]):
+        _require_edge_ids(host, edges)
         self.__dict__.update(host=host, vertices=vertices, edges=edges)
         if len(self.vertices) != len(self.edges) + 1 or not self.vertices:
             raise InputError("path needs exactly one more vertex than edges")
@@ -309,6 +315,7 @@ class Circuit(Frozen):
     edges: frozenset[int]
 
     def __init__(self, host: Graph, edges: frozenset[int]):
+        _require_edge_ids(host, edges)
         self.__dict__.update(host=host, edges=edges)
         if not _edge_ids_form_circuit(host, edges):
             raise InputError("edge set is not a circuit")

@@ -1,14 +1,20 @@
 """End-to-end coverage of the command line entry points.
 
-Everything drives circuitmap.cli.main directly; one subprocess smoke test
-lives in the acceptance suite instead.
+Everything drives circuitmap.cli.main directly, except the closed-pipe
+test, which needs a real pipe; one subprocess smoke test lives in the
+acceptance suite instead.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circuitmap
 from circuitmap import InternalError, graph_to_json, named_graph
 from circuitmap.cli import (
     EXIT_FAIL,
@@ -340,6 +346,23 @@ class TestEnumerate:
             main(["enumerate", "k4.json", "--max-circuits", budget])
         assert exit_info.value.code == EXIT_INPUT
         assert "must be positive" in capsys.readouterr().err
+
+    def test_reader_closing_the_pipe_early_keeps_the_exit_code(self, in_tmp):
+        # About 394 KB of report, far past a pipe buffer: the child is still
+        # writing when the reader goes away.
+        write_graph(in_tmp / "theta.json", "theta20")
+        package_root = str(Path(circuitmap.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "circuitmap", "enumerate", "theta.json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.read(1) == b"{"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_PASS
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestClassifyDecomposeCrossing:

@@ -8,12 +8,14 @@ from circuitmap import (
     EdgeSet,
     IndependentEdges,
     InputError,
+    build_counterexample,
     build_graph,
     check_circuit_injection,
     check_circuit_isomorphism,
     circuit_and_attached_path,
     classify_star_image,
     classify_star_preimage,
+    complete_bipartite,
     components,
     cutpoints,
     delete_edges,
@@ -28,10 +30,12 @@ from circuitmap import (
     reconstruct_vertex_isomorphism,
     star,
     StarAt,
+    theta_graph,
     two_disjoint_paths,
     validate_attached_path,
 )
 from circuitmap.connectivity import _cuts_and_count
+from circuitmap.rng import XorShift64Star
 from conftest import CORPUS, seeded_relabel
 from oracle import (
     brute_circuits,
@@ -254,9 +258,29 @@ _K2_AND_PATH = EdgeMap(build_graph("abcde", [("a", "b"), ("c", "d"), ("d", "e")]
                        (1, 0, 2))
 
 
+def _shuffled_theta6_onto_k66() -> EdgeMap:
+    """Seeded bijection: among its stars of 6 edges (hub images, every
+    preimage) 12 are no_common_vertex violations and 2 independent."""
+    images = list(range(36))
+    XorShift64Star(1).shuffle(images)
+    return EdgeMap(theta_graph(6), complete_bipartite(6), tuple(images))
+
+
+# The star of s maps onto ab, bc, ad: the least adjacent pair (ab, bc)
+# meets at b, but the walk in id order touches a first, and a holds the
+# pair (ab, ad).
+_LEAST_PAIR_AWAY_FROM_FIRST_VERTEX = EdgeMap(
+    build_graph("spqr", [("s", "p"), ("s", "q"), ("s", "r")]),
+    build_graph("abcd", [("a", "b"), ("b", "c"), ("a", "d")]),
+    (0, 1, 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_edge_maps())
 @example(_K2_AND_PATH)
+@example(build_counterexample(5)[2])  # independent 5-edge preimages onto K_{5,5}
+@example(_shuffled_theta6_onto_k66())
+@example(_LEAST_PAIR_AWAY_FROM_FIRST_VERTEX)
 def test_star_classes_match_oracle(f):
     for v in f.source.vertices:
         ids = f.image(star(f.source, v).members)
@@ -329,9 +353,6 @@ def test_relabeling_round_trip(name, seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(4, 7), st.integers(0, 2**32), st.integers(0, 2**32))
 def test_sampled_failures_are_sound(n, seed, shuffle_seed):
-    from circuitmap import EdgeMap
-    from circuitmap.rng import XorShift64Star
-
     g = random_two_connected(n, seed)
     images = list(range(g.edge_count()))
     XorShift64Star(shuffle_seed).shuffle(images)

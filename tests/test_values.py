@@ -158,9 +158,19 @@ def test_cached_lookups_on_frozen_instances():
     (lambda: Graph(("a", 1, 1), ()), r"^vertex label 1 is not a string$"),
     (lambda: Graph(("a", "b"), (("a", "b"), ("x", "y"))),
      r"^edge 1 uses unknown vertex 'x'$"),
+    (lambda: Circuit(triangle(), frozenset({-1, 0, 1})),
+     r"^invalid edge id -1 for host with 3 edges$"),
+    (lambda: Circuit(triangle(), frozenset({1, 2, 3})),
+     r"^invalid edge id 3 for host with 3 edges$"),
+    (lambda: Circuit(triangle(), frozenset({"0", 1, 2})),
+     r"^invalid edge id '0' for host with 3 edges$"),
+    (lambda: Path(triangle(), ("c", "a"), (-1,)),
+     r"^invalid edge id -1 for host with 3 edges$"),
 ], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-step",
         "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
-        "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first"])
+        "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first",
+        "circuit-negative-id", "circuit-id-past-end", "circuit-string-id",
+        "path-negative-id"])
 def test_constructor_validation(build, message):
     with pytest.raises(InputError, match=message):
         build()
