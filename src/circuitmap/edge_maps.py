@@ -191,24 +191,28 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     Each circuit is tested in time linear in its length, so a sampled run
     costs O(n + m) plus time linear in the circuits drawn and the pairs
     mixed (see _sampled_circuits). Its verdict also carries
-    samples_requested, attempts (mixes tried) and stop_reason: "samples",
-    "witness", "attempt_limit" or "too_few_circuits".
+    samples_requested, attempts (mixes tried) and stop_reason, decided
+    here: "witness", "samples", "attempt_limit" or "too_few_circuits".
     """
-    stats = None
     if mode == "exhaustive":
         pool = (c.edges for c in enumerate_circuits(edge_map.source, max_count))
-    elif mode == "sampled":
-        stats = {}
-        pool = _sampled_circuits(edge_map.source, samples, seed, stats=stats)
-    else:
-        raise InputError(f"unknown mode {mode!r}")
-
-    checked, witness = _first_broken(edge_map, pool)
-    if stats is None:
+        checked, witness = _first_broken(edge_map, pool)
         return Verdict(witness is None, mode, checked, witness)
-    return Verdict(witness is None, mode, checked, witness,
-                   samples_requested=samples, attempts=stats["attempts"],
-                   stop_reason="witness" if witness else stats["stop_reason"])
+    if mode != "sampled":
+        raise InputError(f"unknown mode {mode!r}")
+    stats = {}
+    checked, witness = _first_broken(
+        edge_map, _sampled_circuits(edge_map.source, samples, seed, stats=stats))
+    if witness:
+        reason = "witness"
+    elif checked >= samples:  # the stream ran dry: checked is its whole pool
+        reason = "samples"
+    elif checked < 2:
+        reason = "too_few_circuits"
+    else:
+        reason = "attempt_limit"
+    return Verdict(witness is None, mode, checked, witness, samples_requested=samples,
+                   attempts=stats["attempts"], stop_reason=reason)
 
 
 def _first_broken(edge_map: EdgeMap, pool) -> tuple[int, MapWitness | None]:
@@ -259,8 +263,7 @@ def _shuffled_forest(graph: Graph, rng: XorShift64Star):
     return _fundamental_circuits(graph, order)
 
 
-def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
-                      stats: dict | None = None):
+def _sampled_circuits(graph: Graph, samples: int, seed: int, *, stats: dict):
     """Seeded stream of distinct circuits: spanning-tree fundamental circuits,
     then random pairwise symmetric differences kept when they are circuits.
 
@@ -271,14 +274,9 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
     Cost: O(n + m) for the forest plus time linear in the circuits found
     and in the pairs mixed, of which there are at most 20 × samples.
 
-    When `stats` is given it receives "attempts" (mixes tried, kept up to
-    date while the stream runs) and, once the stream ends by itself,
-    "stop_reason": "samples" when all were drawn, "attempt_limit" when the
-    20 × samples bound on mixes was hit, or "too_few_circuits" when fewer
-    than two circuits exist to mix.
+    The stream only draws: stats["attempts"] counts the mixes tried while
+    it runs, and check_circuit_injection decides why the stream stopped.
     """
-    if stats is None:
-        stats = {}
     stats["attempts"] = 0
     rng = XorShift64Star(seed)
     _, chords, circuit_of = _shuffled_forest(graph, rng)
@@ -293,11 +291,9 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
         pool.append(ids)
         yield ids
 
-    attempts = 0
     limit = samples * 20
-    while 2 <= len(pool) < samples and attempts < limit:
-        attempts += 1
-        stats["attempts"] = attempts
+    while 2 <= len(pool) < samples and stats["attempts"] < limit:
+        stats["attempts"] += 1
         i = rng.randrange(len(pool))
         j = rng.randrange(len(pool))
         if i == j or pool[i].isdisjoint(pool[j]):
@@ -307,12 +303,6 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *,
             emitted.add(mix)
             pool.append(mix)
             yield mix
-    if len(pool) >= samples:
-        stats["stop_reason"] = "samples"
-    elif len(pool) < 2:
-        stats["stop_reason"] = "too_few_circuits"
-    else:
-        stats["stop_reason"] = "attempt_limit"
 
 
 # -- star classification ------------------------------------------------------
@@ -477,16 +467,20 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
     PreconditionError when the source guard fails (suppress with
     check_connectivity=False to probe other maps), and NotInducedError at
     the first vertex whose star image is not a full star, or when the
-    collected centers fail to be a bijection. Each edge uv then maps into
-    star(c(u)) ∩ star(c(v)), the one edge c(u)c(v), so a map that
-    `is_induced_by` still rejects is a library fault: InternalError.
+    collected centers fail to be a bijection. Only the two ends of a
+    one-edge component can share a center, as f is injective; when its image
+    is a one-edge component too, the second end takes the image's other end.
+    Each edge uv then maps into star(c(u)) ∩ star(c(v)), the one edge
+    c(u)c(v), so a map that `is_induced_by` still rejects is a library
+    fault: InternalError.
     """
     if check_connectivity and not is_k_connected(edge_map.source, 3):
         raise PreconditionError(
             "reconstruction requires a 3-connected source")
-    pairs = []
-    for v in edge_map.source.vertices:
-        if edge_map.source.degree(v) == 0:
+    source, target = edge_map.source, edge_map.target
+    pairs, centers = [], set()
+    for v in source.vertices:
+        if source.degree(v) == 0:
             raise NotInducedError(
                 f"source vertex {v!r} is isolated", vertex=v)
         kind = classify_star_image(edge_map, v)
@@ -494,9 +488,14 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
             raise NotInducedError(
                 f"star image of {v!r} is {type(kind).__name__}, not a star",
                 vertex=v, star_class=kind)
-        pairs.append((v, kind.vertex))
-    centers = {w for _, w in pairs}
-    if len(centers) != len(pairs) or centers != set(edge_map.target.vertices):
+        w = kind.vertex
+        if w in centers:  # taken by the other end of v's one-edge component
+            x, y = target.endpoints(edge_map.image_of(source.incident_edges(v)[0]))
+            if target.degree(x) == target.degree(y):  # both 1, as w is a center
+                w = y if w == x else x
+        centers.add(w)
+        pairs.append((v, w))
+    if len(centers) != len(pairs) or centers != set(target.vertices):
         raise NotInducedError("star centers do not form a vertex bijection")
     iso = VertexIso(tuple(pairs))
     if not is_induced_by(edge_map, iso):

@@ -99,6 +99,11 @@ class TestGenerate:
     def test_bad_name_is_input_error(self):
         assert main(["generate", "named", "--name", "nope", "--quiet"]) == EXIT_INPUT
 
+    def test_size_given_twice_is_input_error(self, capsys):
+        assert main(["generate", "named", "--name", "theta3", "--size", "4"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: 'theta3' already carries its size parameter\n"
+
     def test_non_decimal_size_suffix_is_unknown_name(self, capsys):
         # "²" is a digit to str.isdigit but not to int().
         assert main(["generate", "named", "--name", "theta²", "--quiet"]) == EXIT_INPUT
@@ -333,6 +338,12 @@ class TestEnumerate:
         assert main(["enumerate", "cycle.json"]) == EXIT_PASS
         report = last_report(capsys)
         assert report["count"] == 1 and len(report["circuits"][0]) == 1500
+
+    def test_edges_not_a_list_is_input_error(self, in_tmp, capsys):
+        write_json(in_tmp / "g.json", {"vertices": ["a", "b"], "edges": "ab"})
+        assert main(["enumerate", "g.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: 'edges' must be a list of endpoint pairs\n"
 
     def test_budget_exhaustion_is_precondition_exit(self, in_tmp):
         write_graph(in_tmp / "k4.json", "K4")

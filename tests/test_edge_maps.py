@@ -403,6 +403,37 @@ class TestReconstruction:
         twisted = VertexIso((("0", "1"), ("1", "0"), ("2", "2"), ("3", "3")))
         assert not is_induced_by(f, twisted)
 
+    def test_iso_on_other_vertices_is_not_induced(self, k4):
+        iso = VertexIso((("0", "0"), ("1", "1"), ("2", "2"), ("x", "3")))
+        assert not is_induced_by(identity_map(k4), iso)
+
+    @pytest.mark.parametrize("f", [
+        EdgeMap(build_graph("uv", [("u", "v")]), build_graph("xy", [("x", "y")]), (0,)),
+        permuted_edge_map(
+            build_graph("0123ab", named_graph("K4").edges + (("a", "b"),)),
+            dict(zip("0123ab", "b1a302"))),
+    ], ids=["K2", "K4_and_K2"])
+    def test_one_edge_component_maps_onto_both_ends_of_its_image(self, f):
+        # Both ends of a one-edge image are star centers of the same edge.
+        iso = reconstruct_vertex_isomorphism(f, check_connectivity=False)
+        assert is_induced_by(f, iso)
+
+    def test_one_edge_component_onto_a_longer_path_is_not_induced(self):
+        f = EdgeMap(build_graph("uvpq", [("u", "v"), ("p", "q")]),
+                    build_graph("xyz", [("x", "y"), ("y", "z")]), (0, 1))
+        with pytest.raises(NotInducedError,
+                           match="^star centers do not form a vertex bijection$"):
+            reconstruct_vertex_isomorphism(f, check_connectivity=False)
+
+    def test_guard_off_reports_isolated_source_vertex(self):
+        triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+        f = EdgeMap(build_graph("abcz", triangle), build_graph("abc", triangle),
+                    (0, 1, 2))
+        with pytest.raises(NotInducedError,
+                           match="^source vertex 'z' is isolated$") as info:
+            reconstruct_vertex_isomorphism(f, check_connectivity=False)
+        assert info.value.vertex == "z"
+
     def test_refuses_weakly_connected_source(self):
         _, _, f = build_counterexample(3)
         with pytest.raises(PreconditionError,

@@ -60,6 +60,11 @@ class TestCompleteBipartite:
         assert g.endpoints(5) == ("b1", "c2")
         assert g == named_graph("K33")
 
+    def test_empty_part_rejected(self):
+        with pytest.raises(InputError,
+                           match="^complete bipartite part size must be positive$"):
+            complete_bipartite(0)
+
 
 class TestCounterexample:
     def test_p3_shapes(self):
@@ -315,6 +320,14 @@ class TestRng:
         draws = [r.randrange(7) for _ in range(200)]
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: XorShift64Star(1).randrange(0), "randrange needs a positive bound"),
+        (lambda: XorShift64Star(1).choice([]), "choice from an empty sequence"),
+    ], ids=["randrange_0", "choice_empty"])
+    def test_empty_ranges_are_input_errors(self, call, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            call()
 
     def test_shuffle_is_permutation(self):
         items = list(range(10))

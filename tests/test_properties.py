@@ -364,3 +364,26 @@ def test_sampled_failures_are_sound(n, seed, shuffle_seed):
         assert not exhaustive.passed  # sampling may miss, never invent
         assert is_circuit(g, EdgeSet(g, sampled.witness.circuit.edges))
         assert not is_circuit(g, sampled.witness.mapped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.one_of(st.none(), st.integers(0, 2**32)), st.integers(0, 30),
+       st.sampled_from([1, 2, 7]))
+def test_sampled_stop_reason_follows_from_the_count(g, shuffle_seed, samples, seed):
+    # The stream ends by itself only at `samples` circuits, with fewer than
+    # two to mix, or after 20 × samples mixes, so without a witness the
+    # number checked alone decides the reason.
+    images = list(range(g.edge_count()))
+    if shuffle_seed is not None:
+        XorShift64Star(shuffle_seed).shuffle(images)
+    v = check_circuit_injection(EdgeMap(g, g, tuple(images)), mode="sampled",
+                                samples=samples, seed=seed)
+    assert v.samples_requested == samples
+    if v.witness:
+        assert not v.passed and v.stop_reason == "witness"
+        return
+    checked = v.circuits_checked
+    assert (v.stop_reason == "samples") is (checked >= samples)
+    assert (v.stop_reason == "too_few_circuits") is (checked < min(2, samples))
+    assert (v.stop_reason == "attempt_limit") is (
+        2 <= checked < samples and v.attempts == 20 * samples)

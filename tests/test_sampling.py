@@ -54,7 +54,7 @@ def draw_streams() -> dict[str, list[list[int]]]:
     for name, graph in stream_cases():
         for seed in SEEDS:
             out[f"{name}/seed{seed}"] = [
-                sorted(ids) for ids in _sampled_circuits(graph, SAMPLES, seed)]
+                sorted(ids) for ids in _sampled_circuits(graph, SAMPLES, seed, stats={})]
     return out
 
 
@@ -64,7 +64,7 @@ def test_sampled_streams_reproduce_recorded_output():
 
 def test_every_drawn_set_is_a_distinct_circuit():
     for name, graph in stream_cases():
-        drawn = [frozenset(ids) for ids in _sampled_circuits(graph, SAMPLES, 2)]
+        drawn = [frozenset(ids) for ids in _sampled_circuits(graph, SAMPLES, 2, stats={})]
         assert len(set(drawn)) == len(drawn), name
         assert all(is_circuit(graph, EdgeSet(graph, ids)) for ids in drawn), name
 
@@ -117,8 +117,8 @@ def test_stats_keyword_leaves_the_stream_unchanged():
     g = named_graph("double_bowtie")
     stats = {}
     with_stats = list(_sampled_circuits(g, SAMPLES, 7, stats=stats))
-    assert with_stats == list(_sampled_circuits(g, SAMPLES, 7))
-    assert stats["stop_reason"] in ("samples", "attempt_limit")
+    assert with_stats == list(_sampled_circuits(g, SAMPLES, 7, stats={}))
+    assert set(stats) == {"attempts"}
 
 
 def _write(path, data):
