@@ -32,15 +32,25 @@ def is_circuit(graph: Graph, edge_set: EdgeSet) -> bool:
 def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> list[Circuit]:
     """All distinct circuits of the graph in canonical order.
 
-    Elementary-cycle search on an explicit stack: each circuit is
-    discovered exactly once from its smallest vertex (by vertex index),
-    walking only through live vertices, with one of the two traversal
-    directions kept. A vertex is live while it is no smaller than the
-    current root and has at least two live neighbours: once a root is
-    done it is peeled, together with every vertex whose live degree then
-    drops to 1 or less, since none of them lies on a circuit left to find.
-    Peeling costs O(n + m) over the whole run, and the search depth is
-    bounded by memory, not by the interpreter's recursion limit.
+    Elementary-cycle search on an explicit stack over a copy of the
+    adjacency that only shrinks. First every vertex with one edge left is
+    peeled by removing that edge, repeatedly, since such an edge lies on
+    no circuit. Roots are then taken in decreasing degree after that peel,
+    ties by vertex index. While a root has two or more edges, its edge to
+    its least remaining neighbour a is removed and every simple path from
+    a back to the root over the remaining edges is walked: each arrival
+    at the root closes one circuit, one whose first removed root edge was
+    (root, a), and whose closing edge is still present. So every circuit
+    is closed exactly once, by its first root in that order, with no
+    direction test. Once a root has one edge left it is peeled, and so is
+    every vertex that a removal leaves with one edge. Removed edges never
+    come back, so the walk tests no vertex for liveness.
+
+    Cost: one closure per circuit and one push per simple path walked
+    from the far end of a removed root edge, so exponential in general,
+    as the output can be; edge removals cost O(sum of squared degrees)
+    over the whole run. The search depth is bounded by memory, not by the
+    interpreter's recursion limit.
 
     Circuits are held as edge-id tuples while searching; PreconditionError
     fires as soon as the count would exceed max_count, before any Circuit
@@ -48,52 +58,45 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> l
     """
     if max_count < 1:
         raise InputError("max_count must be positive")
-    adjacency = graph._adjacency
-    n = len(adjacency)
-    live = [True] * n
-    degree = [len(nbrs) for nbrs in adjacency]
-    on_path = [False] * n
+    adjacency = [list(nbrs) for nbrs in graph._adjacency]
+    on_path = [False] * len(adjacency)
     found: list[tuple[int, ...]] = []
 
     def peel(doomed: list[int]) -> None:
         while doomed:
             v = doomed.pop()
-            if live[v]:
-                live[v] = False
-                for w, _ in adjacency[v]:
-                    if live[w]:
-                        degree[w] -= 1
-                        if degree[w] <= 1:
-                            doomed.append(w)
+            if len(adjacency[v]) == 1:
+                w, eid = adjacency[v].pop()
+                adjacency[w].remove((v, eid))
+                if len(adjacency[w]) == 1:
+                    doomed.append(w)
 
-    peel([v for v in range(n) if degree[v] <= 1])
-    for root in range(n):
-        if not live[root]:
-            continue
-        path_vertices = [root]
-        path_edges: list[int] = []
-        pending = [iter(adjacency[root])]
-        on_path[root] = True
-        while pending:
-            for nbr, eid in pending[-1]:
-                if nbr == root:
-                    # Close the cycle; need length >= 3 and one fixed direction.
-                    if len(path_edges) >= 2 and path_vertices[1] < path_vertices[-1]:
+    peel(list(range(len(adjacency))))
+    for root in sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v])):
+        while len(adjacency[root]) >= 2:
+            start, first = adjacency[root].pop(0)
+            adjacency[start].remove((root, first))
+            path_vertices = [start]
+            path_edges = [first]
+            pending = [iter(adjacency[start])]
+            on_path[start] = True
+            while pending:
+                for nbr, eid in pending[-1]:
+                    if nbr == root:
                         if len(found) >= max_count:
-                            raise PreconditionError(
-                                f"more than {max_count} circuits")
+                            raise PreconditionError(f"more than {max_count} circuits")
                         found.append((*path_edges, eid))
-                elif live[nbr] and not on_path[nbr]:
-                    on_path[nbr] = True
-                    path_vertices.append(nbr)
-                    path_edges.append(eid)
-                    pending.append(iter(adjacency[nbr]))
-                    break
-            else:
-                pending.pop()
-                on_path[path_vertices.pop()] = False
-                if path_edges:
+                    elif not on_path[nbr]:
+                        on_path[nbr] = True
+                        path_vertices.append(nbr)
+                        path_edges.append(eid)
+                        pending.append(iter(adjacency[nbr]))
+                        break
+                else:
+                    pending.pop()
+                    on_path[path_vertices.pop()] = False
                     path_edges.pop()
+            peel([start])
         peel([root])
     found.sort(key=sorted)
     return [Circuit(graph, frozenset(ids)) for ids in found]

@@ -79,7 +79,11 @@ def _load_json(path: str):
 
 
 def _load_graph(path: str) -> Graph:
-    return graph_from_json(_load_json(path))
+    data = _load_json(path)
+    try:
+        return graph_from_json(data)
+    except InputError as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 def _load_map_files(args) -> EdgeMap:

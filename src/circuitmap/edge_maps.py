@@ -217,14 +217,17 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
 
 def _first_broken(edge_map: EdgeMap, pool) -> tuple[int, MapWitness | None]:
     """Test the source circuits in `pool` (edge-id sets) in turn: how many were
-    tested, and a forward witness for the first whose image is not a circuit."""
+    tested, and a forward witness for the first whose image is not a circuit.
+
+    Each image is tested as a list of target ids, which are distinct as the
+    map is a bijection; the image set is built only for the witness."""
+    assignment, target = edge_map.assignment, edge_map.target
     checked = 0
     for ids in pool:
         checked += 1
-        image = edge_map.image(ids)
-        if not _edge_ids_form_circuit(edge_map.target, image):
+        if not _edge_ids_form_circuit(target, [assignment[i] for i in ids]):
             return checked, MapWitness("forward", Circuit(edge_map.source, ids),
-                                       EdgeSet(edge_map.target, image))
+                                       EdgeSet(target, edge_map.image(ids)))
     return checked, None
 
 

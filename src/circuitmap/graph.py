@@ -9,7 +9,7 @@ between graphs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from functools import cached_property
 
 from .errors import InputError
@@ -266,10 +266,11 @@ class Path(Frozen):
         return tuple(self.host.endpoints(i) for i in self.edges)
 
 
-def _edge_ids_form_circuit(graph: Graph, ids: frozenset[int]) -> bool:
+def _edge_ids_form_circuit(graph: Graph, ids: Collection[int]) -> bool:
     """True iff the edge subset is the edge set of one simple cycle:
     nonempty, every touched vertex has degree exactly 2, and the touched
     vertices form a single connected piece. Simplicity then forces size >= 3.
+    The ids must be distinct: a set, or a list that holds no id twice.
 
     Works on vertex indices in O(|ids|): record the first and second
     neighbour of each touched vertex, giving up at a third incidence, then

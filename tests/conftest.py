@@ -40,6 +40,18 @@ def cycle_graph(n: int):
     return build_graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
 
 
+def blocks_and_trees():
+    """Bowtie with a pendant path, a separate K4, a small tree and an
+    isolated vertex: cutpoints, bridges and circuit-free parts together."""
+    edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"),
+             ("d", "e"), ("e", "p0"), ("p0", "p1"),
+             ("k0", "k1"), ("k0", "k2"), ("k0", "k3"), ("k1", "k2"),
+             ("k1", "k3"), ("k2", "k3"),
+             ("t0", "t1"), ("t0", "t2"), ("t2", "t3")]
+    vertices = sorted({v for e in edges for v in e} | {"z"})
+    return build_graph(vertices, edges)
+
+
 def seeded_relabel(graph, seed: int) -> dict[str, str]:
     """Deterministic vertex permutation within the graph's own label set."""
     labels = sorted(graph.vertices)

@@ -23,7 +23,7 @@ from circuitmap import (
     validate_attached_path,
 )
 from circuitmap import circuits as circuits_module
-from conftest import complete, cycle_graph, seeded_relabel
+from conftest import blocks_and_trees, complete, cycle_graph, seeded_relabel
 from oracle import brute_circuits
 
 GOLDEN_LISTS = Path(__file__).parent / "data" / "enumerated_circuits_golden.json"
@@ -99,18 +99,6 @@ def test_enumeration_deterministic(k4):
     assert a == b
 
 
-def blocks_and_trees():
-    """Bowtie with a pendant path, a separate K4, a small tree and an
-    isolated vertex: cutpoints, bridges and circuit-free parts together."""
-    edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"),
-             ("d", "e"), ("e", "p0"), ("p0", "p1"),
-             ("k0", "k1"), ("k0", "k2"), ("k0", "k3"), ("k1", "k2"),
-             ("k1", "k3"), ("k2", "k3"),
-             ("t0", "t1"), ("t0", "t2"), ("t2", "t3")]
-    vertices = sorted({v for e in edges for v in e} | {"z"})
-    return build_graph(vertices, edges)
-
-
 def enumeration_cases():
     """(case name, graph) for every case of the golden file."""
     cases = [(name, named_graph(name)) for name in CATALOG]
@@ -158,8 +146,9 @@ def test_refusal_builds_no_circuit(monkeypatch):
         raise AssertionError("Circuit built before the budget was settled")
 
     monkeypatch.setattr(circuits_module, "Circuit", refuse)
-    with pytest.raises(PreconditionError, match=r"^more than 1171 circuits$"):
-        enumerate_circuits(complete(7), max_count=1171)
+    for graph, max_count in ((complete(7), 1171), (random_three_connected(20, 25), 1000)):
+        with pytest.raises(PreconditionError, match=rf"^more than {max_count} circuits$"):
+            enumerate_circuits(graph, max_count=max_count)
 
 
 def test_long_cycle_under_default_recursion_limit(default_recursion_limit):

@@ -27,7 +27,7 @@ from circuitmap.cli import (
     main,
 )
 from circuitmap.circuits import DEFAULT_MAX_CIRCUITS
-from conftest import cycle_graph, seeded_relabel
+from conftest import complete, cycle_graph, seeded_relabel
 
 
 @pytest.fixture(autouse=True)
@@ -218,6 +218,41 @@ class TestVerify:
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {argv[-1]}: ")
 
+    def test_bad_target_graph_file_is_named(self, in_tmp, capsys):
+        write_graph(in_tmp / "k4.json", "K4")
+        write_json(in_tmp / "bad.json", {"vertices": ["a", "b"], "edges": "ab"})
+        write_json(in_tmp / "id.json", {"map": [[list(e), list(e)]
+                                                for e in named_graph("K4").edges]})
+        assert main(["verify", "k4.json", "bad.json", "id.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: bad.json: 'edges' must be a list of endpoint pairs\n"
+
+    @pytest.mark.parametrize("budget,code", [("1171", EXIT_PRECONDITION),
+                                             ("1172", EXIT_FAIL)])
+    def test_budget_is_settled_before_a_failing_map_is_tested(self, in_tmp, capsys,
+                                                              budget, code):
+        # K7 has 1,172 circuits. Swapping the images of 0-1 and 5-6 breaks the
+        # first circuit in canonical order, yet a budget one short is refused.
+        g = complete(7)
+        images = list(g.edges)
+        images[0], images[20] = images[20], images[0]
+        write_json(in_tmp / "k7.json", graph_to_json(g))
+        write_json(in_tmp / "swap.json",
+                   {"map": [[list(e), list(x)] for e, x in zip(g.edges, images)]})
+        assert main(["verify", "k7.json", "k7.json", "swap.json",
+                     "--max-circuits", budget]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_PRECONDITION:
+            assert (out, err) == ("", "error: more than 1171 circuits\n")
+            return
+        report = json.loads(out)
+        assert report["circuits_checked"] == 1
+        assert report["witness"] == {
+            "direction": "forward",
+            "circuit": [["0", "1"], ["0", "2"], ["1", "2"]],
+            "image": [["0", "2"], ["1", "2"], ["5", "6"]],
+        }
+
     def test_non_string_map_endpoint_is_input_error(self, in_tmp, capsys):
         write_graph(in_tmp / "k4.json", "K4")
         pairs = [[list(e), list(e)] for e in named_graph("K4").edges]
@@ -343,7 +378,7 @@ class TestEnumerate:
         write_json(in_tmp / "g.json", {"vertices": ["a", "b"], "edges": "ab"})
         assert main(["enumerate", "g.json"]) == EXIT_INPUT
         assert capsys.readouterr().err == \
-            "error: 'edges' must be a list of endpoint pairs\n"
+            "error: g.json: 'edges' must be a list of endpoint pairs\n"
 
     def test_budget_exhaustion_is_precondition_exit(self, in_tmp):
         write_graph(in_tmp / "k4.json", "K4")

@@ -192,6 +192,18 @@ class TestInjectionCheck:
         assert a.circuits_checked == b.circuits_checked
         assert a.witness.circuit.edges == b.witness.circuit.edges
 
+    def test_budget_is_settled_before_a_failing_map_is_tested(self):
+        # The swap breaks K7's first circuit in canonical order, but the
+        # budget refuses the whole enumeration before any circuit is tested.
+        g = complete(7)
+        images = list(range(21))
+        images[0], images[20] = images[20], images[0]
+        f = EdgeMap(g, g, tuple(images))
+        with pytest.raises(PreconditionError, match=r"^more than 1171 circuits$"):
+            check_circuit_injection(f, max_count=1171)
+        v = check_circuit_injection(f, max_count=1172)
+        assert v.circuits_checked == 1 and v.witness.circuit.key() == (0, 1, 6)
+
     def test_unknown_mode(self, k4):
         with pytest.raises(InputError, match="^unknown mode 'guess'$"):
             check_circuit_injection(identity_map(k4), mode="guess")

@@ -8,6 +8,7 @@ from circuitmap import (
     EdgeSet,
     IndependentEdges,
     InputError,
+    PreconditionError,
     build_counterexample,
     build_graph,
     check_circuit_injection,
@@ -36,7 +37,7 @@ from circuitmap import (
 )
 from circuitmap.connectivity import _cuts_and_count
 from circuitmap.rng import XorShift64Star
-from conftest import CORPUS, seeded_relabel
+from conftest import CORPUS, blocks_and_trees, seeded_relabel
 from oracle import (
     brute_circuits,
     brute_components,
@@ -204,6 +205,27 @@ def test_search_with_a_skipped_vertex_matches_oracle(g):
         cut, count = _cuts_and_count(g, skip=x)
         assert tuple(sorted(g.vertices[i] for i in cut)) == brute_cutpoints(rest)
         assert count == len(brute_components(rest))
+
+
+# Roots are taken by degree, not by index: here the highest-degree vertex
+# has the highest index. Sparse graphs are cut to 12 edges for the powerset
+# oracle.
+_WHEEL_HUB_LAST = build_graph([f"r{i}" for i in range(5)] + ["hub"],
+                              [(f"r{i}", f"r{(i + 1) % 5}") for i in range(5)]
+                              + [("hub", f"r{i}") for i in range(5)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs(), sparse_graphs().map(
+    lambda g: build_graph(g.vertices, g.edges[:12]))))
+@example(_WHEEL_HUB_LAST)
+@example(blocks_and_trees())
+def test_budget_boundary_matches_oracle_count(g):
+    c = len(brute_circuits(g))
+    assert len(enumerate_circuits(g, max_count=max(c, 1))) == c
+    if c >= 2:
+        with pytest.raises(PreconditionError, match=rf"^more than {c - 1} circuits$"):
+            enumerate_circuits(g, max_count=c - 1)
 
 
 @st.composite
