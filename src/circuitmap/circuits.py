@@ -9,6 +9,9 @@ the exhaustive checks built on top of it are meant for desk-scale graphs.
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import itemgetter
+
 from .connectivity import is_k_connected, two_disjoint_paths
 from .errors import InputError, InternalError, PreconditionError
 from .graph import (
@@ -21,6 +24,9 @@ from .graph import (
 )
 
 DEFAULT_MAX_CIRCUITS = 100_000
+# Maps the ASCII binary digits of a mask to byte values 0 and 1, the
+# selectors that pick a circuit's chains out of the chain list.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def is_circuit(graph: Graph, edge_set: EdgeSet) -> bool:
@@ -32,74 +38,140 @@ def is_circuit(graph: Graph, edge_set: EdgeSet) -> bool:
 def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> list[Circuit]:
     """All distinct circuits of the graph in canonical order.
 
-    Elementary-cycle search on an explicit stack over a copy of the
-    adjacency that only shrinks. First every vertex with one edge left is
-    peeled by removing that edge, repeatedly, since such an edge lies on
-    no circuit. Roots are then taken in decreasing degree after that peel,
-    ties by vertex index. While a root has two or more edges, its edge to
-    its least remaining neighbour a is removed and every simple path from
-    a back to the root over the remaining edges is walked: each arrival
-    at the root closes one circuit, one whose first removed root edge was
-    (root, a), and whose closing edge is still present. So every circuit
-    is closed exactly once, by its first root in that order, with no
-    direction test. Once a root has one edge left it is peeled, and so is
-    every vertex that a removal leaves with one edge. Removed edges never
-    come back, so the walk tests no vertex for liveness.
+    Elementary-cycle search on an explicit stack over a contracted copy
+    of the graph that only shrinks. First every vertex with one edge left
+    is peeled by removing that edge, repeatedly, since such an edge lies
+    on no circuit. What is left, the 2-core, is cut into its K chains: a
+    chain is a maximal path whose inner vertices have degree 2, or a whole
+    component that is a bare cycle. A chain that returns to its own start,
+    and a bare cycle, is a circuit by itself and is stored at once. Every
+    other chain becomes one edge of the skeleton, a multigraph on the
+    vertices of degree 3 or more, which may join two of them by parallel
+    edges; every circuit of the graph outside those is a circuit of the
+    skeleton, chain by chain.
+
+    The search runs on the skeleton, peeled in the same way. Roots are
+    taken in decreasing skeleton degree, ties by vertex index. While a
+    root has two or more edges, its edge to its least remaining neighbour
+    a is removed and every simple path from a back to the root over the
+    remaining edges is walked: each arrival at the root closes one
+    circuit, one whose first removed root edge was (root, a), and whose
+    closing edge is still present. So every circuit is closed exactly
+    once, by its first root in that order, with no direction test. Once a
+    root has one edge left it is peeled, and so is every vertex that a
+    removal leaves with one edge. Removed edges never come back, so the
+    walk tests no vertex for liveness.
+
+    A circuit is stored as an integer mask over the chains: the chain of
+    rank r by least edge id takes bit K-1-r, the path carries the mask of
+    its chains and each closure stores one int. Sorting the masks in
+    decreasing order gives canonical order. Two circuits are never
+    nested, so A's sorted edge ids come first iff the least id in A △ B
+    lies in A; that id is the least id of a chain in A △ B, the chain of
+    least rank, which is the highest bit where the two masks differ.
 
     Cost: one closure per circuit and one push per simple path walked
     from the far end of a removed root edge, so exponential in general,
-    as the output can be; edge removals cost O(sum of squared degrees)
-    over the whole run. The search depth is bounded by memory, not by the
-    interpreter's recursion limit.
+    as the output can be. Each push and closure costs O(K/30) digit
+    operations on the skeleton, not the graph, and a stored circuit takes
+    about K/8 + 36 bytes (an int and its list slot) where an edge-id tuple
+    of it would take 8·|C| + 72. The peel and the contraction are linear
+    in the graph, edge removals cost O(sum of squared skeleton degrees)
+    over the whole run, and the expansion of the masks back to edge ids
+    is linear in the output (K digits and |C| ids per circuit). The
+    search depth is bounded by memory, not by the interpreter's recursion
+    limit.
 
-    Circuits are held as edge-id tuples while searching; PreconditionError
-    fires as soon as the count would exceed max_count, before any Circuit
-    is built.
+    PreconditionError fires as soon as the count would exceed max_count,
+    before any Circuit is built.
     """
     if max_count < 1:
         raise InputError("max_count must be positive")
+    n = len(graph._adjacency)
     adjacency = [list(nbrs) for nbrs in graph._adjacency]
-    on_path = [False] * len(adjacency)
-    found: list[tuple[int, ...]] = []
+    _peel(adjacency, range(n))
 
-    def peel(doomed: list[int]) -> None:
-        while doomed:
-            v = doomed.pop()
-            if len(adjacency[v]) == 1:
-                w, eid = adjacency[v].pop()
-                adjacency[w].remove((v, eid))
-                if len(adjacency[w]) == 1:
-                    doomed.append(w)
+    # Chains as (least id, ids, start, end). They are walked from every
+    # vertex of degree 3 or more first, so a walk from a vertex of degree 2
+    # only starts on a bare cycle, and runs round it back to its start.
+    chains = []
+    walked = [False] * len(graph.edges)
+    for v in sorted(range(n), key=lambda v: len(adjacency[v]) < 3):
+        for w, eid in adjacency[v]:
+            if walked[eid]:
+                continue
+            ids = [eid]
+            walked[eid] = True
+            end, last = w, eid
+            while end != v and len(adjacency[end]) == 2:
+                (x, e), (y, f) = adjacency[end]
+                end, last = (y, f) if e == last else (x, e)
+                ids.append(last)
+                walked[last] = True
+            chains.append((min(ids), ids, v, end))
+    chains.sort(key=itemgetter(0))
 
-    peel(list(range(len(adjacency))))
-    for root in sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v])):
-        while len(adjacency[root]) >= 2:
-            start, first = adjacency[root].pop(0)
-            adjacency[start].remove((root, first))
+    found: list[int] = []
+    skeleton: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for rank, (_, _, v, w) in enumerate(chains):
+        bit = 1 << (len(chains) - 1 - rank)
+        if v == w:
+            found.append(bit)
+        else:
+            skeleton[v].append((w, bit))
+            skeleton[w].append((v, bit))
+    if len(found) > max_count:
+        raise PreconditionError(f"more than {max_count} circuits")
+    for nbrs in skeleton:
+        nbrs.sort()
+    _peel(skeleton, range(n))
+
+    on_path = [False] * n
+    for root in sorted(range(n), key=lambda v: -len(skeleton[v])):
+        while len(skeleton[root]) >= 2:
+            start, first = skeleton[root].pop(0)
+            skeleton[start].remove((root, first))
             path_vertices = [start]
-            path_edges = [first]
-            pending = [iter(adjacency[start])]
+            path_masks = [first]
+            pending = [iter(skeleton[start])]
             on_path[start] = True
             while pending:
-                for nbr, eid in pending[-1]:
+                for nbr, bit in pending[-1]:
                     if nbr == root:
                         if len(found) >= max_count:
                             raise PreconditionError(f"more than {max_count} circuits")
-                        found.append((*path_edges, eid))
+                        found.append(path_masks[-1] | bit)
                     elif not on_path[nbr]:
                         on_path[nbr] = True
                         path_vertices.append(nbr)
-                        path_edges.append(eid)
-                        pending.append(iter(adjacency[nbr]))
+                        path_masks.append(path_masks[-1] | bit)
+                        pending.append(iter(skeleton[nbr]))
                         break
                 else:
                     pending.pop()
                     on_path[path_vertices.pop()] = False
-                    path_edges.pop()
-            peel([start])
-        peel([root])
-    found.sort(key=sorted)
-    return [Circuit(graph, frozenset(ids)) for ids in found]
+                    path_masks.pop()
+            _peel(skeleton, [start])
+        _peel(skeleton, [root])
+
+    found.sort(reverse=True)
+    by_rank = [ids for _, ids, _, _ in chains]
+    digits = f"0{len(chains)}b"
+    return [Circuit(graph, frozenset(chain.from_iterable(compress(
+                by_rank, format(mask, digits).encode().translate(_DIGIT_VALUES)))))
+            for mask in found]
+
+
+def _peel(adjacency: list[list[tuple[int, int]]], doomed) -> None:
+    """Remove the edge of every vertex left with one, repeatedly."""
+    doomed = list(doomed)
+    while doomed:
+        v = doomed.pop()
+        if len(adjacency[v]) == 1:
+            w, edge = adjacency[v].pop()
+            adjacency[w].remove((v, edge))
+            if len(adjacency[w]) == 1:
+                doomed.append(w)
 
 
 def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str

@@ -53,6 +53,52 @@ def brute_circuits(graph) -> set[frozenset[int]]:
     return found
 
 
+def cycle_space_circuits(graph) -> set[frozenset[int]]:
+    """All circuits as the circuits among the sums of fundamental cycles.
+
+    Every circuit lies in the cycle space, which the fundamental cycles of
+    a spanning forest span, so filtering their 2^(m - n + c) sums finds
+    them all. Sane for a cycle rank up to about 12, on any number of edges.
+    """
+    m = graph.edge_count()
+    parent: dict[str, tuple[str, int] | None] = {}
+    depth: dict[str, int] = {}
+    for root in graph.vertices:
+        if root in depth:
+            continue
+        parent[root], depth[root] = None, 0
+        queue = [root]
+        for x in queue:
+            for eid in range(m):
+                u, v = graph.endpoints(eid)
+                y = v if u == x else u if v == x else None
+                if y is not None and y not in depth:
+                    parent[y], depth[y] = (x, eid), depth[x] + 1
+                    queue.append(y)
+    tree = {p[1] for p in parent.values() if p is not None}
+    fundamental = []
+    for eid in range(m):
+        if eid in tree:
+            continue
+        u, v = graph.endpoints(eid)
+        cycle = {eid}
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, e = parent[u]
+            cycle.add(e)
+        fundamental.append(frozenset(cycle))
+    found = set()
+    for r in range(1, len(fundamental) + 1):
+        for combo in itertools.combinations(fundamental, r):
+            total = frozenset()
+            for c in combo:
+                total ^= c
+            if brute_is_circuit(graph, total):
+                found.add(total)
+    return found
+
+
 def _connected_on(graph, keep: set[str]) -> bool:
     if not keep:
         return False

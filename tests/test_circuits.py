@@ -1,6 +1,8 @@
 import json
 import time
+import tracemalloc
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from circuitmap import (
     InputError,
     InternalError,
     PreconditionError,
+    build_counterexample,
     build_graph,
     check_circuit_isomorphism,
     circuit_and_attached_path,
@@ -20,9 +23,11 @@ from circuitmap import (
     permuted_edge_map,
     random_three_connected,
     random_two_connected,
+    theta_graph,
     validate_attached_path,
 )
 from circuitmap import circuits as circuits_module
+from circuitmap.rng import XorShift64Star
 from conftest import blocks_and_trees, complete, cycle_graph, seeded_relabel
 from oracle import brute_circuits
 
@@ -146,9 +151,66 @@ def test_refusal_builds_no_circuit(monkeypatch):
         raise AssertionError("Circuit built before the budget was settled")
 
     monkeypatch.setattr(circuits_module, "Circuit", refuse)
-    for graph, max_count in ((complete(7), 1171), (random_three_connected(20, 25), 1000)):
+    for graph, max_count in ((complete(7), 1171), (random_three_connected(20, 25), 1000),
+                             (theta_graph(30), 434)):
         with pytest.raises(PreconditionError, match=rf"^more than {max_count} circuits$"):
             enumerate_circuits(graph, max_count=max_count)
+
+
+@pytest.mark.parametrize("build,n,seed,max_count,bytes_per_circuit", [
+    (random_three_connected, 20, 25, 5_000, 80),
+    (random_two_connected, 300, 1, 2_000, 400),
+])
+def test_refusal_memory_per_budgeted_circuit(build, n, seed, max_count, bytes_per_circuit):
+    # Circuits found before the budget runs out are held as one chain mask
+    # each; as edge-id tuples they would take 163 and 1,410 bytes apiece.
+    graph = build(n, seed)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=rf"^more than {max_count} circuits$"):
+            enumerate_circuits(graph, max_count=max_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bytes_per_circuit * max_count
+
+
+def cycle_with_chords(n: int, chords: int, seed: int):
+    """An n-vertex cycle plus seeded chords: long chains between few
+    vertices of degree 3 or more."""
+    labels = [f"v{i}" for i in range(n)]
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    rng = XorShift64Star(seed)
+    while len(edges) < n + chords:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    return build_graph(labels, [(labels[i], labels[j]) for i, j in sorted(edges)])
+
+
+def shuffled_k4s(copies: int, seed: int):
+    """Disjoint copies of K4, edge ids in a seeded order: 7 circuits per
+    copy, one chain per edge."""
+    edges = [(f"{c}.{i}", f"{c}.{j}") for c in range(copies)
+             for i in range(4) for j in range(i + 1, 4)]
+    XorShift64Star(seed).shuffle(edges)
+    return build_graph([f"{c}.{i}" for c in range(copies) for i in range(4)], edges)
+
+
+@pytest.mark.parametrize("graph,count", [
+    (build_counterexample(13)[0], comb(13, 2)),
+    (build_counterexample(31)[0], comb(31, 2)),  # 31 chains: masks of two digits
+    (shuffled_k4s(16, 3), 7 * 16),                # 96 chains: masks of four digits
+], ids=["cx13", "cx31", "k4x16"])
+def test_canonical_order_past_one_machine_word(graph, count):
+    keys = [c.key() for c in enumerate_circuits(graph)]
+    assert len(keys) == count
+    assert keys == sorted(keys)
+
+
+def test_canonical_order_on_long_chains():
+    keys = [c.key() for c in enumerate_circuits(cycle_with_chords(3000, 6, 7))]
+    assert keys == sorted(keys)
 
 
 def test_long_cycle_under_default_recursion_limit(default_recursion_limit):
