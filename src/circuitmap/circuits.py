@@ -9,6 +9,7 @@ the exhaustive checks built on top of it are meant for desk-scale graphs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import chain, compress
 from operator import itemgetter
 
@@ -35,8 +36,14 @@ def is_circuit(graph: Graph, edge_set: EdgeSet) -> bool:
     return _edge_ids_form_circuit(graph, edge_set.members)
 
 
-def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> list[Circuit]:
+def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> _CircuitMasks:
     """All distinct circuits of the graph in canonical order.
+
+    The result is a read-only sequence of Circuit: its length is the
+    circuit count, and indexing, slicing and iteration build each
+    validated Circuit as it is read. Its edge_ids() yields each circuit's
+    edge ids as a list instead, building no Circuit, which is how the
+    exhaustive check and the enumerate subcommand read it.
 
     Elementary-cycle search on an explicit stack over a contracted copy
     of the graph that only shrinks. First every vertex with one edge left
@@ -77,13 +84,14 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> l
     about K/8 + 36 bytes (an int and its list slot) where an edge-id tuple
     of it would take 8·|C| + 72. The peel and the contraction are linear
     in the graph, edge removals cost O(sum of squared skeleton degrees)
-    over the whole run, and the expansion of the masks back to edge ids
-    is linear in the output (K digits and |C| ids per circuit). The
-    search depth is bounded by memory, not by the interpreter's recursion
-    limit.
+    over the whole run, and the search depth is bounded by memory, not by
+    the interpreter's recursion limit. Nothing is expanded here: a mask
+    is expanded back to edge ids each time its circuit is read (K digits
+    and |C| ids), and a Circuit built from them costs O(|C|) more to
+    validate, so a reader that stops early pays for no later circuit.
 
     PreconditionError fires as soon as the count would exceed max_count,
-    before any Circuit is built.
+    during the search, when no mask has been expanded and no Circuit built.
     """
     if max_count < 1:
         raise InputError("max_count must be positive")
@@ -155,11 +163,49 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> l
         _peel(skeleton, [root])
 
     found.sort(reverse=True)
-    by_rank = [ids for _, ids, _, _ in chains]
-    digits = f"0{len(chains)}b"
-    return [Circuit(graph, frozenset(chain.from_iterable(compress(
-                by_rank, format(mask, digits).encode().translate(_DIGIT_VALUES)))))
-            for mask in found]
+    return _CircuitMasks(graph, [ids for _, ids, _, _ in chains], found)
+
+
+class _CircuitMasks(Sequence):
+    """The read-only result of enumerate_circuits: the chain masks in
+    canonical order, each built into a validated Circuit when it is read.
+
+    by_rank[r] lists the edge ids of the chain of rank r, which a mask
+    holds at bit K-1-r. Indexing and iteration build one Circuit per
+    circuit read, and a slice a list of them; edge_ids() expands the masks
+    without building any.
+    """
+
+    __slots__ = ("_graph", "_by_rank", "_digits", "_masks")
+
+    def __init__(self, graph: Graph, by_rank: list[list[int]], masks: list[int]):
+        self._graph, self._by_rank, self._masks = graph, by_rank, masks
+        self._digits = f"0{len(by_rank)}b"
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._built(mask) for mask in self._masks[index]]
+        return self._built(self._masks[index])
+
+    def __iter__(self) -> Iterator[Circuit]:
+        return map(self._built, self._masks)
+
+    def edge_ids(self) -> Iterator[list[int]]:
+        """Each circuit's edge ids, circuits in canonical order, expanded
+        from its mask only when the iterator reaches it."""
+        return map(self._expanded, self._masks)
+
+    def _expanded(self, mask: int) -> list[int]:
+        """The mask's binary digits, translated to byte values 0 and 1,
+        select its chains' id lists: K digits and |C| ids."""
+        return list(chain.from_iterable(compress(
+            self._by_rank, format(mask, self._digits).encode().translate(_DIGIT_VALUES))))
+
+    def _built(self, mask: int) -> Circuit:
+        return Circuit(self._graph, frozenset(self._expanded(mask)))
 
 
 def _peel(adjacency: list[list[tuple[int, int]]], doomed) -> None:

@@ -208,7 +208,7 @@ def _cmd_enumerate(args) -> tuple[dict, int]:
     report = {
         "result": "ok",
         "count": len(circuits),
-        "circuits": [_pairs(graph, c.edges) for c in circuits],
+        "circuits": [_pairs(graph, ids) for ids in circuits.edge_ids()],
     }
     return report, EXIT_PASS
 

@@ -195,8 +195,8 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     here: "witness", "samples", "attempt_limit" or "too_few_circuits".
     """
     if mode == "exhaustive":
-        pool = (c.edges for c in enumerate_circuits(edge_map.source, max_count))
-        checked, witness = _first_broken(edge_map, pool)
+        checked, witness = _first_broken(
+            edge_map, enumerate_circuits(edge_map.source, max_count).edge_ids())
         return Verdict(witness is None, mode, checked, witness)
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
@@ -216,17 +216,19 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
 
 
 def _first_broken(edge_map: EdgeMap, pool) -> tuple[int, MapWitness | None]:
-    """Test the source circuits in `pool` (edge-id sets) in turn: how many were
-    tested, and a forward witness for the first whose image is not a circuit.
+    """Test the source circuits in `pool` (collections of distinct edge ids)
+    in turn: how many were tested, and a forward witness for the first whose
+    image is not a circuit.
 
     Each image is tested as a list of target ids, which are distinct as the
-    map is a bijection; the image set is built only for the witness."""
+    map is a bijection; the witness Circuit and the image set are built
+    only for the first broken circuit, and no later one is drawn."""
     assignment, target = edge_map.assignment, edge_map.target
     checked = 0
     for ids in pool:
         checked += 1
         if not _edge_ids_form_circuit(target, [assignment[i] for i in ids]):
-            return checked, MapWitness("forward", Circuit(edge_map.source, ids),
+            return checked, MapWitness("forward", Circuit(edge_map.source, frozenset(ids)),
                                        EdgeSet(target, edge_map.image(ids)))
     return checked, None
 

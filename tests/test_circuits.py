@@ -9,15 +9,18 @@ import pytest
 
 from circuitmap import (
     Circuit,
+    EdgeMap,
     EdgeSet,
     InputError,
     InternalError,
     PreconditionError,
     build_counterexample,
     build_graph,
+    check_circuit_injection,
     check_circuit_isomorphism,
     circuit_and_attached_path,
     enumerate_circuits,
+    graph_to_json,
     is_circuit,
     named_graph,
     permuted_edge_map,
@@ -27,6 +30,7 @@ from circuitmap import (
     validate_attached_path,
 )
 from circuitmap import circuits as circuits_module
+from circuitmap.cli import main
 from circuitmap.rng import XorShift64Star
 from conftest import blocks_and_trees, complete, cycle_graph, seeded_relabel
 from oracle import brute_circuits
@@ -126,6 +130,66 @@ def test_enumeration_reproduces_recorded_lists():
     assert enumerated_lists() == json.loads(GOLDEN_LISTS.read_text())
 
 
+def test_enumerate_subcommand_reports_the_recorded_lists(tmp_path, capsys):
+    # The subcommand reads the expanded id lists, not built circuits; each
+    # report entry is the circuit's endpoint pairs in edge-id order.
+    golden = json.loads(GOLDEN_LISTS.read_text())
+    for name, graph in enumeration_cases():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph_to_json(graph)), encoding="utf-8")
+        assert main(["enumerate", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["count"] == len(golden[name])
+        assert report["circuits"] == [[list(graph.endpoints(i)) for i in ids]
+                                      for ids in golden[name]]
+        assert report["circuits"] == [[list(pair) for pair in c.pairs()]
+                                      for c in enumerate_circuits(graph)]
+
+
+@pytest.mark.parametrize("graph", [
+    complete(7), build_counterexample(5)[0], blocks_and_trees(), cycle_graph(5),
+    build_graph("abc", [("a", "b"), ("b", "c")]),
+], ids=["K7", "cx5", "blocks_and_trees", "cycle5", "path"])
+def test_result_reads_like_its_list(graph):
+    circuits = enumerate_circuits(graph)
+    listed = list(circuits)
+    n = len(listed)
+    assert len(circuits) == n
+    assert list(iter(circuits)) == listed
+    assert [frozenset(ids) for ids in circuits.edge_ids()] == [c.edges for c in listed]
+    for k in range(-n, n):
+        assert circuits[k] == listed[k]
+    for window in (slice(None), slice(2, 5), slice(-3, None), slice(None, None, -2),
+                   slice(1, -1, 3), slice(n, None)):
+        assert circuits[window] == listed[window]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            circuits[k]
+    with pytest.raises(TypeError):
+        circuits[0] = None
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["relabelled", "swapped"])
+def test_exhaustive_check_builds_only_the_witness(monkeypatch, swapped):
+    # Circuits are tested as expanded id lists: a pass builds no Circuit, a
+    # fail builds its witness alone and expands no circuit after it.
+    g = complete(7)
+    images = list(permuted_edge_map(g, seeded_relabel(g, 7)).assignment)
+    if swapped:
+        images[0], images[20] = images[20], images[0]
+    f = EdgeMap(g, g, tuple(images))
+    built, expanded = [], []
+    build, expand = Circuit.__init__, circuits_module._CircuitMasks._expanded
+    monkeypatch.setattr(Circuit, "__init__",
+                        lambda self, *args: built.append(args) or build(self, *args))
+    monkeypatch.setattr(circuits_module._CircuitMasks, "_expanded",
+                        lambda self, mask: expanded.append(mask) or expand(self, mask))
+    verdict = check_circuit_injection(f)
+    assert verdict.passed is (not swapped)
+    assert len(built) == (1 if swapped else 0)
+    assert len(expanded) == verdict.circuits_checked == (1 if swapped else 1172)
+
+
 def test_max_count_guard(k4):
     with pytest.raises(PreconditionError, match=r"^more than 3 circuits$"):
         enumerate_circuits(k4, max_count=3)
@@ -150,11 +214,16 @@ def test_refusal_builds_no_circuit(monkeypatch):
     def refuse(*args):
         raise AssertionError("Circuit built before the budget was settled")
 
-    monkeypatch.setattr(circuits_module, "Circuit", refuse)
+    monkeypatch.setattr(Circuit, "__init__", refuse)
     for graph, max_count in ((complete(7), 1171), (random_three_connected(20, 25), 1000),
                              (theta_graph(30), 434)):
         with pytest.raises(PreconditionError, match=rf"^more than {max_count} circuits$"):
             enumerate_circuits(graph, max_count=max_count)
+        # A failing map is refused too, before its witness is built.
+        images = list(range(graph.edge_count()))
+        images[0], images[-1] = images[-1], images[0]
+        with pytest.raises(PreconditionError, match=rf"^more than {max_count} circuits$"):
+            check_circuit_injection(EdgeMap(graph, graph, tuple(images)), max_count=max_count)
 
 
 @pytest.mark.parametrize("build,n,seed,max_count,bytes_per_circuit", [

@@ -282,20 +282,50 @@ def small_edge_maps(draw):
     bijection from a sparse graph onto a second graph, both cut to the same
     edge count; a forest source fails in reverse only."""
     if draw(st.booleans()):
-        g = draw(graphs(max_vertices=6, max_edges=9))
-        f = permuted_edge_map(g, seeded_relabel(g, draw(st.integers(0, 2**32))))
-        images = list(f.assignment)
-        for _ in range(draw(st.integers(0, 2)) if images else 0):
-            i = draw(st.integers(0, len(images) - 1))
-            j = draw(st.integers(0, len(images) - 1))
-            images[i], images[j] = images[j], images[i]
-        return EdgeMap(g, f.target, tuple(images))
+        return _relabelled_with_swaps(draw, draw(graphs(max_vertices=6, max_edges=9)))
     g = draw(sparse_graphs(max_vertices=7))
     h = draw(graphs(max_vertices=6, max_edges=9))
     m = min(g.edge_count(), h.edge_count())
     g = build_graph(g.vertices, g.edges[:m])
     h = build_graph(h.vertices, h.edges[:m])
     return EdgeMap(g, h, tuple(draw(st.permutations(range(m)))))
+
+
+def _relabelled_with_swaps(draw, g) -> EdgeMap:
+    """A relabelled copy of g with up to two image swaps."""
+    f = permuted_edge_map(g, seeded_relabel(g, draw(st.integers(0, 2**32))))
+    images = list(f.assignment)
+    for _ in range(draw(st.integers(0, 2)) if images else 0):
+        i = draw(st.integers(0, len(images) - 1))
+        j = draw(st.integers(0, len(images) - 1))
+        images[i], images[j] = images[j], images[i]
+    return EdgeMap(g, f.target, tuple(images))
+
+
+@st.composite
+def subdivided_edge_maps(draw):
+    """A relabelled subdivided graph with up to two image swaps: circuits
+    that run along chains, whose edge ids are read back from chain masks."""
+    return _relabelled_with_swaps(draw, draw(subdivided_graphs()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_edge_maps(), subdivided_edge_maps()))
+def test_exhaustive_check_matches_oracle(f):
+    # Canonical order is the sorted edge ids; the witness is the first
+    # circuit of the source, in that order, whose image is no circuit.
+    ordered = sorted(brute_circuits(f.source), key=sorted)
+    broken = [c for c in ordered if not brute_is_circuit(f.target, f.image(c))]
+    verdict = check_circuit_injection(f)
+    assert verdict.passed is (not broken)
+    if not broken:
+        assert verdict.witness is None and verdict.circuits_checked == len(ordered)
+        return
+    w = verdict.witness
+    assert w.direction == "forward" and w.circuit.host == f.source
+    assert w.circuit.edges == min(broken, key=sorted)
+    assert verdict.circuits_checked == 1 + ordered.index(w.circuit.edges)
+    assert w.mapped.host == f.target and w.mapped.members == f.image(w.circuit.edges)
 
 
 @settings(max_examples=150, deadline=None)
