@@ -70,8 +70,9 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> _
     walk tests no vertex for liveness.
 
     A circuit is stored as an integer mask over the chains: the chain of
-    rank r by least edge id takes bit K-1-r, the path carries the mask of
-    its chains and each closure stores one int. Sorting the masks in
+    rank r by least edge id takes bit K-1-r, each stack entry (vertex,
+    mask, neighbour iterator) carries the mask of the chains on the path
+    up to its vertex, and each closure stores one int. Sorting the masks in
     decreasing order gives canonical order. Two circuits are never
     nested, so A's sorted edge ids come first iff the least id in A △ B
     lies in A; that id is the least id of a chain in A △ B, the chain of
@@ -139,26 +140,22 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> _
         while len(skeleton[root]) >= 2:
             start, first = skeleton[root].pop(0)
             skeleton[start].remove((root, first))
-            path_vertices = [start]
-            path_masks = [first]
-            pending = [iter(skeleton[start])]
             on_path[start] = True
-            while pending:
-                for nbr, bit in pending[-1]:
+            stack = [(start, first, iter(skeleton[start]))]
+            while stack:
+                x, mask, pending = stack[-1]
+                for nbr, bit in pending:
                     if nbr == root:
                         if len(found) >= max_count:
                             raise PreconditionError(f"more than {max_count} circuits")
-                        found.append(path_masks[-1] | bit)
+                        found.append(mask | bit)
                     elif not on_path[nbr]:
                         on_path[nbr] = True
-                        path_vertices.append(nbr)
-                        path_masks.append(path_masks[-1] | bit)
-                        pending.append(iter(skeleton[nbr]))
+                        stack.append((nbr, mask | bit, iter(skeleton[nbr])))
                         break
                 else:
-                    pending.pop()
-                    on_path[path_vertices.pop()] = False
-                    path_masks.pop()
+                    stack.pop()
+                    on_path[x] = False
             _peel(skeleton, [start])
         _peel(skeleton, [root])
 

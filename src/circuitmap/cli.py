@@ -93,13 +93,6 @@ def _load_map_files(args) -> EdgeMap:
     return edge_map_from_json(source, target, _load_json(args.map))
 
 
-def _dump_file(path: FilePath, data: dict) -> None:
-    try:
-        path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-    except OSError as err:
-        raise _file_error(path, err) from None
-
-
 def _pairs(graph: Graph, edge_ids) -> list[list[str]]:
     return [list(graph.endpoints(i)) for i in sorted(edge_ids)]
 
@@ -198,7 +191,11 @@ def _cmd_generate(args) -> tuple[dict, int]:
         prefix = args.out or f"random3c_n{args.n}_s{args.seed}"
         files = {f"{prefix}.json": graph_to_json(graph)}
     for name, data in files.items():
-        _dump_file(FilePath(name), data)
+        path = FilePath(name)
+        try:
+            path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        except OSError as err:
+            raise _file_error(path, err) from None
     return {"result": "ok", "files": sorted(files)}, EXIT_PASS
 
 

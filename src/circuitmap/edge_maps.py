@@ -148,9 +148,6 @@ class MapWitness(Frozen):
     circuit: Circuit
     mapped: EdgeSet
 
-    def __init__(self, direction: str, circuit: Circuit, mapped: EdgeSet):
-        self.__dict__.update(direction=direction, circuit=circuit, mapped=mapped)
-
 
 class Verdict(Frozen):
     """Outcome of a verification run. Truthy iff the check passed. mode is
@@ -164,13 +161,6 @@ class Verdict(Frozen):
     samples_requested: int | None = None
     attempts: int | None = None
     stop_reason: str | None = None
-
-    def __init__(self, passed: bool, mode: str, circuits_checked: int,
-                 witness: MapWitness | None = None, samples_requested: int | None = None,
-                 attempts: int | None = None, stop_reason: str | None = None):
-        self.__dict__.update(
-            passed=passed, mode=mode, circuits_checked=circuits_checked, witness=witness,
-            samples_requested=samples_requested, attempts=attempts, stop_reason=stop_reason)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -248,7 +238,7 @@ def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
     """
     source, target = edge_map.source, edge_map.target
     forest, chords, circuit_of = _shuffled_forest(source, XorShift64Star(1))
-    checked, witness = _first_broken(edge_map, map(frozenset, map(circuit_of, chords)))
+    checked, witness = _first_broken(edge_map, map(circuit_of, chords))
     if witness:
         return Verdict(False, "basis", checked, witness)
     _, cycles, image_circuit_of = _fundamental_circuits(
@@ -318,9 +308,6 @@ class StarAt(Frozen):
 
     vertex: str
 
-    def __init__(self, vertex: str):
-        self.__dict__.update(vertex=vertex)
-
 
 class IndependentEdges(Frozen):
     """The mapped star is pairwise nonadjacent."""
@@ -337,9 +324,6 @@ class StarViolation(Frozen):
     kind: str
     edges: tuple[int, ...]
     vertex: str | None = None
-
-    def __init__(self, kind: str, edges: tuple[int, ...], vertex: str | None = None):
-        self.__dict__.update(kind=kind, edges=edges, vertex=vertex)
 
 
 StarImageClass = StarAt | IndependentEdges | StarViolation

@@ -19,19 +19,43 @@ class Frozen:
     """Base of the package's immutable value objects.
 
     The fields are the class-body annotations, base classes' first, in
-    order; a class attribute gives a field its default. Each subclass
-    writes its own __init__, which stores the fields with one
-    self.__dict__.update call, since the instance __setattr__ refuses every
-    assignment. Instances are equal when they have the same class and
-    equal fields, hash by their fields and repr like a dataclass.
-    functools.cached_property works as before: it, too, writes to the
-    instance __dict__.
+    order; a class attribute gives a field its default. The constructor
+    binds the declared fields: positional arguments in field order, then
+    keywords, then class defaults for the fields left out. It raises
+    TypeError for extra positionals, an unknown name, a name given twice
+    or a field with no value. A subclass that validates writes its own
+    __init__. Either stores the fields with one self.__dict__.update call,
+    since the instance __setattr__ refuses every assignment. Instances are
+    equal when they have the same class and equal fields, hash by their
+    fields and repr like a dataclass. functools.cached_property works as
+    well: it, too, writes to the instance __dict__.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         cls._fields = (*cls._fields, *cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__qualname__
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() got too many positional arguments: "
+                            f"{len(args)} for fields {fields}")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got field {field!r} twice")
+            values[field] = value
+        for field in fields:
+            if field not in values:
+                try:
+                    values[field] = getattr(type(self), field)
+                except AttributeError:
+                    raise TypeError(f"{name}() is missing field {field!r}") from None
+        self.__dict__.update(values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -41,11 +41,6 @@ class LinkedCircuitPair(Frozen):
     path: Path
     path_edge: int
 
-    def __init__(self, circuit_a: Circuit, circuit_b: Circuit, bridge_a: int,
-                 bridge_b: int, path: Path, path_edge: int):
-        self.__dict__.update(circuit_a=circuit_a, circuit_b=circuit_b, bridge_a=bridge_a,
-                             bridge_b=bridge_b, path=path, path_edge=path_edge)
-
     def connectors(self) -> tuple[int, int, int]:
         return self.bridge_a, self.bridge_b, self.path_edge
 
@@ -176,15 +171,13 @@ def _linked_pair_from_two_connected_sides(graph: Graph, crossing: EdgeSet,
     circ_a, tail_a, attach_a = circuit_and_attached_path(sub_a, a1, a2, a3)
     circ_b, tail_b, attach_b = circuit_and_attached_path(sub_b, b1, b2, b3)
 
-    circuit_a = _translate_circuit(graph, circ_a, ids_a)
-    circuit_b = _translate_circuit(graph, circ_b, ids_b)
+    circuit_a = Circuit(graph, frozenset(ids_a[i] for i in circ_a.edges))
+    circuit_b = Circuit(graph, frozenset(ids_b[i] for i in circ_b.edges))
 
     # Joining path: attach_a .. a3, the crossing edge e3, b3 .. attach_b.
-    left = _translate_path(graph, tail_a, ids_a).reversed()
-    right = _translate_path(graph, tail_b, ids_b)
-    path = Path(graph,
-                left.vertices + right.vertices,
-                left.edges + (e3,) + right.edges)
+    path = Path(graph, tail_a.vertices[::-1] + tail_b.vertices,
+                (*(ids_a[i] for i in reversed(tail_a.edges)), e3,
+                 *(ids_b[i] for i in tail_b.edges)))
 
     witness = LinkedCircuitPair(circuit_a, circuit_b, e1, e2, path, e3)
     validate_linked_pair(graph, witness, crossing)
@@ -207,15 +200,6 @@ def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
         raise InternalError(
             f"constructed circuit uses {used} crossing edges, expected >= 4")
     return circuit
-
-
-def _translate_circuit(graph: Graph, circuit: Circuit,
-                       ids: tuple[int, ...]) -> Circuit:
-    return Circuit(graph, frozenset(ids[i] for i in circuit.edges))
-
-
-def _translate_path(graph: Graph, path: Path, ids: tuple[int, ...]) -> Path:
-    return Path(graph, path.vertices, tuple(ids[i] for i in path.edges))
 
 
 def connector_images_nonadjacent(edge_map: EdgeMap,

@@ -196,12 +196,21 @@ def test_max_count_guard(k4):
     assert len(enumerate_circuits(k4, max_count=7)) == 7
 
 
-def test_budget_boundary():
+def three_triangles():
+    """Three disjoint triangles: bare cycles, found before the search."""
+    return build_graph("abcdefghi", [(x, y) for t in ("abc", "def", "ghi")
+                                     for x, y in (t[:2], t[1:], t[::2])])
+
+
+def test_budget_boundary(bowtie):
     # K7 has exactly 1,172 circuits: a budget of that many passes, one less
-    # is refused with the budget in the message.
-    assert len(enumerate_circuits(complete(7), max_count=1172)) == 1172
-    with pytest.raises(PreconditionError, match=r"^more than 1171 circuits$"):
-        enumerate_circuits(complete(7), max_count=1171)
+    # is refused with the budget in the message. The bowtie's two chains
+    # close on themselves and the triangles are bare cycles, so their
+    # circuits are all counted, and refused, before the search starts.
+    for graph, count in ((complete(7), 1172), (bowtie, 2), (three_triangles(), 3)):
+        assert len(enumerate_circuits(graph, max_count=count)) == count
+        with pytest.raises(PreconditionError, match=rf"^more than {count - 1} circuits$"):
+            enumerate_circuits(graph, max_count=count - 1)
 
 
 @pytest.mark.parametrize("max_count", [0, -1])
@@ -210,13 +219,13 @@ def test_budget_must_be_positive(k4, max_count):
         enumerate_circuits(k4, max_count=max_count)
 
 
-def test_refusal_builds_no_circuit(monkeypatch):
+def test_refusal_builds_no_circuit(monkeypatch, bowtie):
     def refuse(*args):
         raise AssertionError("Circuit built before the budget was settled")
 
     monkeypatch.setattr(Circuit, "__init__", refuse)
     for graph, max_count in ((complete(7), 1171), (random_three_connected(20, 25), 1000),
-                             (theta_graph(30), 434)):
+                             (theta_graph(30), 434), (bowtie, 1), (three_triangles(), 2)):
         with pytest.raises(PreconditionError, match=rf"^more than {max_count} circuits$"):
             enumerate_circuits(graph, max_count=max_count)
         # A failing map is refused too, before its witness is built.

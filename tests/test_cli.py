@@ -589,7 +589,7 @@ class TestInternalFaults:
         def broken(*args):
             raise KeyError("v9")
 
-        monkeypatch.setattr(structure, "_translate_circuit", broken)
+        monkeypatch.setattr(structure, "circuit_and_attached_path", broken)
         assert main(prism_cut) == EXIT_INTERNAL
         out, err = capsys.readouterr()
         assert out == ""

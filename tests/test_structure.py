@@ -21,6 +21,7 @@ from circuitmap import (
     induced_subgraph,
     named_graph,
     random_three_connected,
+    validate_attached_path,
     validate_linked_pair,
 )
 from circuitmap.graph import _two_sides
@@ -243,13 +244,72 @@ class TestWitnessValidation:
         with pytest.raises(InternalError, match="^linked circuit pair invalid: circuits share a vertex$"):
             validate_linked_pair(prism, clash)
 
-    def test_connector_restriction_enforced(self, prism):
+    def test_connector_restriction_enforced(self, prism, k4):
         w = find_crossing_structure(prism, prism_matching(prism))
         narrow = edge_set_from_pairs(prism, [("a0", "b0"), ("a1", "b1"),
                                              ("a0", "a1")])
         with pytest.raises(InternalError,
                            match=r"^linked circuit pair invalid: connector \('a2', 'b2'\) is not in the crossing set$"):
             validate_linked_pair(prism, w, connectors_from=narrow)
+        with pytest.raises(InputError, match="^connector edge set hosted elsewhere$"):
+            validate_linked_pair(prism, w, connectors_from=EdgeSet(k4, frozenset({0})))
+
+    # One change each to the prism's certificate: triangles a0a1a2 and
+    # b0b1b2 (edges 0-2 and 3-5), bridges a0b0 and a1b1 (6, 7), path a2b2
+    # (8). The remaining check, a bridge on a circuit or the path, is
+    # unreachable: a bridge on a circuit joins it to the other circuit, and
+    # one on the path runs between its ends, which makes a bridge end a
+    # circuit_a anchor twice.
+    @pytest.mark.parametrize("change,message", [
+        (lambda g, w: {"bridge_b": 6}, "bridges are the same edge"),
+        (lambda g, w: {"bridge_b": 0}, r"bridge \('a0', 'a1'\) does not join the circuits"),
+        (lambda g, w: {"path": w.path.reversed()}, "path must run from circuit_a to circuit_b"),
+        (lambda g, w: {"path": Path.from_vertices(g, ["a2", "a0", "b0"])},
+         "path reenters circuit_a"),
+        (lambda g, w: {"path": Path.from_vertices(g, ["a2", "b2", "b0"])},
+         "path reenters circuit_b"),
+        (lambda g, w: {"path_edge": 0}, "designated connector is not on the path"),
+        (lambda g, w: {"bridge_a": 8}, "designated circuit_a vertices are not distinct"),
+    ], ids=["same-bridge", "bridge-off", "path-reversed", "reenters-a", "reenters-b",
+            "connector-off-path", "anchors-a"])
+    def test_each_broken_requirement_is_named(self, prism, change, message):
+        w = find_crossing_structure(prism, prism_matching(prism))
+        broken = LinkedCircuitPair(**{**vars(w), **change(prism, w)})
+        with pytest.raises(InternalError, match=f"^linked circuit pair invalid: {message}$"):
+            validate_linked_pair(prism, broken)
+
+    def test_repeated_circuit_b_anchor_rejected(self, prism):
+        # The prism's rungs form a matching, so on the prism a repeated
+        # circuit_b anchor repeats a circuit_a anchor, which is found first.
+        # Here the certificate's path runs from a2 through a new vertex x to
+        # b0, the end of a bridge.
+        w = find_crossing_structure(prism, prism_matching(prism))
+        g = build_graph([*prism.vertices, "x"], [*prism.edges, ("a2", "x"), ("x", "b0")])
+        rerouted = LinkedCircuitPair(
+            Circuit(g, w.circuit_a.edges), Circuit(g, w.circuit_b.edges), w.bridge_a,
+            w.bridge_b, Path.from_vertices(g, ["a2", "x", "b0"]), g.edge_id("x", "b0"))
+        with pytest.raises(InternalError, match="^linked circuit pair invalid: "
+                                                "designated circuit_b vertices are not distinct$"):
+            validate_linked_pair(g, rerouted)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda g: {"graph": named_graph("K4")}, "result hosted on the wrong graph"),
+        (lambda g: {"t": "b2"}, "attachment vertex is not on the circuit"),
+        (lambda g: {"path": Path.empty(g, "a2")}, "empty path requires t = c on the circuit"),
+        (lambda g: {"a": "a2"}, "nonempty path may not attach at a or b"),
+        (lambda g: {"path": Path.from_vertices(g, ["b2", "b0", "a0", "a2"])},
+         r"path meets the circuit at \['a0', 'a2'\], not only t"),
+    ], ids=["host", "t-off-circuit", "empty-path", "attached-at-a", "path-meets-circuit"])
+    def test_attached_path_requirements(self, prism, change, message):
+        # circuit_a of the prism's certificate, its bridge ends as a and b,
+        # and its path, reversed, hanging c = b2 onto t = a2.
+        w = find_crossing_structure(prism, prism_matching(prism))
+        a, b, t = w.anchors_a()
+        parts = {"graph": prism, "a": a, "b": b, "c": w.path.vertices[-1],
+                 "circuit": w.circuit_a, "path": w.path.reversed(), "t": t}
+        validate_attached_path(**parts)
+        with pytest.raises(InternalError, match=f"^{message}$"):
+            validate_attached_path(**{**parts, **change(prism)})
 
     def test_wrong_host_rejected(self, prism, k4):
         w = find_crossing_structure(prism, prism_matching(prism))

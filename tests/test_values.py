@@ -122,6 +122,33 @@ def test_verdict_keywords_and_defaults():
         Verdict(True, "sampled")
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: StarAt(vertex="a", center="b"), r"^StarAt\(\) got an unexpected field 'center'$"),
+    (lambda: StarViolation("partial_star", (1,), kind="no_common_vertex"),
+     r"^StarViolation\(\) got field 'kind' twice$"),
+    (lambda: StarAt("a", "b"),
+     r"^StarAt\(\) got too many positional arguments: 2 for fields \('vertex',\)$"),
+    (lambda: IndependentEdges(1),
+     r"^IndependentEdges\(\) got too many positional arguments: 1 for fields \(\)$"),
+    (lambda: MapWitness("forward", circuit()), r"^MapWitness\(\) is missing field 'mapped'$"),
+    (lambda: LinkedCircuitPair(circuit(), circuit(), bridge_b=1, path=None, path_edge=0),
+     r"^LinkedCircuitPair\(\) is missing field 'bridge_a'$"),
+], ids=["unknown", "twice", "too-many", "none-taken", "missing", "missing-between"])
+def test_constructor_binds_declared_fields(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+def test_class_defaults_fill_fields_left_out():
+    assert vars(StarViolation("partial_star", (1,))) \
+        == {"kind": "partial_star", "edges": (1,), "vertex": None}
+    assert StarViolation(edges=(1,), kind="partial_star", vertex="a") \
+        == StarViolation("partial_star", (1,), "a")
+    assert Verdict(True, "sampled", 3, stop_reason="samples") \
+        == Verdict(True, "sampled", 3, None, None, None, "samples")
+    assert vars(IndependentEdges()) == {} and IndependentEdges() == IndependentEdges()
+
+
 def test_cached_lookups_on_frozen_instances():
     graph = triangle()
     assert graph.neighbors("a") == ("b", "c")
