@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import chain, compress
-from operator import itemgetter
 
 from .connectivity import is_k_connected, two_disjoint_paths
 from .errors import InputError, InternalError, PreconditionError
@@ -118,7 +117,7 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> _
                 ids.append(last)
                 walked[last] = True
             chains.append((min(ids), ids, v, end))
-    chains.sort(key=itemgetter(0))
+    chains.sort()
 
     found: list[int] = []
     skeleton: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -277,7 +276,7 @@ def validate_attached_path(graph: Graph, a: str, b: str, c: str,
     if t not in on_circuit:
         raise InternalError("attachment vertex is not on the circuit")
     if path.is_empty():
-        if t != c or c not in on_circuit:
+        if t != c:
             raise InternalError("empty path requires t = c on the circuit")
         return
     if t in (a, b):

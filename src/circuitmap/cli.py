@@ -68,29 +68,26 @@ def _file_error(path, err: Exception) -> InputError:
     return InputError(f"{path}: {reason}")
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """Parse the JSON file at path; any InputError, the parser's too, names it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError, RecursionError) as err:
         # ValueError: undecodable bytes, malformed JSON or an integer literal past
         # the int-conversion limit. RecursionError: JSON nested too deep to follow.
         raise _file_error(path, err) from None
-
-
-def _load_graph(path: str) -> Graph:
-    data = _load_json(path)
     try:
-        return graph_from_json(data)
+        return parse(data)
     except InputError as err:
         raise InputError(f"{path}: {err}") from None
 
 
 def _load_map_files(args) -> EdgeMap:
     """The edge map of args.map between the graphs of args.source and args.target."""
-    source = _load_graph(args.source)
-    target = _load_graph(args.target)
-    return edge_map_from_json(source, target, _load_json(args.map))
+    source = _load(args.source, graph_from_json)
+    target = _load(args.target, graph_from_json)
+    return _load(args.map, lambda data: edge_map_from_json(source, target, data))
 
 
 def _pairs(graph: Graph, edge_ids) -> list[list[str]]:
@@ -200,7 +197,7 @@ def _cmd_generate(args) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(args) -> tuple[dict, int]:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, graph_from_json)
     circuits = enumerate_circuits(graph, args.max_circuits)
     report = {
         "result": "ok",
@@ -242,11 +239,14 @@ def _cmd_decompose(args) -> tuple[dict, int]:
 
 
 def _cmd_crossing(args) -> tuple[dict, int]:
-    graph = _load_graph(args.graph)
-    cut_pairs = _load_json(args.cut)
-    if not isinstance(cut_pairs, list) or not all(map(_is_string_pair, cut_pairs)):
-        raise InputError("cut file must hold a JSON list of endpoint pairs")
-    crossing = edge_set_from_pairs(graph, cut_pairs)
+    graph = _load(args.graph, graph_from_json)
+
+    def cut_of(pairs):
+        if not isinstance(pairs, list) or not all(map(_is_string_pair, pairs)):
+            raise InputError("cut file must hold a JSON list of endpoint pairs")
+        return edge_set_from_pairs(graph, pairs)
+
+    crossing = _load(args.cut, cut_of)
     outcome = find_crossing_structure(graph, crossing)
     if isinstance(outcome, LinkedCircuitPair):
         report = {"result": "linked_pair",

@@ -9,6 +9,7 @@ not induced by any vertex relabeling.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
 
 from .connectivity import is_k_connected
@@ -218,21 +219,19 @@ class _AbsentPairs:
         return self._n * (self._n - 1) // 2 - len(self._removed)
 
     def pop(self, k: int) -> tuple[int, int]:
+        """Remove and return the k-th absent pair.
+
+        removed[t] - t is nondecreasing, and the k-th absent rank is k plus
+        the number of t with removed[t] - t <= k. `bisect_right` on that key
+        finds the count, which is also where the new rank goes in the sorted
+        list; the rank is then unranked in closed form.
+        """
         if not 0 <= k < len(self):
             raise IndexError("pop index out of range")
-        # removed[t] - t is nondecreasing, and the k-th absent rank is k plus
-        # the number of t with removed[t] - t <= k; that count is also where
-        # the new rank goes in the sorted list.
         removed = self._removed
-        lo, hi = 0, len(removed)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if removed[mid] - mid <= k:
-                lo = mid + 1
-            else:
-                hi = mid
-        rank = k + lo
-        removed.insert(lo, rank)
+        at = bisect_right(range(len(removed)), k, key=lambda t: removed[t] - t)
+        rank = k + at
+        removed.insert(at, rank)
         # Unrank by counting from the last pair: rows i = n-2, n-3, ... hold
         # 1, 2, ... pairs, so the reversed rank's row follows from isqrt.
         back = self._n * (self._n - 1) // 2 - 1 - rank

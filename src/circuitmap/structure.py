@@ -101,11 +101,6 @@ def validate_linked_pair(graph: Graph, witness: LinkedCircuitPair,
     if len({b1, b2, b3}) != 3:
         fail("designated circuit_b vertices are not distinct")
 
-    occupied = (set(witness.circuit_a.edges) | set(witness.circuit_b.edges)
-                | set(witness.path.edges))
-    if witness.bridge_a in occupied or witness.bridge_b in occupied:
-        fail("a bridge edge reappears in a circuit or the path")
-
     if connectors_from is not None:
         if connectors_from.host != graph:
             raise InputError("connector edge set hosted elsewhere")

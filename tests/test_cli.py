@@ -259,7 +259,24 @@ class TestVerify:
         pairs[0] = [["0", 7], ["0", "1"]]
         (in_tmp / "map.json").write_text(json.dumps({"map": pairs}), encoding="utf-8")
         assert main(["verify", "k4.json", "k4.json", "map.json"]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: map entry 0")
+        assert capsys.readouterr().err.startswith("error: map.json: map entry 0")
+
+    @pytest.mark.parametrize("target,edit,message", [
+        ("k4.json", lambda ids: [ids[0][:1], *ids[1:]], "map entry 0 must be [[u, v], [x, y]]"),
+        ("k4.json", lambda ids: [[["0", "1"], ["1", "zz"]], *ids[1:]],
+         "no edge joins '1' and 'zz'"),
+        ("k4.json", lambda ids: [*ids[:-1], [ids[0][0], ids[-1][1]]],
+         "source edge ('0', '1') appears twice in the map"),
+        ("k4x.json", lambda ids: ids, "source has 6 edges but target has 7"),
+    ], ids=["malformed-entry", "no-such-edge", "repeated-source", "edge-count"])
+    def test_map_file_errors_name_the_map(self, in_tmp, capsys, target, edit, message):
+        k4 = graph_to_json(named_graph("K4"))
+        write_json(in_tmp / "k4.json", k4)
+        write_json(in_tmp / "k4x.json", {"vertices": [*k4["vertices"], "4"],
+                                         "edges": [*k4["edges"], ["0", "4"]]})
+        write_json(in_tmp / "map.json", {"map": edit([[e, e] for e in k4["edges"]])})
+        assert main(["verify", "k4.json", target, "map.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: map.json: {message}\n"
 
     def test_quiet_suppresses_report(self, capsys):
         src, tgt, fmap = generate_counterexample()
@@ -484,7 +501,34 @@ class TestClassifyDecomposeCrossing:
         write_graph(in_tmp / "prism.json", "prism")
         (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
         assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: cut file")
+        assert capsys.readouterr().err.startswith("error: cut.json: cut file")
+
+    def test_cut_pair_naming_no_edge_names_the_cut(self, in_tmp, capsys):
+        write_graph(in_tmp / "prism.json", "prism")
+        write_json(in_tmp / "cut.json", [["a0", "b0"], ["a0", "b1"]])
+        assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: cut.json: no edge joins 'a0' and 'b1'\n"
+
+
+def test_parsers_are_read_from_the_module_at_each_load(in_tmp, capsys, monkeypatch):
+    # The benchmark's tracer wraps these three by their cli attribute names,
+    # so a loader that bound them at import would lose its spans.
+    from circuitmap import cli
+
+    calls = []
+    for name in ("graph_from_json", "edge_map_from_json", "edge_set_from_pairs"):
+        def counted(*args, _name=name, _real=getattr(cli, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    src, tgt, fmap = generate_counterexample()
+    assert main(["verify", src, tgt, fmap, "--quiet"]) == EXIT_PASS
+    assert calls == ["graph_from_json", "graph_from_json", "edge_map_from_json"]
+    calls.clear()
+    write_graph(in_tmp / "prism.json", "prism")
+    write_json(in_tmp / "cut.json", [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]])
+    assert main(["crossing", "prism.json", "cut.json", "--quiet"]) == EXIT_PASS
+    assert calls == ["graph_from_json", "edge_set_from_pairs"]
 
 
 # argv prefix -> the positionals its --help names

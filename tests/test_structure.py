@@ -256,10 +256,10 @@ class TestWitnessValidation:
 
     # One change each to the prism's certificate: triangles a0a1a2 and
     # b0b1b2 (edges 0-2 and 3-5), bridges a0b0 and a1b1 (6, 7), path a2b2
-    # (8). The remaining check, a bridge on a circuit or the path, is
-    # unreachable: a bridge on a circuit joins it to the other circuit, and
-    # one on the path runs between its ends, which makes a bridge end a
-    # circuit_a anchor twice.
+    # (8). A bridge must also lie off both circuits and the path; two earlier
+    # checks catch that. A bridge on a circuit joins it to the other circuit
+    # ("circuits share a vertex"), and one on the path runs between its
+    # ends, which makes a bridge end a circuit_a anchor twice (anchors-a).
     @pytest.mark.parametrize("change,message", [
         (lambda g, w: {"bridge_b": 6}, "bridges are the same edge"),
         (lambda g, w: {"bridge_b": 0}, r"bridge \('a0', 'a1'\) does not join the circuits"),

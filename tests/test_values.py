@@ -155,6 +155,9 @@ def test_cached_lookups_on_frozen_instances():
     assert graph._adjacency is graph._adjacency
     assert graph.edge_id("c", "b") == 1
     assert graph == triangle() and hash(graph) == hash(triangle())
+    assert len(circuit()) == 3
+    star_at_a = EdgeSet(graph, frozenset({0, 2}))
+    assert 2 in star_at_a and 1 not in star_at_a
 
     edge_map = EdgeMap(graph, triangle(), (1, 2, 0))
     assert edge_map._inverse == (2, 0, 1)
