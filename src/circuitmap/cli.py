@@ -30,6 +30,7 @@ from .edge_maps import (
     IndependentEdges,
     StarAt,
     StarViolation,
+    _require_covered_target,
     check_circuit_injection,
     classify_star_image,
     classify_star_preimage,
@@ -84,9 +85,10 @@ def _load(path: str, parse):
 
 
 def _load_map_files(args) -> EdgeMap:
-    """The edge map of args.map between the graphs of args.source and args.target."""
+    """The edge map of args.map between the graphs of args.source and args.target.
+    A target with an isolated vertex is refused by its own path."""
     source = _load(args.source, graph_from_json)
-    target = _load(args.target, graph_from_json)
+    target = _load(args.target, lambda data: _require_covered_target(graph_from_json(data)))
     return _load(args.map, lambda data: edge_map_from_json(source, target, data))
 
 

@@ -111,10 +111,7 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
     entries = data["map"]
     if not isinstance(entries, list):
         raise InputError("'map' must be a list of pair-of-pairs entries")
-    isolated = set(range(target.vertex_count())).difference(*target._ends)
-    if isolated:
-        v = target.vertices[min(isolated)]
-        raise InputError(f"target vertex {v!r} is isolated; the map cannot be onto")
+    _require_covered_target(target)
     assignment: dict[int, int] = {}
     for k, entry in enumerate(entries):
         if (not isinstance(entry, list) or len(entry) != 2
@@ -132,6 +129,15 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
             f"map covers {len(assignment)} of {source.edge_count()} source edges")
     return EdgeMap(source, target,
                    tuple(assignment[i] for i in range(source.edge_count())))
+
+
+def _require_covered_target(target: Graph) -> Graph:
+    """target, unless a vertex of it is isolated: no edge map is onto that."""
+    isolated = set(range(target.vertex_count())).difference(*target._ends)
+    if isolated:
+        v = target.vertices[min(isolated)]
+        raise InputError(f"target vertex {v!r} is isolated; the map cannot be onto")
+    return target
 
 
 # -- verification -------------------------------------------------------------
@@ -171,9 +177,16 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
                             max_count: int = DEFAULT_MAX_CIRCUITS) -> Verdict:
     """Does the map send every circuit of the source to a circuit of the target?
 
-    mode "exhaustive" checks every circuit (canonical order, so the witness
-    of a failing map is the canonically first counterexample). mode
-    "sampled" checks up to `samples` circuits drawn from a seeded
+    mode "exhaustive" enumerates every circuit under the max_count budget.
+    With more circuits than edges, it first runs check_circuit_isomorphism's
+    basis test (a step per edge against at least one per circuit): a map
+    that passes is a circuit isomorphism, so it passes with circuits_checked
+    counting the enumerated circuits, each proven through the basis, none
+    expanded or tested. Otherwise every circuit is tested in canonical
+    order, so the witness of a failing map is the canonically first
+    counterexample.
+
+    mode "sampled" checks up to `samples` circuits drawn from a seeded
     generator: fundamental circuits of a random spanning tree, then random
     symmetric differences of known circuits filtered back to circuits. A
     sampled Pass is evidence, not proof; a sampled Fail is always genuine.
@@ -185,15 +198,17 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     here: "witness", "samples", "attempt_limit" or "too_few_circuits".
     """
     if mode == "exhaustive":
-        checked, witness = _first_broken(
-            edge_map, enumerate_circuits(edge_map.source, max_count).edge_ids())
-        return Verdict(witness is None, mode, checked, witness)
+        circuits = enumerate_circuits(edge_map.source, max_count)
+        if len(circuits) > edge_map.source.edge_count() and _basis_test(edge_map)[1] is None:
+            return Verdict(True, mode, len(circuits))
+        checked, broken = _first_broken(edge_map, circuits.edge_ids())
+        return Verdict(broken is None, mode, checked, _witness(edge_map, "forward", broken))
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
     stats = {}
-    checked, witness = _first_broken(
+    checked, broken = _first_broken(
         edge_map, _sampled_circuits(edge_map.source, samples, seed, stats=stats))
-    if witness:
+    if broken is not None:
         reason = "witness"
     elif checked >= samples:  # the stream ran dry: checked is its whole pool
         reason = "samples"
@@ -201,26 +216,36 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
         reason = "too_few_circuits"
     else:
         reason = "attempt_limit"
-    return Verdict(witness is None, mode, checked, witness, samples_requested=samples,
-                   attempts=stats["attempts"], stop_reason=reason)
+    return Verdict(broken is None, mode, checked, _witness(edge_map, "forward", broken),
+                   samples_requested=samples, attempts=stats["attempts"], stop_reason=reason)
 
 
-def _first_broken(edge_map: EdgeMap, pool) -> tuple[int, MapWitness | None]:
+def _first_broken(edge_map: EdgeMap, pool) -> tuple[int, list[int] | None]:
     """Test the source circuits in `pool` (collections of distinct edge ids)
-    in turn: how many were tested, and a forward witness for the first whose
-    image is not a circuit.
+    in turn: how many were tested, and the ids of the first whose image is
+    not a circuit, after which no later one is drawn.
 
     Each image is tested as a list of target ids, which are distinct as the
-    map is a bijection; the witness Circuit and the image set are built
-    only for the first broken circuit, and no later one is drawn."""
+    map is a bijection, so the loop builds no Circuit and no witness."""
     assignment, target = edge_map.assignment, edge_map.target
     checked = 0
     for ids in pool:
         checked += 1
         if not _edge_ids_form_circuit(target, [assignment[i] for i in ids]):
-            return checked, MapWitness("forward", Circuit(edge_map.source, frozenset(ids)),
-                                       EdgeSet(target, edge_map.image(ids)))
+            return checked, ids
     return checked, None
+
+
+def _witness(edge_map: EdgeMap, direction: str, ids) -> MapWitness | None:
+    """The witness for a broken circuit of the source ("forward") or of the
+    target ("reverse") given by its edge ids; None when ids is None."""
+    if ids is None:
+        return None
+    if direction == "forward":
+        home, other, mapped = edge_map.source, edge_map.target, edge_map.image(ids)
+    else:
+        home, other, mapped = edge_map.target, edge_map.source, edge_map.preimage(ids)
+    return MapWitness(direction, Circuit(home, frozenset(ids)), EdgeSet(other, mapped))
 
 
 def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
@@ -236,19 +261,23 @@ def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
     counts the fundamental circuits tested. Costs O(n + m) plus their total
     length; there is no budget.
     """
-    source, target = edge_map.source, edge_map.target
-    forest, chords, circuit_of = _shuffled_forest(source, XorShift64Star(1))
-    checked, witness = _first_broken(edge_map, map(circuit_of, chords))
-    if witness:
-        return Verdict(False, "basis", checked, witness)
+    checked, direction, ids = _basis_test(edge_map)
+    return Verdict(ids is None, "basis", checked, _witness(edge_map, direction, ids))
+
+
+def _basis_test(edge_map: EdgeMap) -> tuple[int, str | None, list[int] | None]:
+    """check_circuit_isomorphism's two tests, building no witness: the
+    fundamental circuits tested, then the direction and edge ids of the
+    first broken circuit, or (None, None) when the map passes both."""
+    forest, chords, circuit_of = _shuffled_forest(edge_map.source, XorShift64Star(1))
+    checked, broken = _first_broken(edge_map, map(circuit_of, chords))
+    if broken is not None:
+        return checked, "forward", broken
     _, cycles, image_circuit_of = _fundamental_circuits(
-        target, [edge_map.image_of(eid) for eid in forest])
-    if not cycles:
-        return Verdict(True, "basis", len(chords))
-    ids = frozenset(image_circuit_of(cycles[0]))
-    return Verdict(False, "basis", len(chords),
-                   MapWitness("reverse", Circuit(target, ids),
-                              EdgeSet(source, edge_map.preimage(ids))))
+        edge_map.target, [edge_map.image_of(eid) for eid in forest])
+    if cycles:
+        return checked, "reverse", image_circuit_of(cycles[0])
+    return checked, None, None
 
 
 def _shuffled_forest(graph: Graph, rng: XorShift64Star):

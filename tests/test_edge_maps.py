@@ -35,7 +35,7 @@ from circuitmap import (
 )
 from circuitmap import edge_maps
 from circuitmap.rng import XorShift64Star
-from conftest import complete, seeded_relabel
+from conftest import complete, seeded_relabel, whitney_twist
 
 
 def identity_map(g):
@@ -217,32 +217,6 @@ def with_swaps(f, swaps, seed):
         i, j = rng.randrange(len(images)), rng.randrange(len(images))
         images[i], images[j] = images[j], images[i]
     return EdgeMap(f.source, f.target, tuple(images))
-
-
-def whitney_twist(n_a, n_b, seed):
-    """Two random 3-connected blocks glued at two vertices, mapped edge for
-    edge onto the same blocks glued with the second block's pair swapped.
-
-    The second block's gluing pair is a non-edge, so neither gluing doubles
-    an edge. The map is a circuit isomorphism (a Whitney twist), and no
-    vertex relabeling induces it.
-    """
-    a = random_three_connected(n_a, seed)
-    b = random_three_connected(n_b, seed + 1)
-    y1, y2 = next((y1, y2) for y1 in b.vertices for y2 in b.vertices
-                  if y1 < y2 and not b.has_edge(y1, y2))
-    x1, x2 = "a" + a.vertices[0], "a" + a.vertices[1]
-
-    def glue(onto):
-        name = {y: onto[k] for k, y in enumerate((y1, y2))}
-        vertices = (["a" + v for v in a.vertices]
-                    + ["b" + v for v in b.vertices if v not in name])
-        edges = ([("a" + u, "a" + v) for u, v in a.edges]
-                 + [(name.get(u, "b" + u), name.get(v, "b" + v)) for u, v in b.edges])
-        return build_graph(vertices, edges)
-
-    source, target = glue((x1, x2)), glue((x2, x1))
-    return EdgeMap(source, target, tuple(range(source.edge_count())))
 
 
 def assert_witness_checks(f, verdict):

@@ -1,13 +1,17 @@
 """Randomized invariants, checked with hypothesis on small graphs."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from circuitmap import (
+    Circuit,
     EdgeMap,
     EdgeSet,
     IndependentEdges,
     InputError,
+    MapWitness,
     PreconditionError,
     build_counterexample,
     build_graph,
@@ -27,6 +31,7 @@ from circuitmap import (
     is_k_connected,
     named_graph,
     permuted_edge_map,
+    random_three_connected,
     random_two_connected,
     reconstruct_vertex_isomorphism,
     star,
@@ -34,10 +39,13 @@ from circuitmap import (
     theta_graph,
     two_disjoint_paths,
     validate_attached_path,
+    Verdict,
 )
+from circuitmap import circuits as circuits_module, edge_maps
 from circuitmap.connectivity import _cuts_and_count
 from circuitmap.rng import XorShift64Star
-from conftest import CORPUS, blocks_and_trees, seeded_relabel
+from conftest import (CORPUS, blocks_and_trees, complete, cycle_graph, seeded_relabel,
+                      whitney_twist)
 from oracle import (
     brute_circuits,
     brute_components,
@@ -341,6 +349,99 @@ def test_isomorphism_matches_oracle(f):
         assert w.circuit.host == own and w.mapped.host == other
         assert is_circuit(own, EdgeSet(own, w.circuit.edges))
         assert not is_circuit(other, w.mapped)
+
+
+def _side_by_side(f: EdgeMap, g: EdgeMap) -> EdgeMap:
+    """f and g on disjoint copies of their graphs; each circuit of the
+    union lies on one side."""
+    def union(a, b):
+        return build_graph([f"a{v}" for v in a.vertices] + [f"b{v}" for v in b.vertices],
+                           [(f"a{u}", f"a{v}") for u, v in a.edges]
+                           + [(f"b{u}", f"b{v}") for u, v in b.edges])
+
+    m = f.source.edge_count()
+    return EdgeMap(union(f.source, g.source), union(f.target, g.target),
+                   f.assignment + tuple(m + j for j in g.assignment))
+
+
+@st.composite
+def exhaustive_branch_cases(draw):
+    """(branch, map): a map built to take one branch of the exhaustive check.
+
+    "proved": the basis test passes, on relabelled 3-connected graphs and on
+    Whitney twists, which are 2-connected and not induced. "disproved": the
+    counterexample injection, p <= 13, beside a relabelled K6 (the
+    counterexample alone has fewer circuits than edges), so the basis test
+    runs and fails while every circuit maps to a circuit. "both_fail": a
+    relabelled 3-connected graph with two images swapped, which no vertex
+    map induces and so, by the paper's theorem, breaks a circuit; and the
+    inverse p = 3 counterexample. "skipped": at most as many circuits as
+    edges (cycles, bowties, theta graphs with up to 5 paths, the
+    counterexamples), relabelled with up to two swaps.
+    """
+    branch = draw(st.sampled_from(["proved", "disproved", "both_fail", "skipped"]))
+    seed = draw(st.integers(0, 2**32))
+    if branch == "proved":
+        if draw(st.booleans()):
+            return branch, whitney_twist(draw(st.integers(4, 6)), draw(st.integers(6, 7)),
+                                         draw(st.integers(0, 200)))
+        g = random_three_connected(draw(st.integers(4, 8)), seed)
+        return branch, permuted_edge_map(g, seeded_relabel(g, seed))
+    if branch == "disproved":
+        k6 = complete(6)
+        return branch, _side_by_side(build_counterexample(draw(st.sampled_from(_PRIMES)))[2],
+                                     permuted_edge_map(k6, seeded_relabel(k6, seed)))
+    if branch == "both_fail":
+        if draw(st.integers(0, 9)) == 0:
+            return branch, build_counterexample(3)[2].inverted()
+        g = random_three_connected(draw(st.integers(4, 8)), seed)
+        f = permuted_edge_map(g, seeded_relabel(g, seed))
+        i, j = draw(st.lists(st.integers(0, g.edge_count() - 1), min_size=2, max_size=2,
+                             unique=True))
+        images = list(f.assignment)
+        images[i], images[j] = images[j], images[i]
+        return branch, EdgeMap(g, f.target, tuple(images))
+    kind = draw(st.sampled_from(["theta", "cycle", "bowtie", "counterexample"]))
+    if kind == "theta":
+        g = named_graph("theta", draw(st.integers(2, 5)))
+    elif kind == "cycle":
+        g = cycle_graph(draw(st.integers(3, 30)))
+    elif kind == "bowtie":
+        g = _BOWTIE
+    else:
+        g = build_counterexample(draw(st.sampled_from(_PRIMES)))[0]
+    return branch, _relabelled_with_swaps(draw, g)
+
+
+_PRIMES = (3, 5, 7, 11, 13)
+_BOWTIE = build_graph("abcde", ["ab", "ac", "bc", "cd", "ce", "de"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(exhaustive_branch_cases())
+def test_exhaustive_verdict_is_the_loops_on_every_branch(case):
+    # The verdict is the one-circuit-at-a-time loop's over the whole
+    # enumeration; the basis test and mask expansions show the branch.
+    branch, f = case
+    circuits = enumerate_circuits(f.source)
+    checked, broken = edge_maps._first_broken(f, circuits.edge_ids())
+    witness = broken and MapWitness("forward", Circuit(f.source, frozenset(broken)),
+                                    EdgeSet(f.target, f.image(broken)))
+    basis_runs, expanded = [], []
+    basis_test, expand = edge_maps._basis_test, circuits_module._CircuitMasks._expanded
+    with (patch.object(edge_maps, "_basis_test",
+                       lambda f: basis_runs.append(f) or basis_test(f)),
+          patch.object(circuits_module._CircuitMasks, "_expanded",
+                       lambda self, mask: expanded.append(mask) or expand(self, mask))):
+        verdict = check_circuit_injection(f)
+    assert verdict == Verdict(broken is None, "exhaustive", checked, witness)
+    proof_runs = len(circuits) > f.source.edge_count()
+    assert proof_runs == (branch != "skipped") and len(basis_runs) == int(proof_runs)
+    proved = proof_runs and check_circuit_isomorphism(f).passed
+    assert proved == (branch == "proved")
+    if proof_runs:
+        assert verdict.passed == (branch in ("proved", "disproved"))
+    assert len(expanded) == (0 if proved else checked)
 
 
 def _star_class_tuple(kind) -> tuple:
