@@ -2,15 +2,17 @@
 
 Cutpoints, and k-connectivity for k <= 3, are read off the parents, depths
 and lowpoints of graph._rooted_forest, the package's one depth-first
-search: one search for k <= 2, and for k = 3 one search per deleted vertex,
-O(n * (n + m)) in all. Disjoint paths, and k-connectivity for k >= 4, run
-on one engine: augmenting paths in the unit-capacity vertex-split network.
-Vertex v is the arc in_v -> out_v and edge {u, w} the arcs out_u -> in_w
-and out_w -> in_u, so disjoint units of flow from out_s to in_t are
-internally disjoint s-t paths. k >= 4 takes local flows bounded at k
-(Esfahanian and Hakimi, "On computing the connectivities of graphs and
-digraphs", Networks 14(2), 1984), O((n + delta^2) * k * m) in all. Every
-search runs in index order, so results are deterministic for a given graph.
+search: one search for k <= 2, and for k = 3 one search per deleted hub
+(a vertex with a child in one breadth-first spanning tree), O((h + 1) *
+(n + m)) in all for h <= n hubs. Disjoint paths, and k-connectivity for
+k >= 4, run on one engine: augmenting paths in the unit-capacity
+vertex-split network. Vertex v is the arc in_v -> out_v and edge {u, w}
+the arcs out_u -> in_w and out_w -> in_u, so disjoint units of flow from
+out_s to in_t are internally disjoint s-t paths. k >= 4 takes local
+flows bounded at k (Esfahanian and Hakimi, "On computing the
+connectivities of graphs and digraphs", Networks 14(2), 1984),
+O((n + delta^2) * k * m) in all. Every search runs in index order, so
+results are deterministic for a given graph.
 """
 
 from __future__ import annotations
@@ -70,14 +72,19 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     cutpoint. For k >= 3 a vertex of degree below k fails at once: its
     neighbours cut it off from the n - 1 - deg > 0 others.
 
-    For k = 3 (so n >= 4) the graph is 3-connected iff, for every vertex x,
-    G - x is connected and has no cutpoint; one forest search decides each
-    x. Why: if G is 3-connected, a cutpoint b of G - x, or G - x itself
-    disconnected, would give a separator {x, b} or {x}. Conversely take a
-    separator {a, b}: G - a is disconnected, or b is a cutpoint of it. A
-    separator {a}: G - a is disconnected. G disconnected: deleting a vertex
-    of a component with two or more vertices leaves the rest disconnected,
-    and if no such component exists all n >= 4 vertices are isolated.
+    For k = 3 (so n >= 4) one breadth-first scan from a vertex of greatest
+    degree (ties to the least index) either misses a vertex, and G is
+    disconnected, or builds a spanning tree T. Call a vertex with a child in
+    T a hub. G is 3-connected iff, for every hub a, G - a is connected and
+    has no cutpoint; one forest search decides each hub, O((h + 1) *
+    (n + m)) in all for h <= n hubs. Why: if G is 3-connected, a cutpoint b
+    of G - a, or G - a itself disconnected, would give a separator {a, b}
+    or {a}. Conversely, a non-hub is a leaf of T, and deleting one or two
+    leaves from a tree on n >= 4 vertices leaves a tree, so deleting one or
+    two non-hubs leaves G connected: every separator of one or two vertices
+    holds a hub a. Then G - a is disconnected, or the separator's other
+    vertex is a cutpoint of G - a. A cutpoint of G is a hub of every
+    spanning tree, so no search of the whole graph is needed.
 
     For k >= 4 let v be a vertex of least degree. The graph is k-connected
     iff deg(v) >= k, every w not adjacent to v is joined to v by k
@@ -100,12 +107,35 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     if len(adjacency[v]) < k:
         return False
     if k == 3:
-        return all(_cuts_and_count(graph, x) == (set(), 1) for x in range(n))
+        hubs = _breadth_first_hubs(adjacency)
+        return hubs is not None and all(
+            _cuts_and_count(graph, x) == (set(), 1) for x in hubs)
     near = {w for w, _ in adjacency[v]}
     pairs = [(v, w) for w in range(n) if w != v and w not in near]
     pairs += [(x, y) for x, y in combinations(sorted(near), 2)
               if not any(w == y for w, _ in adjacency[x])]
     return all(_augment(graph, s, t, k)[0] == k for s, t in pairs)
+
+
+def _breadth_first_hubs(adjacency) -> list[int] | None:
+    """The vertices that claim a new neighbour in one breadth-first scan from
+    a vertex of greatest degree (ties to the least index), in scan order;
+    None when the scan misses a vertex."""
+    n = len(adjacency)
+    start = max(range(n), key=lambda i: len(adjacency[i]))
+    seen = [False] * n
+    seen[start] = True
+    order = [start]
+    hubs = []
+    for x in order:  # grows while it is read: a queue without pops
+        reached = len(order)
+        for y, _ in adjacency[x]:
+            if not seen[y]:
+                seen[y] = True
+                order.append(y)
+        if len(order) > reached:
+            hubs.append(x)
+    return hubs if len(order) == n else None
 
 
 def cutpoints(graph: Graph) -> tuple[str, ...]:

@@ -1,8 +1,10 @@
 import json
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from circuitmap import (
     InputError,
@@ -18,7 +20,8 @@ from circuitmap import (
 from circuitmap import connectivity
 from circuitmap.rng import XorShift64Star
 from conftest import CORPUS
-from oracle import brute_is_k_connected
+from oracle import _connected_on, brute_is_k_connected
+from test_properties import graphs
 
 # Rows [graph name, a, b, forbidden vertex or null, [path, path] or
 # "NoTwoPathsError"], recorded from the earlier two_disjoint_paths that kept
@@ -173,14 +176,80 @@ def three_connected_instances():
 def test_three_connectivity_matches_oracle_at_least_degree_three():
     # The hypothesis differential stops at six vertices and the networkx one
     # needs networkx; these families reach 24 vertices and, unlike random
-    # small graphs, mostly pass the least-degree exit, so the per-vertex
-    # searches decide them: a separator of 0, 1 or 2 vertices leaves G - x
-    # disconnected for some x, or with a cutpoint.
+    # small graphs, mostly pass the least-degree exit, so the searches from
+    # the hubs decide them: a separator of 1 or 2 vertices leaves G - a
+    # disconnected for some hub a, or with a cutpoint.
     for g in three_connected_instances():
         assert is_k_connected(g, 3) is brute_is_k_connected(g, 3), g
     assert not any(is_k_connected(glued_blocks(seed, shared, False), 3)
                    for seed in range(12) for shared in (0, 1, 2))
     assert all(is_k_connected(glued_blocks(seed, 2, True), 3) for seed in range(12))
+
+
+def assert_separating_pairs_hold_a_hub(g):
+    """Every vertex pair whose deletion disconnects the connected graph g
+    holds a hub of the breadth-first scan, found by brute force."""
+    hubs = connectivity._breadth_first_hubs(g._adjacency)
+    assert hubs is not None, g
+    hub_names = {g.vertices[i] for i in hubs}
+    everyone = set(g.vertices)
+    for pair in combinations(g.vertices, 2):
+        if not _connected_on(g, everyone - set(pair)):
+            assert hub_names & set(pair), (g, pair)
+
+
+def test_separating_pairs_hold_a_hub():
+    # The instances hold every catalog family, glued blocks and random
+    # 3-connected graphs less a few edges; blocks sharing no vertex are
+    # disconnected and skipped.
+    for g in three_connected_instances():
+        if brute_is_k_connected(g, 1):
+            assert_separating_pairs_hold_a_hub(g)
+
+
+def test_glued_blocks_start_the_scan_inside_and_outside_the_shared_pair():
+    # Among the blocks glued at {g0, g1} in three_connected_instances, which
+    # the test above checks, the scan's start (a vertex of greatest degree)
+    # lies inside the glued pair on some seeds and outside it on others.
+    starts = set()
+    for seed in range(12):
+        for chord in (False, True):
+            g = glued_blocks(seed, 2, chord)
+            adjacency = g._adjacency
+            start = max(range(len(adjacency)), key=lambda i: len(adjacency[i]))
+            starts.add(g.vertices[start] in ("g0", "g1"))
+    assert starts == {True, False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=7, max_edges=21))
+def test_separating_pairs_hold_a_hub_on_small_graphs(g):
+    if g.vertex_count() >= 3 and brute_is_k_connected(g, 1):
+        assert_separating_pairs_hold_a_hub(g)
+
+
+def test_three_connectivity_searches_only_from_hubs(monkeypatch):
+    forest = connectivity._rooted_forest
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forest(*args)
+
+    def searches(g):
+        calls.clear()
+        is_k_connected(g, 3)
+        return len(calls)
+
+    monkeypatch.setattr(connectivity, "_rooted_forest", counted)
+    # The root of K5 and of W7 claims every other vertex.
+    assert searches(named_graph("K5")) == searches(named_graph("W7")) == 1
+    two_k4 = build_graph([f"{t}{i}" for t in "ab" for i in range(4)],
+                         [(f"{t}{i}", f"{t}{j}") for t in "ab"
+                          for i, j in combinations(range(4), 2)])
+    # theta3 fails the least-degree exit, two K4s the scan.
+    assert searches(named_graph("theta3")) == searches(two_k4) == 0
+    assert searches(random_three_connected(120, 1)) <= 60
 
 
 def test_three_connectivity_runs_no_flow(monkeypatch):

@@ -14,6 +14,7 @@ from circuitmap import (
     check_circuit_injection,
     complete_bipartite,
     enumerate_circuits,
+    graph_to_json,
     is_k_connected,
     named_graph,
     permuted_edge_map,
@@ -233,6 +234,18 @@ def test_random_graphs_reproduce_recorded_output(family):
         _, n, seed = key.split("/")
         graph = RANDOM_GRAPHS[family](int(n[1:]), int(seed[4:]))
         assert fingerprint(graph) == want, key
+
+
+@pytest.mark.parametrize("n,digest", [
+    (400, "46152e64e1999c7e7dd10d4a31cddd2a31e10c52c7272d60726724706757e27e"),
+    (1000, "33407fd7dbd73cbacf42c1de5976deb5f18bfb149864c951dce63c8e6ed5cccf"),
+])
+def test_large_random_three_connected_reproduce_recorded_output(n, digest):
+    # SHA-256 of the file `generate random3c --n <n> --seed 7` writes,
+    # recorded while the 3-connectivity guard still searched from every
+    # vertex; the golden file stops at n = 120.
+    text = json.dumps(graph_to_json(random_three_connected(n, 7)), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_pool_rows_reproduce(tmp_path):
