@@ -190,6 +190,16 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     generator: fundamental circuits of a random spanning tree, then random
     symmetric differences of known circuits filtered back to circuits. A
     sampled Pass is evidence, not proof; a sampled Fail is always genuine.
+    When m − n < samples (a connected source's cycle rank is at most
+    `samples`) and _induced finds a one-to-one vertex map φ inducing the
+    map, no image is tested: f(C) = φ(C) is a circuit for every circuit C,
+    so every drawn circuit would pass, and the stream is drained with
+    circuits_checked counting the circuits drawn, which gives the verdict
+    the tests would. By the paper's converse, every circuit injection from
+    a 3-connected source is induced so. The rank bound keeps the shortcut
+    where the stream draws every chord's fundamental circuit, whose total
+    length is at least m when the source has no bridge, so _induced's
+    O(n + m) pass costs at most a constant times the tests it replaces.
 
     Each circuit is tested in time linear in its length, so a sampled run
     costs O(n + m) plus time linear in the circuits drawn and the pairs
@@ -205,9 +215,12 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
         return Verdict(broken is None, mode, checked, _witness(edge_map, "forward", broken))
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
-    stats = {}
-    checked, broken = _first_broken(
-        edge_map, _sampled_circuits(edge_map.source, samples, seed, stats=stats))
+    source, stats = edge_map.source, {}
+    stream = _sampled_circuits(source, samples, seed, stats=stats)
+    if source.edge_count() - source.vertex_count() < samples and _induced(edge_map):
+        checked, broken = sum(1 for _ in stream), None
+    else:
+        checked, broken = _first_broken(edge_map, stream)
     if broken is not None:
         reason = "witness"
     elif checked >= samples:  # the stream ran dry: checked is its whole pool
@@ -473,6 +486,39 @@ def is_induced_by(edge_map: EdgeMap, iso: VertexIso) -> bool:
         if {table[u], table[v]} != {x, y}:
             return False
     return True
+
+
+def _induced(edge_map: EdgeMap) -> bool:
+    """Does a one-to-one vertex map φ induce the edge map?
+
+    One pass over the source edges reads φ(v) as the one endpoint shared by
+    the images of v's first two edges. Two images sharing no endpoint, or a
+    source vertex with fewer than two edges, give False (a map that is
+    induced all the same only loses check_circuit_injection's shortcut).
+    φ must be one-to-one, and is_induced_by confirms it.
+    """
+    source, target, assignment = edge_map.source, edge_map.target, edge_map.assignment
+    image_ends = target._ends
+    first: list[tuple[int, int] | None] = [None] * source.vertex_count()
+    phi: list[int | None] = [None] * source.vertex_count()
+    for i, pair in enumerate(source._ends):
+        x, y = image = image_ends[assignment[i]]
+        for v in pair:
+            if first[v] is None:
+                first[v] = image
+            elif phi[v] is None:
+                a, b = first[v]
+                if a == x or a == y:
+                    phi[v] = a
+                elif b == x or b == y:
+                    phi[v] = b
+                else:
+                    return False
+    if None in phi or len(set(phi)) != len(phi):
+        return False
+    names = target.vertices
+    return is_induced_by(edge_map, VertexIso(tuple(
+        (v, names[w]) for v, w in zip(source.vertices, phi))))
 
 
 def reconstruct_vertex_isomorphism(edge_map: EdgeMap,

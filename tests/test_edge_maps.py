@@ -35,7 +35,7 @@ from circuitmap import (
 )
 from circuitmap import edge_maps
 from circuitmap.rng import XorShift64Star
-from conftest import complete, seeded_relabel, whitney_twist
+from conftest import complete, corpus_graphs, seeded_relabel, whitney_twist
 
 
 def identity_map(g):
@@ -450,6 +450,61 @@ class TestReconstruction:
         with pytest.raises(InternalError,
                            match="^collected star centers do not induce the map$"):
             reconstruct_vertex_isomorphism(f)
+
+
+def relabelled_maps():
+    """permuted_edge_map of the catalog and of random 2- and 3-connected
+    graphs, under a seeded relabeling."""
+    graphs = corpus_graphs() + [(name, named_graph(name))
+                                for name in ("double_bowtie", "theta3", "theta5")]
+    graphs += [(f"random2c_n{n}", random_two_connected(n, n)) for n in (5, 12, 60, 300)]
+    graphs += [(f"random3c_n{n}", random_three_connected(n, n)) for n in (5, 12, 40)]
+    return [pytest.param(permuted_edge_map(g, seeded_relabel(g, 3)), id=name)
+            for name, g in graphs]
+
+
+class TestInducedReader:
+    @pytest.mark.parametrize("f", relabelled_maps())
+    def test_true_on_relabelled_maps(self, f):
+        assert edge_maps._induced(f) is True
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_false_on_counterexample_and_inverse(self, p):
+        f = build_counterexample(p)[2]
+        assert edge_maps._induced(f) is False
+        assert edge_maps._induced(f.inverted()) is False
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_false_on_whitney_twist(self, seed):
+        f = whitney_twist(5, 6, seed)
+        assert check_circuit_isomorphism(f).passed
+        assert edge_maps._induced(f) is False
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in corpus_graphs()]
+                             + [pytest.param(random_three_connected(n, n), id=f"random3c_n{n}")
+                                for n in (6, 20)])
+    def test_false_with_two_images_swapped(self, g):
+        # At least degree three everywhere, a vertex map inducing the
+        # swapped map would agree with the relabeling at every vertex, and
+        # so could not swap two images.
+        relabelled = permuted_edge_map(g, seeded_relabel(g, 5))
+        images = list(relabelled.assignment)
+        images[0], images[-1] = images[-1], images[0]
+        f = EdgeMap(g, relabelled.target, tuple(images))
+        assert edge_maps._induced(f) is False
+        with pytest.raises(NotInducedError):
+            reconstruct_vertex_isomorphism(f)
+
+    @pytest.mark.parametrize("vertices,edges", [
+        ("01234", named_graph("K4").edges + (("3", "4"),)),
+        ("0123z", named_graph("K4").edges),
+        ("ab", [("a", "b")]),
+    ], ids=["pendant", "isolated", "K2"])
+    def test_false_with_a_vertex_of_fewer_than_two_edges(self, vertices, edges):
+        # Each of these identity maps is induced; the reader only declines.
+        f = identity_map(build_graph(vertices, edges))
+        assert edge_maps._induced(f) is False
+        assert is_induced_by(f, VertexIso.from_dict({v: v for v in vertices}))
 
 
 class TestVertexIso:

@@ -1,10 +1,13 @@
 """The package surface and the CLI's start-up cost.
 
 circuitmap loads its submodules on first use, and the CLI imports the
-generators only for `generate`. These tests pin the public names, and
+generators only for `generate`. These tests pin the public names, check
+that every name the benchmark's tracer wraps is bound where it looks, and
 check in fresh interpreters which modules a CLI run loads.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -17,6 +20,7 @@ import circuitmap
 from circuitmap import build_counterexample, edge_map_to_json, graph_to_json
 
 SRC = str(Path(circuitmap.__file__).resolve().parent.parent)
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # Every public name, by the submodule that defines it.
 PUBLIC = {
@@ -76,6 +80,24 @@ def test_unknown_name_is_an_attribute_error():
         circuitmap.no_such_name
     with pytest.raises(ImportError):
         exec("from circuitmap import no_such_name", {})
+
+
+def tracer_bindings():
+    """(module, attribute) of every wrapper the benchmark's tracer installs,
+    read from the WRAPPED literal without importing the tracer."""
+    wrapped = next(node.value for node in ast.parse(TRACING.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["WRAPPED"])
+    return [(module, attr) for module, attr, _ in ast.literal_eval(wrapped)]
+
+
+@pytest.mark.parametrize("module,attr", [
+    pytest.param(*binding, id=".".join(binding)) for binding in tracer_bindings()
+    # The CLI imports the generators only for `generate`; the tracer skips
+    # this entry and times the generator through its own module.
+    if binding != ("cli", "random_three_connected")])
+def test_tracer_wraps_a_bound_name(module, attr):
+    assert callable(getattr(importlib.import_module(f"circuitmap.{module}"), attr))
 
 
 def run_fresh(code: str, *argv: str) -> str:

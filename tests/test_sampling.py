@@ -8,17 +8,21 @@ import pytest
 from circuitmap import (
     EdgeMap,
     EdgeSet,
+    build_counterexample,
     build_graph,
     check_circuit_injection,
     is_circuit,
     named_graph,
     permuted_edge_map,
+    random_three_connected,
     random_two_connected,
     theta_graph,
 )
+from circuitmap import edge_maps
 from circuitmap.cli import EXIT_PASS, main
 from circuitmap.edge_maps import _sampled_circuits
-from conftest import cycle_graph, seeded_relabel
+from conftest import complete, cycle_graph, seeded_relabel, whitney_twist
+from test_edge_maps import with_swaps
 
 GOLDEN_STREAMS = Path(__file__).parent / "data" / "sampled_circuits_golden.json"
 CATALOG = ("K4", "K5", "K33", "prism", "Q3", "double_bowtie",
@@ -150,3 +154,88 @@ def test_tiny_sample_counts_stop_on_samples(samples):
     v = check_circuit_injection(identity(named_graph("prism")), mode="sampled",
                                 samples=samples, seed=5)
     assert v.circuits_checked == samples and v.stop_reason == "samples"
+
+
+# -- induced maps: the shortcut that tests no drawn circuit --------------------
+
+
+DIFFERENTIAL_SAMPLES = (1, 5, 50, 500)
+
+
+def relabelled(graph, seed=3):
+    return permuted_edge_map(graph, seeded_relabel(graph, seed))
+
+
+def differential_maps():
+    """(id, edge map): relabelled catalog and random graphs, whose cycle
+    ranks fall on both sides of the sample counts, with none, one and two
+    swapped image pairs; the counterexamples and their inverses; Whitney
+    twists; and the disconnected source with its pendant tree."""
+    graphs = [(name, named_graph(name)) for name in CATALOG]
+    graphs += [(f"random2c_n{n}", random_two_connected(n, 11)) for n in (30, 200)]
+    graphs += [("random3c_n30", random_three_connected(30, 4)), ("K8", complete(8))]
+    cases = []
+    for name, g in graphs:
+        f = relabelled(g)
+        cases += [(name, f), (f"{name}/swap1", with_swaps(f, 1, 1)),
+                  (f"{name}/swap2", with_swaps(f, 2, 3))]
+    for p in (3, 5, 7):
+        f = build_counterexample(p)[2]
+        cases += [(f"counterexample_p{p}", f), (f"inverse_p{p}", f.inverted())]
+    cases += [(f"twist/seed{seed}", whitney_twist(5, 6, seed)) for seed in range(3)]
+    cases.append(("disconnected", relabelled(disconnected_source())))
+    return cases
+
+
+def shortcut_taken(f, samples):
+    source = f.source
+    return (source.edge_count() - source.vertex_count() < samples
+            and edge_maps._induced(f))
+
+
+@pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in differential_maps()])
+def test_shortcut_leaves_every_verdict_unchanged(f, monkeypatch):
+    fast = {(samples, seed): check_circuit_injection(f, mode="sampled",
+                                                     samples=samples, seed=seed)
+            for samples in DIFFERENTIAL_SAMPLES for seed in (1, 2, 3)}
+    monkeypatch.setattr(edge_maps, "_induced", lambda f: False)
+    for (samples, seed), verdict in fast.items():
+        assert verdict == check_circuit_injection(f, mode="sampled",
+                                                  samples=samples, seed=seed), (samples, seed)
+
+
+def test_differential_maps_fall_on_both_sides_of_the_rule():
+    taken = {(name, samples): shortcut_taken(f, samples)
+             for name, f in differential_maps() for samples in DIFFERENTIAL_SAMPLES}
+    unswapped = [*CATALOG, "random2c_n30", "random2c_n200", "random3c_n30", "K8"]
+    assert all(taken[(name, 500)] for name in unswapped)
+    assert taken[("K5", 50)] and not taken[("K5", 5)] and not taken[("K8", 5)]
+    assert not any(taken[(name, 500)] for name in (
+        "counterexample_p3", "inverse_p7", "twist/seed0", "disconnected", "K5/swap1"))
+
+
+def _count_reads(monkeypatch):
+    calls = []
+    read = edge_maps._induced
+    monkeypatch.setattr(edge_maps, "_induced", lambda f: calls.append(f) or read(f))
+    return calls
+
+
+def test_induced_is_read_once_when_the_rank_is_within_samples(monkeypatch):
+    calls = _count_reads(monkeypatch)
+    v = check_circuit_injection(identity(theta_graph(20)), mode="sampled", samples=500)
+    assert len(calls) == 1
+    assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
+        True, 190, 10000, "attempt_limit")
+
+
+def test_induced_is_not_read_above_the_rank_rule_or_in_exhaustive_mode(monkeypatch):
+    calls = _count_reads(monkeypatch)
+    f = relabelled(complete(8))
+    assert check_circuit_injection(f, mode="sampled", samples=5).passed
+    # K5 has m - n = 5: its cycle rank, 6, is above 5 samples.
+    assert check_circuit_injection(identity(named_graph("K5")), mode="sampled",
+                                   samples=5).passed
+    assert check_circuit_injection(f).passed
+    assert check_circuit_injection(identity(theta_graph(20))).passed
+    assert calls == []
