@@ -191,14 +191,15 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     symmetric differences of known circuits filtered back to circuits. A
     sampled Pass is evidence, not proof; a sampled Fail is always genuine.
     When m − n < samples (a connected source's cycle rank is at most
-    `samples`) and _induced finds a one-to-one vertex map φ inducing the
-    map, no image is tested: f(C) = φ(C) is a circuit for every circuit C,
-    so every drawn circuit would pass, and the stream is drained with
-    circuits_checked counting the circuits drawn, which gives the verdict
-    the tests would. By the paper's converse, every circuit injection from
-    a 3-connected source is induced so. The rank bound keeps the shortcut
+    `samples`) and reconstruct_vertex_isomorphism, with the guard off,
+    finds a vertex map φ inducing the map, no image is tested: f(C) = φ(C)
+    is a circuit for every circuit C, so every drawn circuit would pass,
+    and the stream is drained with circuits_checked counting the circuits
+    drawn, which gives the verdict the tests would. By the paper's
+    converse, every circuit injection from a 3-connected source is induced
+    so. The rank bound keeps the shortcut
     where the stream draws every chord's fundamental circuit, whose total
-    length is at least m when the source has no bridge, so _induced's
+    length is at least m when the source has no bridge, so the read's
     O(n + m) pass costs at most a constant times the tests it replaces.
 
     Each circuit is tested in time linear in its length, so a sampled run
@@ -217,7 +218,13 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
         raise InputError(f"unknown mode {mode!r}")
     source, stats = edge_map.source, {}
     stream = _sampled_circuits(source, samples, seed, stats=stats)
-    if source.edge_count() - source.vertex_count() < samples and _induced(edge_map):
+    induced = source.edge_count() - source.vertex_count() < samples
+    if induced:
+        try:
+            reconstruct_vertex_isomorphism(edge_map, check_connectivity=False)
+        except NotInducedError:
+            induced = False
+    if induced:
         checked, broken = sum(1 for _ in stream), None
     else:
         checked, broken = _first_broken(edge_map, stream)
@@ -475,50 +482,20 @@ def is_induced_by(edge_map: EdgeMap, iso: VertexIso) -> bool:
     """Does the edge map act exactly as the vertex relabeling iso?
 
     True iff for every source edge (u, v), the image edge's endpoints are
-    precisely {iso(u), iso(v)}.
+    precisely {iso(u), iso(v)}, compared as target indices (-1: not a target
+    label).
     """
     table = iso._table
-    if set(table) != set(edge_map.source.vertices):
+    source, target = edge_map.source, edge_map.target
+    if set(table) != set(source.vertices):
         return False
-    for i in range(edge_map.source.edge_count()):
-        u, v = edge_map.source.endpoints(i)
-        x, y = edge_map.target.endpoints(edge_map.image_of(i))
-        if {table[u], table[v]} != {x, y}:
+    index, image_ends = target._index, target._ends
+    phi = [index.get(table[v], -1) for v in source.vertices]
+    for (u, v), j in zip(source._ends, edge_map.assignment):
+        x, y = image_ends[j]
+        if not ((phi[u] == x and phi[v] == y) or (phi[u] == y and phi[v] == x)):
             return False
     return True
-
-
-def _induced(edge_map: EdgeMap) -> bool:
-    """Does a one-to-one vertex map φ induce the edge map?
-
-    One pass over the source edges reads φ(v) as the one endpoint shared by
-    the images of v's first two edges. Two images sharing no endpoint, or a
-    source vertex with fewer than two edges, give False (a map that is
-    induced all the same only loses check_circuit_injection's shortcut).
-    φ must be one-to-one, and is_induced_by confirms it.
-    """
-    source, target, assignment = edge_map.source, edge_map.target, edge_map.assignment
-    image_ends = target._ends
-    first: list[tuple[int, int] | None] = [None] * source.vertex_count()
-    phi: list[int | None] = [None] * source.vertex_count()
-    for i, pair in enumerate(source._ends):
-        x, y = image = image_ends[assignment[i]]
-        for v in pair:
-            if first[v] is None:
-                first[v] = image
-            elif phi[v] is None:
-                a, b = first[v]
-                if a == x or a == y:
-                    phi[v] = a
-                elif b == x or b == y:
-                    phi[v] = b
-                else:
-                    return False
-    if None in phi or len(set(phi)) != len(phi):
-        return False
-    names = target.vertices
-    return is_induced_by(edge_map, VertexIso(tuple(
-        (v, names[w]) for v, w in zip(source.vertices, phi))))
 
 
 def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
@@ -531,32 +508,52 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
     PreconditionError when the source guard fails (suppress with
     check_connectivity=False to probe other maps), and NotInducedError at
     the first vertex whose star image is not a full star, or when the
-    collected centers fail to be a bijection. Only the two ends of a
-    one-edge component can share a center, as f is injective; when its image
-    is a one-edge component too, the second end takes the image's other end.
+    collected centers fail to be a bijection. The center of v is an end of
+    v's first image that lies on all deg(v) images of its edges and has
+    degree deg(v), the least label first. Only the two ends of a one-edge
+    component can share a center, as f is injective; when its image is a
+    one-edge component too, the second end takes the image's other end.
     Each edge uv then maps into star(c(u)) ∩ star(c(v)), the one edge
     c(u)c(v), so a map that `is_induced_by` still rejects is a library
-    fault: InternalError.
+    fault: InternalError. With the guard off this costs O(n + m); a star
+    class (classify_star_image) is built only for the refused vertex.
     """
     if check_connectivity and not is_k_connected(edge_map.source, 3):
         raise PreconditionError(
             "reconstruction requires a 3-connected source")
     source, target = edge_map.source, edge_map.target
+    image_ends, names = target._ends, target.vertices
+    # Per source vertex, the endpoint indices of its edges' images, two per
+    # edge in id order; and per target vertex, its degree.
+    ends_at: list[list[int]] = [[] for _ in source.vertices]
+    for (u, v), j in zip(source._ends, edge_map.assignment):
+        ends_at[u] += image_ends[j]
+        ends_at[v] += image_ends[j]
+    degree = [0] * target.vertex_count()
+    for x, y in image_ends:
+        degree[x] += 1
+        degree[y] += 1
     pairs, centers = [], set()
-    for v in source.vertices:
-        if source.degree(v) == 0:
+    for v, ends in zip(source.vertices, ends_at):
+        if not ends:
             raise NotInducedError(
                 f"source vertex {v!r} is isolated", vertex=v)
-        kind = classify_star_image(edge_map, v)
-        if not isinstance(kind, StarAt):
+        # c is on all d images iff it occurs d times; a comprehension is 2x slower.
+        d = len(ends) // 2
+        x, y = ends[0], ends[1]
+        found = []
+        if degree[x] == d == ends.count(x):
+            found.append(names[x])
+        if degree[y] == d == ends.count(y):
+            found.append(names[y])
+        if not found:
+            kind = classify_star_image(edge_map, v)
             raise NotInducedError(
                 f"star image of {v!r} is {type(kind).__name__}, not a star",
                 vertex=v, star_class=kind)
-        w = kind.vertex
-        if w in centers:  # taken by the other end of v's one-edge component
-            x, y = target.endpoints(edge_map.image_of(source.incident_edges(v)[0]))
-            if target.degree(x) == target.degree(y):  # both 1, as w is a center
-                w = y if w == x else x
+        found.sort()
+        # found[0] is taken only by the other end of v's one-edge component
+        w = found[-1] if found[0] in centers else found[0]
         centers.add(w)
         pairs.append((v, w))
     if len(centers) != len(pairs) or centers != set(target.vertices):

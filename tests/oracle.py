@@ -165,6 +165,24 @@ def brute_star_class(graph, ids) -> tuple:
     return ("no_common_vertex", (x, y, z))
 
 
+def brute_inducing_maps(edge_map) -> list[dict[str, str]]:
+    """Every vertex bijection phi under which each source edge uv maps to
+    the target edge phi(u)phi(v), found by trying all of them. Only sane
+    for up to 6 vertices a side."""
+    source, target = edge_map.source, edge_map.target
+    if len(source.vertices) != len(target.vertices):
+        return []
+    ids = range(source.edge_count())
+    edges = [source.endpoints(i) for i in ids]
+    images = [set(target.endpoints(edge_map.image_of(i))) for i in ids]
+    found = []
+    for labels in itertools.permutations(target.vertices):
+        phi = dict(zip(source.vertices, labels))
+        if all({phi[u], phi[v]} == image for (u, v), image in zip(edges, images)):
+            found.append(phi)
+    return found
+
+
 def brute_components(graph) -> list[set[str]]:
     remaining = set(graph.vertices)
     out = []

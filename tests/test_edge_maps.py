@@ -393,6 +393,22 @@ class TestReconstruction:
         iso = VertexIso((("0", "0"), ("1", "1"), ("2", "2"), ("x", "3")))
         assert not is_induced_by(identity_map(k4), iso)
 
+    def test_iso_onto_a_label_the_target_lacks_is_not_induced(self, k4):
+        iso = VertexIso((("0", "0"), ("1", "1"), ("2", "2"), ("3", "x")))
+        assert not is_induced_by(identity_map(k4), iso)
+
+    def test_star_class_is_built_only_for_the_refused_vertex(self, monkeypatch):
+        calls = []
+        classify = edge_maps.classify_star_image
+        monkeypatch.setattr(edge_maps, "classify_star_image",
+                            lambda f, v: calls.append(v) or classify(f, v))
+        g = random_three_connected(40, 40)
+        assert reconstruct_vertex_isomorphism(permuted_edge_map(g, seeded_relabel(g, 3)))
+        assert calls == []
+        with pytest.raises(NotInducedError) as info:
+            reconstruct_vertex_isomorphism(swapped_k4_map())
+        assert calls == ["0"] and isinstance(info.value.star_class, StarViolation)
+
     @pytest.mark.parametrize("f", [
         EdgeMap(build_graph("uv", [("u", "v")]), build_graph("xy", [("x", "y")]), (0,)),
         permuted_edge_map(
@@ -403,6 +419,12 @@ class TestReconstruction:
         # Both ends of a one-edge image are star centers of the same edge.
         iso = reconstruct_vertex_isomorphism(f, check_connectivity=False)
         assert is_induced_by(f, iso)
+
+    def test_one_edge_component_takes_the_least_label_first(self):
+        # The target lists y before x, so index order is not label order.
+        f = EdgeMap(build_graph("uv", [("u", "v")]), build_graph("yx", [("y", "x")]), (0,))
+        iso = reconstruct_vertex_isomorphism(f, check_connectivity=False)
+        assert iso.as_dict == {"u": "x", "v": "y"}
 
     def test_one_edge_component_onto_a_longer_path_is_not_induced(self):
         f = EdgeMap(build_graph("uvpq", [("u", "v"), ("p", "q")]),
@@ -464,21 +486,32 @@ def relabelled_maps():
 
 
 class TestInducedReader:
+    """reconstruct_vertex_isomorphism with the guard off, the one reader of
+    an inducing vertex map: "true" returns the map, "false" raises
+    NotInducedError."""
+
+    @staticmethod
+    def read(f):
+        return reconstruct_vertex_isomorphism(f, check_connectivity=False)
+
     @pytest.mark.parametrize("f", relabelled_maps())
     def test_true_on_relabelled_maps(self, f):
-        assert edge_maps._induced(f) is True
+        assert self.read(f).as_dict == seeded_relabel(f.source, 3)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_false_on_counterexample_and_inverse(self, p):
         f = build_counterexample(p)[2]
-        assert edge_maps._induced(f) is False
-        assert edge_maps._induced(f.inverted()) is False
+        for g in (f, f.inverted()):
+            with pytest.raises(NotInducedError) as info:
+                self.read(g)
+            assert info.value.star_class is not None
 
     @pytest.mark.parametrize("seed", range(5))
     def test_false_on_whitney_twist(self, seed):
         f = whitney_twist(5, 6, seed)
         assert check_circuit_isomorphism(f).passed
-        assert edge_maps._induced(f) is False
+        with pytest.raises(NotInducedError):
+            self.read(f)
 
     @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in corpus_graphs()]
                              + [pytest.param(random_three_connected(n, n), id=f"random3c_n{n}")
@@ -491,20 +524,27 @@ class TestInducedReader:
         images = list(relabelled.assignment)
         images[0], images[-1] = images[-1], images[0]
         f = EdgeMap(g, relabelled.target, tuple(images))
-        assert edge_maps._induced(f) is False
+        with pytest.raises(NotInducedError):
+            self.read(f)
         with pytest.raises(NotInducedError):
             reconstruct_vertex_isomorphism(f)
 
-    @pytest.mark.parametrize("vertices,edges", [
-        ("01234", named_graph("K4").edges + (("3", "4"),)),
-        ("0123z", named_graph("K4").edges),
-        ("ab", [("a", "b")]),
+    @pytest.mark.parametrize("vertices,edges,induced", [
+        ("01234", named_graph("K4").edges + (("3", "4"),), True),
+        ("0123z", named_graph("K4").edges, False),
+        ("ab", [("a", "b")], True),
     ], ids=["pendant", "isolated", "K2"])
-    def test_false_with_a_vertex_of_fewer_than_two_edges(self, vertices, edges):
-        # Each of these identity maps is induced; the reader only declines.
+    def test_vertex_of_fewer_than_two_edges(self, vertices, edges, induced):
+        # Each identity map is induced; only the isolated vertex has no
+        # star to read, so it is refused.
         f = identity_map(build_graph(vertices, edges))
-        assert edge_maps._induced(f) is False
         assert is_induced_by(f, VertexIso.from_dict({v: v for v in vertices}))
+        if induced:
+            assert self.read(f).as_dict == {v: v for v in vertices}
+        else:
+            with pytest.raises(NotInducedError,
+                               match="^source vertex 'z' is isolated$"):
+                self.read(f)
 
 
 class TestVertexIso:

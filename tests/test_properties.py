@@ -12,6 +12,7 @@ from circuitmap import (
     IndependentEdges,
     InputError,
     MapWitness,
+    NotInducedError,
     PreconditionError,
     build_counterexample,
     build_graph,
@@ -50,6 +51,7 @@ from oracle import (
     brute_circuits,
     brute_components,
     brute_cutpoints,
+    brute_inducing_maps,
     brute_is_circuit,
     brute_is_k_connected,
     brute_star_class,
@@ -499,6 +501,71 @@ def test_star_classes_match_oracle(f):
             continue
         assert (_star_class_tuple(classify_star_preimage(f, w))
                 == brute_star_class(f.source, ids))
+
+
+@st.composite
+def vertex_map_cases(draw):
+    """Maps between graphs of at most 6 vertices, sparse or denser: a
+    relabelled copy with up to two image swaps, or any bijection onto a
+    second graph with as many edges. Pendant vertices and one-edge
+    components are common; the source keeps its isolated vertices in about
+    half the cases."""
+    some_graph = st.one_of(sparse_graphs(max_vertices=6), graphs(max_vertices=6, max_edges=9))
+    g = draw(some_graph)
+    if draw(st.booleans()):
+        return _relabelled_with_swaps(draw, _some_isolated(draw, g))
+    h = draw(some_graph)
+    m = min(g.edge_count(), h.edge_count())
+    g = _some_isolated(draw, build_graph(g.vertices, g.edges[:m]))
+    h = build_graph(h.vertices, h.edges[:m])
+    return EdgeMap(g, h, tuple(draw(st.permutations(range(m)))))
+
+
+def _some_isolated(draw, g):
+    """g, or g without its isolated vertices."""
+    if draw(st.booleans()):
+        return g
+    return build_graph([v for v in g.vertices if g.degree(v)], g.edges)
+
+
+def _identity(g):
+    return EdgeMap(g, g, tuple(range(g.edge_count())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_map_cases())
+@example(_K2_AND_PATH)
+@example(_identity(build_graph("abcd", [("a", "b"), ("c", "d")])))  # two one-edge components
+@example(permuted_edge_map(build_graph("abcd", [("a", "b"), ("c", "d")]),
+                           dict(zip("abcd", "dcab"))))
+@example(_identity(build_graph("01234", named_graph("K4").edges + (("3", "4"),))))  # pendant
+@example(_identity(build_graph("0123z", named_graph("K4").edges)))  # isolated
+@example(EdgeMap(build_graph("uvpq", [("u", "v"), ("p", "q")]),
+                 build_graph("xyz", [("x", "y"), ("y", "z")]), (0, 1)))
+def test_reconstruct_matches_brute_force_vertex_maps(f):
+    # Refused at the first source vertex whose star image is not a star
+    # (an isolated vertex has none), else for the bijection; otherwise the
+    # map read is one of the oracle's. Only an isolated vertex refuses a
+    # map that some vertex bijection induces.
+    maps = brute_inducing_maps(f)
+    classes = {v: brute_star_class(f.target, f.image(star(f.source, v).members))
+               for v in f.source.vertices if f.source.degree(v)}
+    first = next((v for v in f.source.vertices
+                  if v not in classes or classes[v][0] != "star"), None)
+    try:
+        iso = reconstruct_vertex_isomorphism(f, check_connectivity=False)
+    except NotInducedError as err:
+        assert err.vertex == first
+        if first is None:
+            assert str(err) == "star centers do not form a vertex bijection"
+            assert err.star_class is None
+        elif first in classes:
+            assert _star_class_tuple(err.star_class) == classes[first]
+        else:
+            assert str(err) == f"source vertex {first!r} is isolated"
+        assert not maps or len(classes) < f.source.vertex_count()
+    else:
+        assert dict(iso.as_dict) in maps
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from circuitmap import (
     EdgeMap,
     EdgeSet,
+    NotInducedError,
     build_counterexample,
     build_graph,
     check_circuit_injection,
@@ -16,6 +17,7 @@ from circuitmap import (
     permuted_edge_map,
     random_three_connected,
     random_two_connected,
+    reconstruct_vertex_isomorphism,
     theta_graph,
 )
 from circuitmap import edge_maps
@@ -189,8 +191,17 @@ def differential_maps():
 
 def shortcut_taken(f, samples):
     source = f.source
-    return (source.edge_count() - source.vertex_count() < samples
-            and edge_maps._induced(f))
+    if source.edge_count() - source.vertex_count() >= samples:
+        return False
+    try:
+        reconstruct_vertex_isomorphism(f, check_connectivity=False)
+    except NotInducedError:
+        return False
+    return True
+
+
+def _refuse(f, check_connectivity=True):
+    raise NotInducedError("refused")
 
 
 @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in differential_maps()])
@@ -198,7 +209,7 @@ def test_shortcut_leaves_every_verdict_unchanged(f, monkeypatch):
     fast = {(samples, seed): check_circuit_injection(f, mode="sampled",
                                                      samples=samples, seed=seed)
             for samples in DIFFERENTIAL_SAMPLES for seed in (1, 2, 3)}
-    monkeypatch.setattr(edge_maps, "_induced", lambda f: False)
+    monkeypatch.setattr(edge_maps, "reconstruct_vertex_isomorphism", _refuse)
     for (samples, seed), verdict in fast.items():
         assert verdict == check_circuit_injection(f, mode="sampled",
                                                   samples=samples, seed=seed), (samples, seed)
@@ -207,24 +218,27 @@ def test_shortcut_leaves_every_verdict_unchanged(f, monkeypatch):
 def test_differential_maps_fall_on_both_sides_of_the_rule():
     taken = {(name, samples): shortcut_taken(f, samples)
              for name, f in differential_maps() for samples in DIFFERENTIAL_SAMPLES}
-    unswapped = [*CATALOG, "random2c_n30", "random2c_n200", "random3c_n30", "K8"]
+    # The pendant tree of the disconnected source is read like any vertex.
+    unswapped = [*CATALOG, "random2c_n30", "random2c_n200", "random3c_n30", "K8",
+                 "disconnected"]
     assert all(taken[(name, 500)] for name in unswapped)
     assert taken[("K5", 50)] and not taken[("K5", 5)] and not taken[("K8", 5)]
     assert not any(taken[(name, 500)] for name in (
-        "counterexample_p3", "inverse_p7", "twist/seed0", "disconnected", "K5/swap1"))
+        "counterexample_p3", "inverse_p7", "twist/seed0", "K5/swap1"))
 
 
 def _count_reads(monkeypatch):
     calls = []
-    read = edge_maps._induced
-    monkeypatch.setattr(edge_maps, "_induced", lambda f: calls.append(f) or read(f))
+    read = edge_maps.reconstruct_vertex_isomorphism
+    monkeypatch.setattr(edge_maps, "reconstruct_vertex_isomorphism",
+                        lambda f, **kwargs: calls.append(kwargs) or read(f, **kwargs))
     return calls
 
 
 def test_induced_is_read_once_when_the_rank_is_within_samples(monkeypatch):
     calls = _count_reads(monkeypatch)
     v = check_circuit_injection(identity(theta_graph(20)), mode="sampled", samples=500)
-    assert len(calls) == 1
+    assert calls == [{"check_connectivity": False}]
     assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
         True, 190, 10000, "attempt_limit")
 
