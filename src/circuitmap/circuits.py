@@ -10,7 +10,6 @@ the exhaustive checks built on top of it are meant for desk-scale graphs.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import chain, compress
 
 from .connectivity import is_k_connected, two_disjoint_paths
 from .errors import InputError, InternalError, PreconditionError
@@ -24,9 +23,6 @@ from .graph import (
 )
 
 DEFAULT_MAX_CIRCUITS = 100_000
-# Maps the ASCII binary digits of a mask to byte values 0 and 1, the
-# selectors that pick a circuit's chains out of the chain list.
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def is_circuit(graph: Graph, edge_set: EdgeSet) -> bool:
@@ -86,7 +82,7 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> _
     in the graph, edge removals cost O(sum of squared skeleton degrees)
     over the whole run, and the search depth is bounded by memory, not by
     the interpreter's recursion limit. Nothing is expanded here: a mask
-    is expanded back to edge ids each time its circuit is read (K digits
+    is expanded to edge ids when read (a K-bit shift per chain in it,
     and |C| ids), and a Circuit built from them costs O(|C|) more to
     validate, so a reader that stops early pays for no later circuit.
 
@@ -172,11 +168,10 @@ class _CircuitMasks(Sequence):
     without building any.
     """
 
-    __slots__ = ("_graph", "_by_rank", "_digits", "_masks")
+    __slots__ = ("_graph", "_by_rank", "_masks")
 
     def __init__(self, graph: Graph, by_rank: list[list[int]], masks: list[int]):
         self._graph, self._by_rank, self._masks = graph, by_rank, masks
-        self._digits = f"0{len(by_rank)}b"
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -195,10 +190,14 @@ class _CircuitMasks(Sequence):
         return map(self._expanded, self._masks)
 
     def _expanded(self, mask: int) -> list[int]:
-        """The mask's binary digits, translated to byte values 0 and 1,
-        select its chains' id lists: K digits and |C| ids."""
-        return list(chain.from_iterable(compress(
-            self._by_rank, format(mask, self._digits).encode().translate(_DIGIT_VALUES))))
+        """Its chains' id lists from the highest set bit (least rank) down:
+        one K-bit shift per chain in the circuit, and |C| ids."""
+        ids, top = [], len(self._by_rank) - 1
+        while mask:
+            bit = mask.bit_length() - 1
+            ids.extend(self._by_rank[top - bit])
+            mask ^= 1 << bit
+        return ids
 
     def _built(self, mask: int) -> Circuit:
         return Circuit(self._graph, frozenset(self._expanded(mask)))

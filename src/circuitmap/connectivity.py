@@ -201,12 +201,11 @@ def two_disjoint_paths(graph: Graph, a: str, b: str,
 
     first = Path.from_vertices(graph, walk())
     second = Path.from_vertices(graph, walk())
-    _validate_disjoint_pair(graph, a, b, first, second)
+    _validate_disjoint_pair(a, b, first, second)
     return first, second
 
 
-def _validate_disjoint_pair(graph: Graph, a: str, b: str,
-                            first: Path, second: Path) -> None:
+def _validate_disjoint_pair(a: str, b: str, first: Path, second: Path) -> None:
     if first.ends() != (a, b) or second.ends() != (a, b):
         raise InternalError("internal check failed: wrong endpoints")
     shared = set(first.vertices) & set(second.vertices)

@@ -186,20 +186,20 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     order, so the witness of a failing map is the canonically first
     counterexample.
 
-    mode "sampled" checks up to `samples` circuits drawn from a seeded
-    generator: fundamental circuits of a random spanning tree, then random
-    symmetric differences of known circuits filtered back to circuits. A
-    sampled Pass is evidence, not proof; a sampled Fail is always genuine.
-    When m − n < samples (a connected source's cycle rank is at most
-    `samples`) and reconstruct_vertex_isomorphism, with the guard off,
-    finds a vertex map φ inducing the map, no image is tested: f(C) = φ(C)
-    is a circuit for every circuit C, so every drawn circuit would pass,
-    and the stream is drained with circuits_checked counting the circuits
-    drawn, which gives the verdict the tests would. By the paper's
-    converse, every circuit injection from a 3-connected source is induced
-    so. The rank bound keeps the shortcut
-    where the stream draws every chord's fundamental circuit, whose total
-    length is at least m when the source has no bridge, so the read's
+    mode "sampled" checks up to `samples` circuits (InputError unless
+    positive) drawn from a seeded generator: fundamental circuits of a
+    random spanning tree, then random symmetric differences of known
+    circuits filtered back to circuits. A sampled Pass is evidence, not
+    proof; a sampled Fail is always genuine. When m − n < samples (a
+    connected source's cycle rank is at most `samples`) and
+    reconstruct_vertex_isomorphism, with the guard off, finds a vertex map
+    φ inducing the map, no image is tested: f(C) = φ(C) is a circuit for
+    every circuit C, so every drawn circuit would pass, and the stream is
+    drained with circuits_checked counting the circuits drawn, the verdict
+    the tests would give. By the paper's converse, every circuit injection
+    from a 3-connected source is induced so. The rank bound keeps the
+    shortcut where the stream draws every chord's fundamental circuit, of
+    total length at least m when the source has no bridge, so the read's
     O(n + m) pass costs at most a constant times the tests it replaces.
 
     Each circuit is tested in time linear in its length, so a sampled run
@@ -216,6 +216,8 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
         return Verdict(broken is None, mode, checked, _witness(edge_map, "forward", broken))
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise InputError("samples must be positive")
     source, stats = edge_map.source, {}
     stream = _sampled_circuits(source, samples, seed, stats=stats)
     induced = source.edge_count() - source.vertex_count() < samples
@@ -326,10 +328,10 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *, stats: dict):
     _, chords, circuit_of = _shuffled_forest(graph, rng)
 
     # Every circuit drawn joins the pool; fundamental circuits are distinct,
-    # each holding its own chord. A count below one draws none.
+    # each holding its own chord.
     emitted: set[frozenset[int]] = set()
     pool: list[frozenset[int]] = []
-    for eid in chords[:max(samples, 0)]:
+    for eid in chords[:samples]:
         ids = frozenset(circuit_of(eid))
         emitted.add(ids)
         pool.append(ids)

@@ -40,6 +40,14 @@ def cycle_graph(n: int):
     return build_graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
 
 
+def ladder(rungs: int):
+    """Rails a0..a(r-1) and b0..b(r-1) joined by the rungs ai bi: C(r, 2)
+    circuits over 3r - 6 chains once the four corners are contracted."""
+    a, b = [f"a{i}" for i in range(rungs)], [f"b{i}" for i in range(rungs)]
+    edges = [*zip(a, b), *zip(a, a[1:]), *zip(b, b[1:])]
+    return build_graph(a + b, edges)
+
+
 def blocks_and_trees():
     """Bowtie with a pendant path, a separate K4, a small tree and an
     isolated vertex: cutpoints, bridges and circuit-free parts together."""

@@ -32,7 +32,7 @@ from circuitmap import (
 from circuitmap import circuits as circuits_module
 from circuitmap.cli import main
 from circuitmap.rng import XorShift64Star
-from conftest import blocks_and_trees, complete, cycle_graph, seeded_relabel
+from conftest import blocks_and_trees, complete, cycle_graph, ladder, seeded_relabel
 from oracle import brute_circuits
 
 GOLDEN_LISTS = Path(__file__).parent / "data" / "enumerated_circuits_golden.json"
@@ -167,6 +167,23 @@ def test_result_reads_like_its_list(graph):
             circuits[k]
     with pytest.raises(TypeError):
         circuits[0] = None
+
+
+@pytest.mark.parametrize("graph", [
+    complete(8), random_three_connected(15, 3), ladder(18), build_counterexample(31)[0],
+    blocks_and_trees(), cycle_graph(1500),
+], ids=["K8", "rc15", "ladder18", "cx31", "blocks_and_trees", "cycle1500"])
+def test_masks_expand_to_their_chains_in_rank_order(graph):
+    # Chains are ranked by least edge id and the chain of rank r sits at
+    # bit K-1-r: each mask reads back as the id lists of its set bits,
+    # each bit tested on its own, in rank order.
+    circuits = enumerate_circuits(graph)
+    by_rank = circuits._by_rank
+    k = len(by_rank)
+    assert [min(ids) for ids in by_rank] == sorted(min(ids) for ids in by_rank)
+    for mask, ids in zip(circuits._masks, circuits.edge_ids(), strict=True):
+        assert ids == [eid for r in range(k) if mask >> (k - 1 - r) & 1
+                       for eid in by_rank[r]]
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["relabelled", "swapped"])

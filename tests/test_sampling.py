@@ -8,6 +8,7 @@ import pytest
 from circuitmap import (
     EdgeMap,
     EdgeSet,
+    InputError,
     NotInducedError,
     build_counterexample,
     build_graph,
@@ -151,11 +152,27 @@ def test_cli_reports_sampling_keys_only_in_sampled_mode(tmp_path, monkeypatch, c
                            "elapsed_ms"}
 
 
-@pytest.mark.parametrize("samples", [0, 1])
+@pytest.mark.parametrize("samples", [1, 2])
 def test_tiny_sample_counts_stop_on_samples(samples):
     v = check_circuit_injection(identity(named_graph("prism")), mode="sampled",
                                 samples=samples, seed=5)
     assert v.circuits_checked == samples and v.stop_reason == "samples"
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_non_positive_sample_counts_are_refused(samples):
+    # A count below one would draw no circuit and pass any map vacuously:
+    # this one, K5 with the images of 01 and 34 exchanged, fails its first
+    # exhaustively tested circuit.
+    g = named_graph("K5")
+    f = permuted_edge_map(g, seeded_relabel(g, 3))
+    images = list(f.assignment)
+    images[0], images[9] = images[9], images[0]
+    swapped = EdgeMap(f.source, f.target, tuple(images))
+    exhaustive = check_circuit_injection(swapped)
+    assert not exhaustive.passed and exhaustive.circuits_checked == 1
+    with pytest.raises(InputError, match="^samples must be positive$"):
+        check_circuit_injection(swapped, mode="sampled", samples=samples)
 
 
 # -- induced maps: the shortcut that tests no drawn circuit --------------------
