@@ -9,8 +9,9 @@ the map. It also generates the family of 2-connected counterexamples
 showing the 3-connectivity requirement is sharp.
 
 Submodules load on first use (PEP 562): `from circuitmap import Graph`
-imports `circuitmap.graph` only, so a CLI run compiles only what its
-subcommand calls.
+imports `circuitmap.graph` only. A CLI run imports every submodule but
+`generators` (only `generate` loads it), because `cli` and `edge_maps`
+bind at import the names the benchmark's tracer wraps.
 """
 
 from importlib import import_module as _import_module

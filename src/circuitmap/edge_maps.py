@@ -177,30 +177,28 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
                             max_count: int = DEFAULT_MAX_CIRCUITS) -> Verdict:
     """Does the map send every circuit of the source to a circuit of the target?
 
-    mode "exhaustive" enumerates every circuit under the max_count budget.
-    With more circuits than edges, it first runs check_circuit_isomorphism's
-    basis test (a step per edge against at least one per circuit): a map
-    that passes is a circuit isomorphism, so it passes with circuits_checked
-    counting the enumerated circuits, each proven through the basis, none
-    expanded or tested. Otherwise every circuit is tested in canonical
-    order, so the witness of a failing map is the canonically first
-    counterexample.
+    Both budgets, `samples` and `max_count`, raise InputError unless
+    positive, in either mode. mode "exhaustive" enumerates every circuit
+    under the max_count budget. With more circuits than edges, it first runs
+    check_circuit_isomorphism's basis test (a step per edge against at
+    least one per circuit): a map that passes is a circuit isomorphism, so
+    it passes with circuits_checked counting the enumerated circuits, each
+    proven through the basis, none expanded or tested. Otherwise every
+    circuit is tested in canonical order, so the witness of a failing map
+    is the canonically first counterexample.
 
-    mode "sampled" checks up to `samples` circuits (InputError unless
-    positive) drawn from a seeded generator: fundamental circuits of a
-    random spanning tree, then random symmetric differences of known
-    circuits filtered back to circuits. A sampled Pass is evidence, not
-    proof; a sampled Fail is always genuine. When m − n < samples (a
-    connected source's cycle rank is at most `samples`) and
-    reconstruct_vertex_isomorphism, with the guard off, finds a vertex map
-    φ inducing the map, no image is tested: f(C) = φ(C) is a circuit for
-    every circuit C, so every drawn circuit would pass, and the stream is
-    drained with circuits_checked counting the circuits drawn, the verdict
-    the tests would give. By the paper's converse, every circuit injection
-    from a 3-connected source is induced so. The rank bound keeps the
-    shortcut where the stream draws every chord's fundamental circuit, of
-    total length at least m when the source has no bridge, so the read's
-    O(n + m) pass costs at most a constant times the tests it replaces.
+    mode "sampled" checks up to `samples` circuits drawn from a seeded
+    generator: fundamental circuits of a random spanning tree, then random
+    symmetric differences of known circuits filtered back to circuits. A
+    sampled Pass is evidence, not proof; a sampled Fail is always genuine.
+    Every run first asks reconstruct_vertex_isomorphism, guard off, for a
+    vertex map φ inducing the map (by the paper's converse, every circuit
+    injection from a 3-connected source has one). Then f(C) = φ(C) is a
+    circuit for every circuit C, so no image is tested and circuits_checked
+    is the count the stream would draw: `samples` fundamental circuits and
+    no mix when m − n ≥ samples (more than `samples` chords), read without
+    a forest; below that the stream is drained. A map the read refuses is
+    tested on the stream.
 
     Each circuit is tested in time linear in its length, so a sampled run
     costs O(n + m) plus time linear in the circuits drawn and the pairs
@@ -208,6 +206,10 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     samples_requested, attempts (mixes tried) and stop_reason, decided
     here: "witness", "samples", "attempt_limit" or "too_few_circuits".
     """
+    if samples < 1:
+        raise InputError("samples must be positive")
+    if max_count < 1:
+        raise InputError("max_count must be positive")
     if mode == "exhaustive":
         circuits = enumerate_circuits(edge_map.source, max_count)
         if len(circuits) > edge_map.source.edge_count() and _basis_test(edge_map)[1] is None:
@@ -216,20 +218,16 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
         return Verdict(broken is None, mode, checked, _witness(edge_map, "forward", broken))
     if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise InputError("samples must be positive")
-    source, stats = edge_map.source, {}
-    stream = _sampled_circuits(source, samples, seed, stats=stats)
-    induced = source.edge_count() - source.vertex_count() < samples
-    if induced:
-        try:
-            reconstruct_vertex_isomorphism(edge_map, check_connectivity=False)
-        except NotInducedError:
-            induced = False
-    if induced:
-        checked, broken = sum(1 for _ in stream), None
-    else:
-        checked, broken = _first_broken(edge_map, stream)
+    source, stats = edge_map.source, {"attempts": 0}
+    try:
+        reconstruct_vertex_isomorphism(edge_map, check_connectivity=False)
+    except NotInducedError:
+        checked, broken = _first_broken(
+            edge_map, _sampled_circuits(source, samples, seed, stats=stats))
+    else:  # induced: every drawn circuit would pass, so only the count is read
+        broken, checked = None, samples
+        if source.edge_count() - source.vertex_count() < samples:
+            checked = sum(1 for _ in _sampled_circuits(source, samples, seed, stats=stats))
     if broken is not None:
         reason = "witness"
     elif checked >= samples:  # the stream ran dry: checked is its whole pool

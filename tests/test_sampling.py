@@ -175,6 +175,15 @@ def test_non_positive_sample_counts_are_refused(samples):
         check_circuit_injection(swapped, mode="sampled", samples=samples)
 
 
+@pytest.mark.parametrize("mode, budgets, message", [
+    pytest.param("sampled", {"max_count": 0}, "max_count", id="sampled-max_count0"),
+    pytest.param("exhaustive", {"samples": -4}, "samples", id="exhaustive-samples-4"),
+])
+def test_each_budget_is_refused_in_the_mode_that_does_not_read_it(mode, budgets, message):
+    with pytest.raises(InputError, match=f"^{message} must be positive$"):
+        check_circuit_injection(identity(named_graph("prism")), mode=mode, **budgets)
+
+
 # -- induced maps: the shortcut that tests no drawn circuit --------------------
 
 
@@ -207,14 +216,15 @@ def differential_maps():
 
 
 def shortcut_taken(f, samples):
-    source = f.source
-    if source.edge_count() - source.vertex_count() >= samples:
-        return False
+    """How a sampled run treats f: "tested" when the vertex-map read refuses
+    it, else "counted" when m − n ≥ samples (the count needs no stream) and
+    "drained" below that count threshold."""
     try:
         reconstruct_vertex_isomorphism(f, check_connectivity=False)
     except NotInducedError:
-        return False
-    return True
+        return "tested"
+    source = f.source
+    return "counted" if source.edge_count() - source.vertex_count() >= samples else "drained"
 
 
 def _refuse(f, check_connectivity=True):
@@ -232,15 +242,16 @@ def test_shortcut_leaves_every_verdict_unchanged(f, monkeypatch):
                                                   samples=samples, seed=seed), (samples, seed)
 
 
-def test_differential_maps_fall_on_both_sides_of_the_rule():
+def test_differential_maps_fall_on_both_sides_of_the_count_threshold():
     taken = {(name, samples): shortcut_taken(f, samples)
              for name, f in differential_maps() for samples in DIFFERENTIAL_SAMPLES}
     # The pendant tree of the disconnected source is read like any vertex.
     unswapped = [*CATALOG, "random2c_n30", "random2c_n200", "random3c_n30", "K8",
                  "disconnected"]
-    assert all(taken[(name, 500)] for name in unswapped)
-    assert taken[("K5", 50)] and not taken[("K5", 5)] and not taken[("K8", 5)]
-    assert not any(taken[(name, 500)] for name in (
+    assert all(taken[(name, 500)] == "drained" for name in unswapped)
+    assert taken[("K5", 50)] == "drained"
+    assert taken[("K5", 5)] == taken[("K8", 5)] == taken[("random3c_n30", 5)] == "counted"
+    assert all(taken[(name, 500)] == "tested" for name in (
         "counterexample_p3", "inverse_p7", "twist/seed0", "K5/swap1"))
 
 
@@ -260,13 +271,33 @@ def test_induced_is_read_once_when_the_rank_is_within_samples(monkeypatch):
         True, 190, 10000, "attempt_limit")
 
 
-def test_induced_is_not_read_above_the_rank_rule_or_in_exhaustive_mode(monkeypatch):
+def test_induced_is_read_once_per_sampled_run_and_never_in_exhaustive_mode(monkeypatch):
     calls = _count_reads(monkeypatch)
     f = relabelled(complete(8))
-    assert check_circuit_injection(f, mode="sampled", samples=5).passed
-    # K5 has m - n = 5: its cycle rank, 6, is above 5 samples.
-    assert check_circuit_injection(identity(named_graph("K5")), mode="sampled",
-                                   samples=5).passed
+    # K8 has m - n = 20 and K5 has 5: both sides of the count threshold.
+    runs = [(f, 5), (f, 500), (identity(named_graph("K5")), 5),
+            (identity(named_graph("K5")), 50), (with_swaps(f, 1, 1), 5)]
+    for g, samples in runs:
+        check_circuit_injection(g, mode="sampled", samples=samples)
+    assert calls == [{"check_connectivity": False}] * len(runs)
     assert check_circuit_injection(f).passed
     assert check_circuit_injection(identity(theta_graph(20))).passed
-    assert calls == []
+    assert len(calls) == len(runs)
+
+
+def _no_stream(graph, samples, seed, *, stats):
+    raise AssertionError("the stream was advanced")
+    yield
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(relabelled(complete(8)), id="K8"),
+    pytest.param(identity(named_graph("K5")), id="K5"),
+    pytest.param(relabelled(random_three_connected(30, 4)), id="random3c_n30"),
+])
+def test_induced_map_at_the_count_threshold_draws_no_circuit(f, monkeypatch):
+    monkeypatch.setattr(edge_maps, "_sampled_circuits", _no_stream)
+    v = check_circuit_injection(f, mode="sampled", samples=5, seed=2)
+    assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
+        True, 5, 0, "samples")
+    assert v.samples_requested == 5 and v.witness is None
