@@ -2,9 +2,10 @@
 
 Cutpoints, and k-connectivity for k <= 3, are read off the parents, depths
 and lowpoints of graph._rooted_forest, the package's one depth-first
-search: one search for k <= 2, and for k = 3 one search per deleted hub
-(a vertex with a child in one breadth-first spanning tree), O((h + 1) *
-(n + m)) in all for h <= n hubs. Disjoint paths, and k-connectivity for
+search: one search for k <= 2, and for k = 3 one search of the graph and
+one per deleted candidate, a vertex that is a hub (has a child) in more
+than half of t spanning trees grown by linear-time scans, O((t + c) *
+(n + m)) in all for c candidates. Disjoint paths, and k-connectivity for
 k >= 4, run on one engine: augmenting paths in the unit-capacity
 vertex-split network. Vertex v is the arc in_v -> out_v and edge {u, w}
 the arcs out_u -> in_w and out_w -> in_u, so disjoint units of flow from
@@ -17,6 +18,7 @@ results are deterministic for a given graph.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Collection
 from itertools import combinations
 
@@ -72,19 +74,29 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     cutpoint. For k >= 3 a vertex of degree below k fails at once: its
     neighbours cut it off from the n - 1 - deg > 0 others.
 
-    For k = 3 (so n >= 4) one breadth-first scan from a vertex of greatest
-    degree (ties to the least index) either misses a vertex, and G is
-    disconnected, or builds a spanning tree T. Call a vertex with a child in
-    T a hub. G is 3-connected iff, for every hub a, G - a is connected and
-    has no cutpoint; one forest search decides each hub, O((h + 1) *
-    (n + m)) in all for h <= n hubs. Why: if G is 3-connected, a cutpoint b
-    of G - a, or G - a itself disconnected, would give a separator {a, b}
-    or {a}. Conversely, a non-hub is a leaf of T, and deleting one or two
-    leaves from a tree on n >= 4 vertices leaves a tree, so deleting one or
-    two non-hubs leaves G connected: every separator of one or two vertices
-    holds a hub a. Then G - a is disconnected, or the separator's other
-    vertex is a cutpoint of G - a. A cutpoint of G is a hub of every
-    spanning tree, so no search of the whole graph is needed.
+    For k = 3 (so n >= 4) one forest search first refuses a graph that is
+    disconnected or has a cutpoint. Any spanning tree T of the connected
+    graph then decides the rest. Call a vertex with a child in T a hub. A
+    non-hub is a leaf of T, and deleting one or two leaves from a tree on
+    n >= 4 vertices leaves a tree, so every separator S of one or two
+    vertices holds a hub of every spanning tree. Over an odd number t of
+    trees the hub counts of S's vertices add up to at least t, so one of
+    them is a hub of more than t/2 trees: a candidate. G is 3-connected iff,
+    for every candidate a, G - a is connected and has no cutpoint. Why: if
+    G is 3-connected, a cutpoint b of G - a, or G - a itself disconnected,
+    would give a separator {a, b} or {a}. Conversely, a separator holds a
+    candidate a, and then G - a is disconnected or the separator's other
+    vertex is a cutpoint of G - a.
+
+    The first tree is breadth-first from a vertex of greatest degree; each
+    later scan expands the vertices that were hubs least often first, so it
+    routes around earlier hubs (see _breadth_first_hubs). Trees are added
+    two at a time while the candidates outnumber t and their number falls,
+    and the candidates are searched heaviest first. The whole guard takes
+    one search, t scans and at most c searches, O((t + c) * (n + m)). The
+    candidates fall with every added pair of trees, so t <= h + 1 and
+    c <= h for the h hubs of the first tree: never more than O((h + 1) *
+    (n + m)), the cost of searching every hub of that tree.
 
     For k >= 4 let v be a vertex of least degree. The graph is k-connected
     iff deg(v) >= k, every w not adjacent to v is joined to v by k
@@ -94,7 +106,7 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     is in S, minimality gives v neighbours x and y in two components of
     G - S, which are not adjacent. S separates either pair.
     """
-    if k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InputError("k must be a positive integer")
     n = graph.vertex_count()
     if n <= k:
@@ -107,9 +119,9 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     if len(adjacency[v]) < k:
         return False
     if k == 3:
-        hubs = _breadth_first_hubs(adjacency)
-        return hubs is not None and all(
-            _cuts_and_count(graph, x) == (set(), 1) for x in hubs)
+        return _cuts_and_count(graph) == (set(), 1) and all(
+            _cuts_and_count(graph, x) == (set(), 1)
+            for x in _hub_candidates(adjacency))
     near = {w for w, _ in adjacency[v]}
     pairs = [(v, w) for w in range(n) if w != v and w not in near]
     pairs += [(x, y) for x, y in combinations(sorted(near), 2)
@@ -117,25 +129,66 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     return all(_augment(graph, s, t, k)[0] == k for s, t in pairs)
 
 
-def _breadth_first_hubs(adjacency) -> list[int] | None:
-    """The vertices that claim a new neighbour in one breadth-first scan from
-    a vertex of greatest degree (ties to the least index), in scan order;
-    None when the scan misses a vertex."""
+def _hub_candidates(adjacency) -> list[int]:
+    """The vertices that are hubs of more than half of t scans of a
+    connected graph, heaviest first (ties to the least index).
+
+    Scans are added two at a time, so t stays odd, until there are at most
+    t candidates or two more scans fail to lower their number; then the
+    earlier, smaller list is kept.
+    """
     n = len(adjacency)
-    start = max(range(n), key=lambda i: len(adjacency[i]))
+    counts = [0] * n
+    best = None
+    trees = 0
+    while True:
+        trees += 1
+        for x in _breadth_first_hubs(adjacency, counts):
+            counts[x] += 1
+        if trees % 2 == 0:
+            continue
+        heavy = sorted((x for x in range(n) if 2 * counts[x] > trees),
+                       key=lambda x: (-counts[x], x))
+        if best is not None and len(heavy) >= len(best):
+            return best
+        best = heavy
+        if len(best) <= trees:
+            return best
+
+
+def _breadth_first_hubs(adjacency, counts: list[int]) -> list[int]:
+    """The vertices that claim a new neighbour in one scan of a connected
+    graph, in scan order.
+
+    The scan starts at a vertex of least count, of greatest degree among
+    those (ties to the least index), and expands the reached vertex of
+    least count next, first reached first among equal counts; with all
+    counts equal it is a breadth-first scan.
+    """
+    n = len(adjacency)
+    start = min(range(n), key=lambda i: (counts[i], -len(adjacency[i])))
     seen = [False] * n
     seen[start] = True
-    order = [start]
+    queues = [deque() for _ in range(max(counts) + 1)]  # one per count
+    queues[counts[start]].append(start)
+    low = counts[start]  # no queue below this one holds a vertex
     hubs = []
-    for x in order:  # grows while it is read: a queue without pops
-        reached = len(order)
+    while low < len(queues):
+        if not queues[low]:
+            low += 1
+            continue
+        x = queues[low].popleft()
+        claimed = False
         for y, _ in adjacency[x]:
             if not seen[y]:
-                seen[y] = True
-                order.append(y)
-        if len(order) > reached:
+                seen[y] = claimed = True
+                c = counts[y]
+                queues[c].append(y)
+                if c < low:
+                    low = c
+        if claimed:
             hubs.append(x)
-    return hubs if len(order) == n else None
+    return hubs
 
 
 def cutpoints(graph: Graph) -> tuple[str, ...]:

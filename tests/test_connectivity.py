@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -64,6 +65,13 @@ def test_path_and_degenerate_cases():
     assert not is_k_connected(g, 1)
     with pytest.raises(InputError, match="^k must be a positive integer$"):
         is_k_connected(path_graph(3), 0)
+
+
+@pytest.mark.parametrize("k", ["3", 2.5, 3.0, True, None])
+def test_k_must_be_an_int(k):
+    # A bool is an int to Python, so True would otherwise pass as k = 1.
+    with pytest.raises(InputError, match="^k must be a positive integer$"):
+        is_k_connected(named_graph("K5"), k)
 
 
 def test_connectivity_matches_oracle_on_catalog():
@@ -176,9 +184,9 @@ def three_connected_instances():
 def test_three_connectivity_matches_oracle_at_least_degree_three():
     # The hypothesis differential stops at six vertices and the networkx one
     # needs networkx; these families reach 24 vertices and, unlike random
-    # small graphs, mostly pass the least-degree exit, so the searches from
-    # the hubs decide them: a separator of 1 or 2 vertices leaves G - a
-    # disconnected for some hub a, or with a cutpoint.
+    # small graphs, mostly pass the least-degree exit, so the searches of G
+    # and of its candidates decide them: a separator of 1 or 2 vertices
+    # leaves G - a disconnected for some candidate a, or with a cutpoint.
     for g in three_connected_instances():
         assert is_k_connected(g, 3) is brute_is_k_connected(g, 3), g
     assert not any(is_k_connected(glued_blocks(seed, shared, False), 3)
@@ -186,16 +194,21 @@ def test_three_connectivity_matches_oracle_at_least_degree_three():
     assert all(is_k_connected(glued_blocks(seed, 2, True), 3) for seed in range(12))
 
 
-def assert_separating_pairs_hold_a_hub(g):
-    """Every vertex pair whose deletion disconnects the connected graph g
-    holds a hub of the breadth-first scan, found by brute force."""
-    hubs = connectivity._breadth_first_hubs(g._adjacency)
-    assert hubs is not None, g
-    hub_names = {g.vertices[i] for i in hubs}
+def assert_separators_hold(g, chosen):
+    """Every set of one or two vertices whose deletion disconnects the
+    connected graph g holds a vertex of index in `chosen`, found by brute
+    force."""
+    names = {g.vertices[i] for i in chosen}
     everyone = set(g.vertices)
-    for pair in combinations(g.vertices, 2):
-        if not _connected_on(g, everyone - set(pair)):
-            assert hub_names & set(pair), (g, pair)
+    for size in (1, 2):
+        for cut in combinations(g.vertices, size):
+            if not _connected_on(g, everyone - set(cut)):
+                assert names & set(cut), (g, cut)
+
+
+def first_scan_hubs(g):
+    """The hubs of the guard's first scan, a breadth-first one."""
+    return connectivity._breadth_first_hubs(g._adjacency, [0] * g.vertex_count())
 
 
 def test_separating_pairs_hold_a_hub():
@@ -204,12 +217,20 @@ def test_separating_pairs_hold_a_hub():
     # disconnected and skipped.
     for g in three_connected_instances():
         if brute_is_k_connected(g, 1):
-            assert_separating_pairs_hold_a_hub(g)
+            assert_separators_hold(g, first_scan_hubs(g))
+
+
+def test_separating_pairs_hold_a_candidate():
+    # A separator holds a hub of every scan, so over an odd number t of
+    # scans one of its vertices is a hub of more than t/2 of them.
+    for g in three_connected_instances():
+        if brute_is_k_connected(g, 1):
+            assert_separators_hold(g, connectivity._hub_candidates(g._adjacency))
 
 
 def test_glued_blocks_start_the_scan_inside_and_outside_the_shared_pair():
     # Among the blocks glued at {g0, g1} in three_connected_instances, which
-    # the test above checks, the scan's start (a vertex of greatest degree)
+    # the tests above check, the scan's start (a vertex of greatest degree)
     # lies inside the glued pair on some seeds and outside it on others.
     starts = set()
     for seed in range(12):
@@ -225,31 +246,77 @@ def test_glued_blocks_start_the_scan_inside_and_outside_the_shared_pair():
 @given(graphs(max_vertices=7, max_edges=21))
 def test_separating_pairs_hold_a_hub_on_small_graphs(g):
     if g.vertex_count() >= 3 and brute_is_k_connected(g, 1):
-        assert_separating_pairs_hold_a_hub(g)
+        assert_separators_hold(g, first_scan_hubs(g))
 
 
-def test_three_connectivity_searches_only_from_hubs(monkeypatch):
-    forest = connectivity._rooted_forest
-    calls = []
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=7, max_edges=21))
+def test_separating_pairs_hold_a_candidate_on_small_graphs(g):
+    if g.vertex_count() >= 3 and brute_is_k_connected(g, 1):
+        assert_separators_hold(g, connectivity._hub_candidates(g._adjacency))
 
-    def counted(*args):
-        calls.append(args)
-        return forest(*args)
 
-    def searches(g):
+@pytest.fixture
+def guard_work(monkeypatch):
+    """is_k_connected(g, 3) as (verdict, scans, lowpoint searches)."""
+    calls = Counter()
+    for name in ("_breadth_first_hubs", "_rooted_forest"):
+        def counted(*args, name=name, real=getattr(connectivity, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(connectivity, name, counted)
+
+    def run(g):
         calls.clear()
-        is_k_connected(g, 3)
-        return len(calls)
+        verdict = is_k_connected(g, 3)
+        return verdict, calls["_breadth_first_hubs"], calls["_rooted_forest"]
+    return run
 
-    monkeypatch.setattr(connectivity, "_rooted_forest", counted)
-    # The root of K5 and of W7 claims every other vertex.
-    assert searches(named_graph("K5")) == searches(named_graph("W7")) == 1
+
+def test_three_connectivity_searches_only_candidates(guard_work):
+    # One search of G itself, then the first scan of K5 and of W7 has one
+    # hub, the start, which claims every other vertex: one candidate.
+    assert guard_work(named_graph("K5")) == guard_work(named_graph("W7")) == (True, 1, 2)
     two_k4 = build_graph([f"{t}{i}" for t in "ab" for i in range(4)],
                          [(f"{t}{i}", f"{t}{j}") for t in "ab"
                           for i, j in combinations(range(4), 2)])
-    # theta3 fails the least-degree exit, two K4s the scan.
-    assert searches(named_graph("theta3")) == searches(two_k4) == 0
-    assert searches(random_three_connected(120, 1)) <= 60
+    # theta3 fails the least-degree exit, two K4s the search of G.
+    assert guard_work(named_graph("theta3")) == (False, 0, 0)
+    assert guard_work(two_k4) == (False, 0, 1)
+    # 26 searches here where one breadth-first tree's hubs gave 41-45.
+    verdict, scans, searches = guard_work(random_three_connected(120, 1))
+    assert verdict and scans <= 7 and searches <= 30
+    verdict, scans, searches = guard_work(random_three_connected(1000, 7))
+    assert verdict and scans + searches <= 8
+
+
+def block_chain(seed, shared):
+    """Random 3-connected blocks of 5-12 vertices in a row, each sharing
+    `shared` of its vertices with the next, to at least 1,000 vertices; the
+    shared vertices separate the chain."""
+    rng = XorShift64Star(seed)
+    edges, glue, size = {}, [], 0
+    while size < 1000:
+        block = random_three_connected(5 + rng.randrange(8), rng.randrange(1000))
+        name = {v: f"c{size}_{v}" for v in block.vertices}
+        name.update(zip(block.vertices, glue))
+        for u, v in block.edges:
+            edges.setdefault(frozenset((name[u], name[v])), (name[u], name[v]))
+        size += block.vertex_count() - len(glue)
+        glue = [name[v] for v in block.vertices[-shared:]]
+    return build_graph(sorted({v for e in edges.values() for v in e}),
+                       list(edges.values()))
+
+
+def test_chains_of_blocks_fail_within_few_searches(guard_work):
+    # A cutpoint fails the search of G itself, before any scan. A pair of
+    # shared vertices holds a candidate; heaviest first, one comes early.
+    for seed in range(1, 4):
+        one, two = block_chain(seed, 1), block_chain(seed, 2)
+        assert 1000 <= min(one.vertex_count(), two.vertex_count())
+        assert guard_work(one) == (False, 0, 1)
+        verdict, scans, searches = guard_work(two)
+        assert not verdict and scans + searches <= 8, (seed, scans, searches)
 
 
 def test_three_connectivity_runs_no_flow(monkeypatch):
