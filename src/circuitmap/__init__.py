@@ -26,16 +26,16 @@ _HOME = {name: module for module, names in (
     ("edge_maps", "EdgeMap IndependentEdges MapWitness StarAt StarImageClass"
                   " StarViolation Verdict VertexIso check_circuit_injection"
                   " check_circuit_isomorphism classify_star_image classify_star_preimage"
-                  " decompose_by_star_preimage edge_map_from_json edge_map_to_json"
-                  " is_induced_by reconstruct_vertex_isomorphism"),
+                  " edge_map_from_json edge_map_to_json is_induced_by"
+                  " reconstruct_vertex_isomorphism"),
     ("errors", "CircuitMapError DecompositionViolationError InputError InternalError"
                " NotInducedError PreconditionError"),
     ("generators", "build_counterexample complete_bipartite named_graph permuted_edge_map"
                    " random_three_connected random_two_connected theta_graph"),
     ("graph", "Circuit EdgeSet Graph Path build_graph components delete_edges"
               " edge_set_from_pairs graph_from_json graph_to_json induced_subgraph star"),
-    ("structure", "LinkedCircuitPair connector_images_nonadjacent find_crossing_structure"
-                  " validate_linked_pair"),
+    ("structure", "LinkedCircuitPair connector_images_nonadjacent decompose_by_star_preimage"
+                  " find_crossing_structure validate_linked_pair"),
 ) for name in names.split()}
 _SUBMODULES = frozenset(_HOME.values()) | {"cli", "rng"}
 __all__ = ["__version__", *_HOME]

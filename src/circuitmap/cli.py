@@ -34,7 +34,6 @@ from .edge_maps import (
     check_circuit_injection,
     classify_star_image,
     classify_star_preimage,
-    decompose_by_star_preimage,
     edge_map_from_json,
     edge_map_to_json,
     reconstruct_vertex_isomorphism,
@@ -53,7 +52,7 @@ from .graph import (
     graph_from_json,
     graph_to_json,
 )
-from .structure import LinkedCircuitPair, find_crossing_structure
+from .structure import LinkedCircuitPair, decompose_by_star_preimage, find_crossing_structure
 
 EXIT_PASS = 0
 EXIT_INPUT = 1

@@ -1,5 +1,5 @@
-"""One-to-one edge maps between graphs: verification, star classification,
-decomposition, and reconstruction of the inducing vertex isomorphism.
+"""One-to-one edge maps between graphs: verification, star classification
+and reconstruction of the inducing vertex isomorphism.
 
 The central objects are EdgeMap (a bijection between the edge sets of two
 graphs, by id) and the checks built on it:
@@ -9,8 +9,6 @@ graphs, by id) and the checks built on it:
   from one spanning forest of the source);
 * classify_star_image / classify_star_preimage sort the mapped star of a
   vertex into exactly-a-star, independent set, or a violation witness;
-* decompose_by_star_preimage splits the source along an independent star
-  preimage into the two sides every preimage edge must cross;
 * reconstruct_vertex_isomorphism recovers, for a 3-connected source, the
   unique vertex isomorphism inducing a verified circuit injection.
 """
@@ -21,13 +19,7 @@ from types import MappingProxyType
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
 from .connectivity import is_k_connected
-from .errors import (
-    DecompositionViolationError,
-    InputError,
-    InternalError,
-    NotInducedError,
-    PreconditionError,
-)
+from .errors import InputError, InternalError, NotInducedError, PreconditionError
 from .graph import (
     Circuit,
     EdgeSet,
@@ -36,7 +28,6 @@ from .graph import (
     _edge_ids_form_circuit,
     _fundamental_circuits,
     _is_string_pair,
-    _two_sides,
     star,
 )
 from .rng import XorShift64Star
@@ -423,34 +414,6 @@ def classify_star_preimage(edge_map: EdgeMap, w: str) -> StarImageClass:
     return _classify_edge_ids(edge_map.source, edge_map.preimage(ids))
 
 
-# -- decomposition ------------------------------------------------------------
-
-
-def decompose_by_star_preimage(edge_map: EdgeMap, w: str
-                               ) -> tuple[tuple[str, ...], tuple[str, ...], EdgeSet]:
-    """Split the source along the preimage of w's star.
-
-    For a verified circuit injection from a 2-connected source whose star
-    preimage at w is an independent set, deleting that preimage leaves
-    exactly two components, with every preimage edge crossing between
-    them. Returns (side containing the least label, other side, crossing
-    edges). Guard failures raise PreconditionError; a wrong
-    component structure raises DecompositionViolationError and means the
-    map was not actually a circuit injection.
-    """
-    if not is_k_connected(edge_map.source, 2):
-        raise PreconditionError("decomposition needs a 2-connected source")
-    kind = classify_star_preimage(edge_map, w)
-    if not isinstance(kind, IndependentEdges):
-        raise PreconditionError(
-            f"star preimage of {w!r} is {type(kind).__name__}, not independent")
-    crossing = EdgeSet(edge_map.source,
-                       edge_map.preimage(star(edge_map.target, w).members))
-    side_a, side_b = _two_sides(edge_map.source, crossing,
-                                DecompositionViolationError, "preimage")
-    return side_a, side_b, crossing
-
-
 # -- reconstruction -----------------------------------------------------------
 
 
@@ -538,14 +501,13 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
         if not ends:
             raise NotInducedError(
                 f"source vertex {v!r} is isolated", vertex=v)
-        # c is on all d images iff it occurs d times; a comprehension is 2x slower.
+        # An end c of the first image is on all d images iff ends holds it d
+        # times; ends.count is 2x faster than testing each image.
         d = len(ends) // 2
-        x, y = ends[0], ends[1]
         found = []
-        if degree[x] == d == ends.count(x):
-            found.append(names[x])
-        if degree[y] == d == ends.count(y):
-            found.append(names[y])
+        for c in ends[0], ends[1]:
+            if degree[c] == d == ends.count(c):
+                found.append(names[c])
         if not found:
             kind = classify_star_image(edge_map, v)
             raise NotInducedError(

@@ -255,7 +255,7 @@ class Path(Frozen):
     def __init__(self, host: Graph, vertices: tuple[str, ...], edges: tuple[int, ...]):
         _require_edge_ids(host, edges)
         self.__dict__.update(host=host, vertices=vertices, edges=edges)
-        if len(self.vertices) != len(self.edges) + 1 or not self.vertices:
+        if len(self.vertices) != len(self.edges) + 1:
             raise InputError("path needs exactly one more vertex than edges")
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("path repeats a vertex")
@@ -485,22 +485,6 @@ def delete_edges(graph: Graph, removed: EdgeSet) -> tuple[Graph, tuple[int, ...]
     keep = [i for i in range(graph.edge_count()) if i not in removed.members]
     reduced = Graph(graph.vertices, tuple(graph.edges[i] for i in keep))
     return reduced, tuple(keep)
-
-
-def _two_sides(graph: Graph, cut: EdgeSet, error: type[Exception], what: str
-               ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The two components left by deleting `cut`, every cut edge joining
-    them; otherwise raise `error`, naming the cut as `what`."""
-    reduced, _ = delete_edges(graph, cut)
-    blocks = components(reduced)
-    if len(blocks) != 2:
-        raise error(f"deleting the {what} left {len(blocks)} components, not 2")
-    side_a = set(blocks[0])
-    for eid in cut:
-        u, v = graph.endpoints(eid)
-        if (u in side_a) == (v in side_a):
-            raise error(f"{what} edge ({u!r}, {v!r}) does not cross the split")
-    return blocks
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[str]) -> tuple[Graph, tuple[int, ...]]:

@@ -1,4 +1,10 @@
-"""Structural certificates for independent crossing edge families.
+"""The proof's two splits: a source cut along an independent star
+preimage, and the certificates for such crossing edge families.
+
+decompose_by_star_preimage deletes the preimage of a target vertex's star
+when it is an independent set; on a 2-connected source of a circuit
+injection that leaves exactly two sides, every preimage edge crossing
+between them (_two_sides checks both splits for this shape).
 
 Given a 3-connected graph and an independent edge set A whose deletion
 leaves exactly two components (every A edge crossing between them), one of
@@ -19,10 +25,51 @@ from __future__ import annotations
 
 from .circuits import circuit_and_attached_path
 from .connectivity import cutpoints, is_k_connected, two_disjoint_paths
-from .edge_maps import EdgeMap
-from .errors import InputError, InternalError, PreconditionError
-from .graph import (
-    Circuit, EdgeSet, Frozen, Graph, Path, _two_sides, components, induced_subgraph)
+from .edge_maps import EdgeMap, IndependentEdges, classify_star_preimage
+from .errors import DecompositionViolationError, InputError, InternalError, PreconditionError
+from .graph import (Circuit, EdgeSet, Frozen, Graph, Path, _rooted_forest, components,
+                    delete_edges, induced_subgraph, star)
+
+
+def decompose_by_star_preimage(edge_map: EdgeMap, w: str
+                               ) -> tuple[tuple[str, ...], tuple[str, ...], EdgeSet]:
+    """Split the source along the preimage of w's star.
+
+    For a verified circuit injection from a 2-connected source whose star
+    preimage at w is an independent set, deleting that preimage leaves
+    exactly two components, with every preimage edge crossing between
+    them. Returns (side containing the least label, other side, crossing
+    edges). Guard failures raise PreconditionError; a wrong
+    component structure raises DecompositionViolationError and means the
+    map was not actually a circuit injection.
+    """
+    if not is_k_connected(edge_map.source, 2):
+        raise PreconditionError("decomposition needs a 2-connected source")
+    kind = classify_star_preimage(edge_map, w)
+    if not isinstance(kind, IndependentEdges):
+        raise PreconditionError(
+            f"star preimage of {w!r} is {type(kind).__name__}, not independent")
+    crossing = EdgeSet(edge_map.source,
+                       edge_map.preimage(star(edge_map.target, w).members))
+    side_a, side_b = _two_sides(edge_map.source, crossing,
+                                DecompositionViolationError, "preimage")
+    return side_a, side_b, crossing
+
+
+def _two_sides(graph: Graph, cut: EdgeSet, error: type[Exception], what: str
+               ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The two components left by deleting `cut`, every cut edge joining
+    them; otherwise raise `error`, naming the cut as `what`."""
+    reduced, _ = delete_edges(graph, cut)
+    blocks = components(reduced)
+    if len(blocks) != 2:
+        raise error(f"deleting the {what} left {len(blocks)} components, not 2")
+    side_a = set(blocks[0])
+    for eid in cut:
+        u, v = graph.endpoints(eid)
+        if (u in side_a) == (v in side_a):
+            raise error(f"{what} edge ({u!r}, {v!r}) does not cross the split")
+    return blocks
 
 
 class LinkedCircuitPair(Frozen):
@@ -184,10 +231,12 @@ def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
     """Side `weak` has cutpoint v: join two of its split components by two
     disjoint paths through the whole graph avoiding v, and return the
     resulting circuit, which must use four crossing edges."""
-    remainder, _ = induced_subgraph(weak, [x for x in weak.vertices if x != v])
-    blocks = components(remainder)
-    a = blocks[0][0]
-    b = blocks[1][0]
+    # The roots of weak's forest with v deleted name the split components:
+    # a is the least label left, b the least label outside a's component.
+    root = _rooted_forest(weak._adjacency, weak._index[v])[3]
+    a = min(x for x, r in zip(weak.vertices, root) if r >= 0)
+    split = root[weak._index[a]]
+    b = min(x for x, r in zip(weak.vertices, root) if r not in (-1, split))
     first, second = two_disjoint_paths(graph, a, b, forbidden=(v,))
     circuit = Circuit(graph, frozenset(first.edges) | frozenset(second.edges))
     used = len(set(circuit.edges) & crossing.members)

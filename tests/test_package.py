@@ -30,9 +30,8 @@ PUBLIC = {
     "edge_maps": ["EdgeMap", "IndependentEdges", "MapWitness", "StarAt", "StarImageClass",
                   "StarViolation", "Verdict", "VertexIso", "check_circuit_injection",
                   "check_circuit_isomorphism", "classify_star_image",
-                  "classify_star_preimage", "decompose_by_star_preimage",
-                  "edge_map_from_json", "edge_map_to_json", "is_induced_by",
-                  "reconstruct_vertex_isomorphism"],
+                  "classify_star_preimage", "edge_map_from_json", "edge_map_to_json",
+                  "is_induced_by", "reconstruct_vertex_isomorphism"],
     "errors": ["CircuitMapError", "DecompositionViolationError", "InputError",
                "InternalError", "NotInducedError", "PreconditionError"],
     "generators": ["build_counterexample", "complete_bipartite", "named_graph",
@@ -42,7 +41,8 @@ PUBLIC = {
               "delete_edges", "edge_set_from_pairs", "graph_from_json", "graph_to_json",
               "induced_subgraph", "star"],
     "structure": ["LinkedCircuitPair", "connector_images_nonadjacent",
-                  "find_crossing_structure", "validate_linked_pair"],
+                  "decompose_by_star_preimage", "find_crossing_structure",
+                  "validate_linked_pair"],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 SUBMODULES = ["circuits", "cli", "connectivity", "edge_maps", "errors", "generators",

@@ -24,8 +24,9 @@ from circuitmap import (
     validate_attached_path,
     validate_linked_pair,
 )
-from circuitmap.graph import _two_sides
+from circuitmap import structure
 from circuitmap.rng import XorShift64Star
+from circuitmap.structure import _two_sides
 from oracle import brute_is_k_connected
 
 # One record per case of crossing_cases(): the witness's kind, circuits,
@@ -167,6 +168,40 @@ def test_crossing_witnesses_reproduce_recorded_output():
         record = witness_record(find_crossing_structure(graph, cut))
         assert record["kind"] == kind, name
         assert record == golden[name], name
+
+
+def test_two_sides_checks_count_and_crossing():
+    # A triangle 0-1-2 with a pendant edge 2-3.
+    g = build_graph("0123", [("0", "1"), ("1", "2"), ("2", "0"), ("2", "3")])
+    assert _two_sides(g, edge_set_from_pairs(g, [("2", "3")]), ValueError,
+                      "cut") == (("0", "1", "2"), ("3",))
+    with pytest.raises(ValueError, match="left 1 components, not 2"):
+        _two_sides(g, edge_set_from_pairs(g, [("0", "1")]), ValueError, "cut")
+    with pytest.raises(ValueError, match="left 3 components, not 2"):
+        _two_sides(g, edge_set_from_pairs(g, [("0", "1"), ("1", "2"), ("2", "3")]),
+                   ValueError, "cut")
+    # Two sides remain, but the cut edge 0-1 lies inside one of them.
+    with pytest.raises(ValueError, match=r"cut edge \('0', '1'\) does not cross"):
+        _two_sides(g, edge_set_from_pairs(g, [("0", "1"), ("2", "3")]),
+                   ValueError, "cut")
+
+
+def test_cutpoint_split_builds_only_the_two_sides(monkeypatch):
+    # The weak side's components without its cutpoint come from its own
+    # forest, so the double bowtie builds its two sides and no third graph.
+    calls = []
+
+    def counted(graph, vertices):
+        calls.append(graph)
+        return induced_subgraph(graph, vertices)
+
+    monkeypatch.setattr(structure, "induced_subgraph", counted)
+    g = named_graph("double_bowtie")
+    cut = edge_set_from_pairs(
+        g, [("p1", "q1"), ("p2", "q3"), ("p3", "q2"), ("p4", "q4")])
+    record = witness_record(find_crossing_structure(g, cut))
+    assert len(calls) == 2
+    assert record == json.loads(GOLDEN_WITNESSES.read_text())["double_bowtie"]
 
 
 def test_glued_cases_put_the_cutpoint_on_the_named_side():

@@ -177,6 +177,8 @@ def test_cached_lookups_on_frozen_instances():
      r"^invalid edge id 3 for host with 3 edges$"),
     (lambda: Path(triangle(), ("a", "b"), ()),
      r"^path needs exactly one more vertex than edges$"),
+    (lambda: Path(triangle(), (), ()),
+     r"^path needs exactly one more vertex than edges$"),
     (lambda: Path(triangle(), ("a", "b"), (1,)), r"^edge 1 does not join step 0 of the path$"),
     (lambda: Circuit(triangle(), frozenset({0, 1})), r"^edge set is not a circuit$"),
     (lambda: EdgeMap(triangle(), triangle(), (0, 0, 1)), r"^target edge 0 has two preimages$"),
@@ -196,7 +198,8 @@ def test_cached_lookups_on_frozen_instances():
      r"^invalid edge id '0' for host with 3 edges$"),
     (lambda: Path(triangle(), ("c", "a"), (-1,)),
      r"^invalid edge id -1 for host with 3 edges$"),
-], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-step",
+], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-empty",
+        "path-step",
         "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
         "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first",
         "circuit-negative-id", "circuit-id-past-end", "circuit-string-id",
