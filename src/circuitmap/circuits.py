@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from .connectivity import is_k_connected, two_disjoint_paths
-from .errors import InputError, InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError, _require_int
 from .graph import (
     Circuit,
     EdgeSet,
@@ -89,8 +89,7 @@ def enumerate_circuits(graph: Graph, max_count: int = DEFAULT_MAX_CIRCUITS) -> _
     PreconditionError fires as soon as the count would exceed max_count,
     during the search, when no mask has been expanded and no Circuit built.
     """
-    if max_count < 1:
-        raise InputError("max_count must be positive")
+    _require_int(max_count, 1, "max_count must be positive", "max_count")
     n = len(graph._adjacency)
     adjacency = [list(nbrs) for nbrs in graph._adjacency]
     _peel(adjacency, range(n))

@@ -47,7 +47,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    _is_string_pair,
     edge_set_from_pairs,
     graph_from_json,
     graph_to_json,
@@ -243,7 +242,7 @@ def _cmd_crossing(args) -> tuple[dict, int]:
     graph = _load(args.graph, graph_from_json)
 
     def cut_of(pairs):
-        if not isinstance(pairs, list) or not all(map(_is_string_pair, pairs)):
+        if not isinstance(pairs, list):
             raise InputError("cut file must hold a JSON list of endpoint pairs")
         return edge_set_from_pairs(graph, pairs)
 

@@ -22,7 +22,7 @@ from collections import deque
 from collections.abc import Collection
 from itertools import combinations
 
-from .errors import InputError, InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError, _require_int
 from .graph import Graph, Path, _rooted_forest
 
 
@@ -106,8 +106,7 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     is in S, minimality gives v neighbours x and y in two components of
     G - S, which are not adjacent. S separates either pair.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InputError("k must be a positive integer")
+    _require_int(k, 1, "k must be a positive integer")
     n = graph.vertex_count()
     if n <= k:
         return False

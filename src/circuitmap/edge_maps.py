@@ -19,7 +19,13 @@ from types import MappingProxyType
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
 from .connectivity import is_k_connected
-from .errors import InputError, InternalError, NotInducedError, PreconditionError
+from .errors import (
+    InputError,
+    InternalError,
+    NotInducedError,
+    PreconditionError,
+    _require_int,
+)
 from .graph import (
     Circuit,
     EdgeSet,
@@ -103,7 +109,7 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
     if not isinstance(entries, list):
         raise InputError("'map' must be a list of pair-of-pairs entries")
     _require_covered_target(target)
-    assignment: dict[int, int] = {}
+    assignment: list[int | None] = [None] * source.edge_count()
     for k, entry in enumerate(entries):
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(map(_is_string_pair, entry))):
@@ -111,15 +117,13 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
         (u, v), (x, y) = entry
         i = source.edge_id(u, v)
         j = target.edge_id(x, y)
-        if i in assignment:
+        if assignment[i] is not None:
             raise InputError(
                 f"source edge ({u!r}, {v!r}) appears twice in the map")
         assignment[i] = j
-    if len(assignment) != source.edge_count():
-        raise InputError(
-            f"map covers {len(assignment)} of {source.edge_count()} source edges")
-    return EdgeMap(source, target,
-                   tuple(assignment[i] for i in range(source.edge_count())))
+    if len(entries) != len(assignment):  # each entry filled a slot of its own
+        raise InputError(f"map covers {len(entries)} of {len(assignment)} source edges")
+    return EdgeMap(source, target, tuple(assignment))
 
 
 def _require_covered_target(target: Graph) -> Graph:
@@ -168,15 +172,16 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
                             max_count: int = DEFAULT_MAX_CIRCUITS) -> Verdict:
     """Does the map send every circuit of the source to a circuit of the target?
 
-    Both budgets, `samples` and `max_count`, raise InputError unless
-    positive, in either mode. mode "exhaustive" enumerates every circuit
-    under the max_count budget. With more circuits than edges, it first runs
-    check_circuit_isomorphism's basis test (a step per edge against at
-    least one per circuit): a map that passes is a circuit isomorphism, so
-    it passes with circuits_checked counting the enumerated circuits, each
+    In either mode, InputError refuses budgets `samples` and `max_count`
+    that are not positive ints, and a `seed` that is not an int (a bool is
+    neither). mode "exhaustive" enumerates every circuit under the
+    max_count budget. With more circuits than edges, it first runs
+    check_circuit_isomorphism's basis test (a step per edge against at least
+    one per circuit): a map that passes is a circuit isomorphism, so it
+    passes with circuits_checked counting the enumerated circuits, each
     proven through the basis, none expanded or tested. Otherwise every
-    circuit is tested in canonical order, so the witness of a failing map
-    is the canonically first counterexample.
+    circuit is tested in canonical order, so the witness of a failing map is
+    the canonically first counterexample.
 
     mode "sampled" checks up to `samples` circuits drawn from a seeded
     generator: fundamental circuits of a random spanning tree, then random
@@ -197,10 +202,9 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     samples_requested, attempts (mixes tried) and stop_reason, decided
     here: "witness", "samples", "attempt_limit" or "too_few_circuits".
     """
-    if samples < 1:
-        raise InputError("samples must be positive")
-    if max_count < 1:
-        raise InputError("max_count must be positive")
+    _require_int(samples, 1, "samples must be positive", "samples")
+    _require_int(max_count, 1, "max_count must be positive", "max_count")
+    _require_int(seed, name="seed")
     if mode == "exhaustive":
         circuits = enumerate_circuits(edge_map.source, max_count)
         if len(circuits) > edge_map.source.edge_count() and _basis_test(edge_map)[1] is None:

@@ -4,7 +4,7 @@ Six classes, named by who is at fault. The CLI maps each one to an exit
 code, so callers match on the class, never on message text:
 
 * InputError (exit 1): a file, argument or object the caller supplied is
-  malformed or inconsistent.
+  malformed or inconsistent; every count, size and seed passes _require_int.
 * PreconditionError (exit 4): well-formed input outside an operation's
   hypotheses, such as a connectivity guard or the circuit budget.
 * NotInducedError (exit 3, reconstruct) and DecompositionViolationError
@@ -52,3 +52,12 @@ class DecompositionViolationError(CircuitMapError):
 
 class InternalError(CircuitMapError):
     """A result the library built failed its own validity check."""
+
+
+def _require_int(value, least=None, message=None, name=None) -> None:
+    """InputError(message) for a bool, another non-int or an int below least;
+    given name, a wrong type reads "<name> must be an integer, got <value!r>"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}" if name else message)
+    if least is not None and value < least:
+        raise InputError(message)

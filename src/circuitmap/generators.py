@@ -14,7 +14,7 @@ from math import isqrt
 
 from .connectivity import is_k_connected
 from .edge_maps import EdgeMap
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, _require_int
 from .graph import Graph, build_graph
 from .rng import XorShift64Star
 
@@ -29,8 +29,7 @@ def theta_graph(p: int) -> Graph:
     (1 <= k <= p-1). Edge ids run path-major: edge (i, j) is i*p + j, with
     j = 0 incident to hub u and j = p-1 incident to hub w.
     """
-    if p < 2:
-        raise InputError("theta graph needs at least 2 edges per path")
+    _require_int(p, 2, "theta graph needs at least 2 edges per path", "p")
     vertices = ["u", "w"]
     for i in range(p):
         for k in range(1, p):
@@ -46,8 +45,7 @@ def theta_graph(p: int) -> Graph:
 
 def complete_bipartite(p: int) -> Graph:
     """K_{p,p} on sides b0..b{p-1} and c0..c{p-1}; edge (j, t) has id j*p + t."""
-    if p < 1:
-        raise InputError("complete bipartite part size must be positive")
+    _require_int(p, 1, "complete bipartite part size must be positive", "p")
     vertices = [f"b{j}" for j in range(p)] + [f"c{t}" for t in range(p)]
     edges = [(f"b{j}", f"c{t}") for j in range(p) for t in range(p)]
     return build_graph(vertices, edges)
@@ -119,8 +117,7 @@ def _complete(n: int) -> Graph:
 
 
 def _wheel(n: int) -> Graph:
-    if n < 3:
-        raise InputError("wheel rim needs at least 3 vertices")
+    _require_int(n, 3, "wheel rim needs at least 3 vertices", "n")
     rim = [f"r{i}" for i in range(n)]
     edges = [(rim[i], rim[(i + 1) % n]) for i in range(n)]
     edges += [("hub", r) for r in rim]
@@ -265,8 +262,7 @@ def random_two_connected(n: int, seed: int) -> Graph:
     one binary search per chord, plus the shifts of one sorted list of at
     most 2n integers; no structure of size Theta(n^2) is built.
     """
-    if n < 3:
-        raise InputError("2-connected graphs need at least 3 vertices")
+    _require_int(n, 3, "2-connected graphs need at least 3 vertices", "n")
     rng = XorShift64Star(seed)
     labels, edges, _ = _random_cycle_with_chords(n, rng, rng.randrange(n + 1))
     return build_graph(labels, edges)
@@ -286,9 +282,7 @@ def random_three_connected(n: int, seed: int) -> Graph:
     connectivity.is_k_connected): 1-4 ms at n = 120 and 5-8 ms at
     n = 1000 on a 2-vCPU VM.
     """
-    if n < 4:
-        raise InputError(
-            "3-connected graphs need at least 4 vertices")
+    _require_int(n, 4, "3-connected graphs need at least 4 vertices", "n")
     rng = XorShift64Star(seed)
     labels, edges, absent = _random_cycle_with_chords(n, rng, 0)
 

@@ -79,11 +79,19 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _is_string_pair(value) -> bool:
+    """Is value an endpoint pair: a list or a tuple of two strings?"""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and isinstance(value[0], str) and isinstance(value[1], str))
+
+
 class Graph(Frozen):
     """Immutable simple graph.
 
     vertices: ordered tuple of distinct string labels.
-    edges: tuple of endpoint pairs; the position of a pair is its edge id.
+    edges: endpoint pairs, lists or tuples of two labels, kept as a tuple of
+    tuples; a pair's position is its edge id. The first faulty pair in order
+    raises InputError.
     """
 
     vertices: tuple[str, ...]
@@ -100,19 +108,24 @@ class Graph(Frozen):
                 raise InputError(f"duplicate vertex label {v!r}")
             index[v] = i
         pair_ids: dict[tuple[str, str], int] = {}
+        pairs = []
         ends = []
-        for i, (u, v) in enumerate(edges):
+        for i, e in enumerate(edges):
+            if not _is_string_pair(e):
+                raise InputError(f"edge entry {i} must be a pair of strings")
+            u, v = pair = tuple(e)
             if u == v:
                 raise InputError(f"edge {i} is a loop at {u!r}")
-            for x in (u, v):
-                if x not in index:
-                    raise InputError(f"edge {i} uses unknown vertex {x!r}")
-            key = (u, v) if u < v else (v, u)
+            ui, vi = index.get(u), index.get(v)
+            if ui is None or vi is None:
+                raise InputError(f"edge {i} uses unknown vertex {u if ui is None else v!r}")
+            key = pair if u < v else (v, u)
             if key in pair_ids:
                 raise InputError(f"edge {i} repeats pair {key!r}")
             pair_ids[key] = i
-            ends.append((index[u], index[v]))
-        self.__dict__.update(vertices=vertices, edges=edges, _index=index,
+            pairs.append(pair)
+            ends.append((ui, vi))
+        self.__dict__.update(vertices=vertices, edges=tuple(pairs), _index=index,
                              _pair_ids=pair_ids, _ends=tuple(ends))
 
     @cached_property
@@ -173,19 +186,10 @@ def build_graph(vertices: Iterable, edges: Iterable[Sequence]) -> Graph:
     the input, duplicates are dropped, and edge ids follow input order, so
     the result is deterministic for any ordered input.
     """
-    labels: list[str] = []
-    seen = set()
-    for v in vertices:
-        s = v if isinstance(v, str) else str(v)
-        if s not in seen:
-            seen.add(s)
-            labels.append(s)
-    pairs = []
-    for e in edges:
-        u, v = e
-        pairs.append((u if isinstance(u, str) else str(u),
-                      v if isinstance(v, str) else str(v)))
-    return Graph(tuple(labels), tuple(pairs))
+    labels = dict.fromkeys(v if isinstance(v, str) else str(v) for v in vertices)
+    pairs = [(u if isinstance(u, str) else str(u), v if isinstance(v, str) else str(v))
+             for u, v in edges]
+    return Graph(tuple(labels), pairs)
 
 
 class EdgeSet(Frozen):
@@ -229,11 +233,13 @@ def _touched(graph: Graph, ids: Iterable[int]) -> frozenset[str]:
 
 
 def edge_set_from_pairs(graph: Graph, pairs: Iterable[Sequence[str]]) -> EdgeSet:
-    """Resolve endpoint pairs (order inside a pair does not matter) to an EdgeSet."""
+    """Resolve endpoint pairs (order inside a pair does not matter) to an
+    EdgeSet; the first entry that is not a pair of strings raises InputError."""
     ids = set()
-    for pair in pairs:
-        u, v = pair
-        ids.add(graph.edge_id(u, v))
+    for k, pair in enumerate(pairs):
+        if not _is_string_pair(pair):
+            raise InputError(f"edge set entry {k} must be a pair of strings")
+        ids.add(graph.edge_id(*pair))
     return EdgeSet(graph, frozenset(ids))
 
 
@@ -506,12 +512,6 @@ def induced_subgraph(graph: Graph, vertices: Iterable[str]) -> tuple[Graph, tupl
 # -- JSON wire format --
 
 
-def _is_string_pair(value) -> bool:
-    """Is value a wire-format endpoint pair: a JSON list of two strings?"""
-    return (isinstance(value, list) and len(value) == 2
-            and isinstance(value[0], str) and isinstance(value[1], str))
-
-
 def graph_to_json(graph: Graph) -> dict:
     """Plain-dict form: vertices sorted, edges as endpoint pairs in id order."""
     return {
@@ -521,20 +521,15 @@ def graph_to_json(graph: Graph) -> dict:
 
 
 def graph_from_json(data) -> Graph:
-    """Parse the wire format, accepting vertices and edges in any order."""
+    """Parse the wire format, accepting vertices and edges in any order;
+    Graph checks the edge entries, so the first fault in order is reported."""
     if not isinstance(data, dict):
         raise InputError("graph document must be a JSON object")
     if "vertices" not in data or "edges" not in data:
         raise InputError("graph document needs 'vertices' and 'edges'")
-    vertices = data["vertices"]
-    edges = data["edges"]
+    vertices, edges = data["vertices"], data["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InputError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of endpoint pairs")
-    pairs = []
-    for k, e in enumerate(edges):
-        if not _is_string_pair(e):
-            raise InputError(f"edge entry {k} must be a pair of strings")
-        pairs.append((e[0], e[1]))
-    return Graph(tuple(vertices), tuple(pairs))
+    return Graph(tuple(vertices), edges)

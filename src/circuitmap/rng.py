@@ -13,7 +13,7 @@ Constants:
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, _require_int
 
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
@@ -24,6 +24,7 @@ class XorShift64Star:
     """Deterministic 64-bit generator; the full sequence is a function of the seed."""
 
     def __init__(self, seed: int):
+        _require_int(seed, name="seed")
         self._state = seed & _MASK64
         if self._state == 0:
             self._state = _ZERO_SEED_ESCAPE

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -235,6 +236,14 @@ def test_budget_boundary(bowtie):
 @pytest.mark.parametrize("max_count", [0, -1])
 def test_budget_must_be_positive(k4, max_count):
     with pytest.raises(InputError, match="^max_count must be positive$"):
+        enumerate_circuits(k4, max_count=max_count)
+
+
+@pytest.mark.parametrize("max_count", [True, 2.5, "5"])
+def test_budget_must_be_an_int(k4, max_count):
+    # A bool is an int to Python, so True would otherwise pass as a budget of 1.
+    message = f"^max_count must be an integer, got {re.escape(repr(max_count))}$"
+    with pytest.raises(InputError, match=message):
         enumerate_circuits(k4, max_count=max_count)
 
 

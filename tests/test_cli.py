@@ -492,17 +492,21 @@ class TestClassifyDecomposeCrossing:
         assert report["result"] == "decomposition_violation"
         assert report["detail"] == "deleting the preimage left 1 components, not 2"
 
-    def test_crossing_cut_must_be_list(self, in_tmp):
+    def test_crossing_cut_must_be_list(self, in_tmp, capsys):
         write_graph(in_tmp / "prism.json", "prism")
         (in_tmp / "cut.json").write_text("{}", encoding="utf-8")
         assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: cut.json: cut file must hold a JSON list of endpoint pairs\n"
 
     @pytest.mark.parametrize("cut", [[1, 2], [["0", 5]]])
     def test_malformed_cut_entry_is_input_error(self, in_tmp, capsys, cut):
         write_graph(in_tmp / "prism.json", "prism")
         (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
         assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: cut.json: cut file")
+        # The pair is refused where edge_set_from_pairs reads it, by position.
+        assert capsys.readouterr().err == \
+            "error: cut.json: edge set entry 0 must be a pair of strings\n"
 
     def test_cut_pair_naming_no_edge_names_the_cut(self, in_tmp, capsys):
         write_graph(in_tmp / "prism.json", "prism")

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -212,6 +213,25 @@ class TestRandomGraphs:
         with pytest.raises(InputError,
                            match="^2-connected graphs need at least 3 vertices$"):
             random_two_connected(n, seed=1)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "5"])
+@pytest.mark.parametrize("build, name", [
+    pytest.param(theta_graph, "p", id="theta_graph-p"),
+    pytest.param(complete_bipartite, "p", id="complete_bipartite-p"),
+    pytest.param(lambda n: named_graph("wheel", n), "n", id="wheel-n"),
+    pytest.param(lambda n: random_two_connected(n, 1), "n", id="random_two_connected-n"),
+    pytest.param(lambda seed: random_two_connected(8, seed), "seed",
+                 id="random_two_connected-seed"),
+    pytest.param(lambda n: random_three_connected(n, 1), "n", id="random_three_connected-n"),
+    pytest.param(lambda seed: random_three_connected(8, seed), "seed",
+                 id="random_three_connected-seed"),
+])
+def test_size_and_seed_must_be_ints(build, name, value):
+    # A bool is an int to Python: complete_bipartite(True) would build K_{1,1}.
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(InputError, match=message):
+        build(value)
 
 
 def fingerprint(graph):

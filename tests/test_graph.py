@@ -214,6 +214,13 @@ def test_json_loader_keeps_graph_validation():
         graph_from_json({"vertices": ["a"], "edges": [["a", "a"]]})
 
 
+def test_json_loader_reports_the_first_faulty_entry():
+    # Graph reads the entries in one loop: the loop at entry 0 is reported
+    # before the malformed entry 1.
+    with pytest.raises(InputError, match=r"^edge 0 is a loop at 'a'$"):
+        graph_from_json({"vertices": ["a", "b"], "edges": [["a", "a"], ["a", "b", "c"]]})
+
+
 def test_named_graph_equality_is_structural():
     assert named_graph("K4") == named_graph("k4")
 

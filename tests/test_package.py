@@ -2,8 +2,9 @@
 
 circuitmap loads its submodules on first use, and the CLI imports the
 generators only for `generate`. These tests pin the public names, check
-that every name the benchmark's tracer wraps is bound where it looks, and
-check in fresh interpreters which modules a CLI run loads.
+that every name the benchmark's tracer wraps is bound where it looks and
+that the package imports nothing outside the standard library, and check
+in fresh interpreters which modules a CLI run loads.
 """
 
 import ast
@@ -72,6 +73,17 @@ def test_version_is_a_plain_global():
     assert "__version__" in vars(circuitmap)
     assert circuitmap.__version__ == "0.1.0"
     assert "__version__" in dir(circuitmap)
+
+
+@pytest.mark.parametrize("path", sorted(Path(circuitmap.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert {name.partition(".")[0] for name in imported} <= sys.stdlib_module_names
 
 
 def test_unknown_name_is_an_attribute_error():

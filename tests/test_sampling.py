@@ -1,6 +1,7 @@
 """Sampled verification: the seeded circuit stream and why a run stops."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,19 @@ def test_non_positive_sample_counts_are_refused(samples):
 def test_each_budget_is_refused_in_the_mode_that_does_not_read_it(mode, budgets, message):
     with pytest.raises(InputError, match=f"^{message} must be positive$"):
         check_circuit_injection(identity(named_graph("prism")), mode=mode, **budgets)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "5"])
+@pytest.mark.parametrize("argument", ["samples", "max_count", "seed"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("source", ["K5", "p3"])
+def test_budgets_and_seed_must_be_ints(source, mode, argument, value):
+    # A bool is an int to Python, and a sampled run on the induced K5 map
+    # would report 2.5 circuits checked; all are refused before the mode.
+    edge_map = identity(named_graph("K5")) if source == "K5" else build_counterexample(3)[2]
+    message = f"^{argument} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(InputError, match=message):
+        check_circuit_injection(edge_map, mode=mode, **{argument: value})
 
 
 # -- induced maps: the shortcut that tests no drawn circuit --------------------

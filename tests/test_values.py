@@ -23,6 +23,8 @@ from circuitmap import (
     Verdict,
     VertexIso,
     build_graph,
+    edge_set_from_pairs,
+    named_graph,
 )
 
 G = "Graph(vertices=('a', 'b', 'c'), edges=(('a', 'b'), ('b', 'c'), ('c', 'a')))"
@@ -198,12 +200,26 @@ def test_cached_lookups_on_frozen_instances():
      r"^invalid edge id '0' for host with 3 edges$"),
     (lambda: Path(triangle(), ("c", "a"), (-1,)),
      r"^invalid edge id -1 for host with 3 edges$"),
+    (lambda: Graph(("a", "b"), ("ab",)), r"^edge entry 0 must be a pair of strings$"),
+    (lambda: Graph(("a", "b", "c"), (("a", "b"), ("a", "b", "c"))),
+     r"^edge entry 1 must be a pair of strings$"),
+    (lambda: edge_set_from_pairs(named_graph("K4"), [("0", "1", "2")]),
+     r"^edge set entry 0 must be a pair of strings$"),
+    (lambda: edge_set_from_pairs(named_graph("K4"), ["01"]),
+     r"^edge set entry 0 must be a pair of strings$"),
 ], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-empty",
         "path-step",
         "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
         "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first",
         "circuit-negative-id", "circuit-id-past-end", "circuit-string-id",
-        "path-negative-id"])
+        "path-negative-id", "graph-string-entry", "graph-three-labels",
+        "edge-set-three-labels", "edge-set-string-entry"])
 def test_constructor_validation(build, message):
     with pytest.raises(InputError, match=message):
         build()
+
+
+def test_list_and_tuple_pairs_build_the_same_graph():
+    from_lists = Graph(("a", "b", "c"), [["a", "b"], ["b", "c"], ["c", "a"]])
+    assert from_lists.edges == (("a", "b"), ("b", "c"), ("c", "a"))
+    assert from_lists == triangle() and hash(from_lists) == hash(triangle())
