@@ -1,5 +1,4 @@
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+if __name__ == "__main__":
+    run()

@@ -12,6 +12,11 @@ stable interface:
        3-connected, so by the paper's theorem the map breaks a circuit)
     4  precondition failed (connectivity guards, desk-scale bounds)
     5  internal error (a result failed the library's own check: a bug)
+
+main(argv) returns the exit code, for callers in process. run(), the
+entry point of `python -m circuitmap` and of the `circuitmap` script,
+flushes the output and leaves with os._exit, skipping the interpreter's
+teardown.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path as FilePath
 
 from . import __version__
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
@@ -188,11 +192,11 @@ def _cmd_generate(args) -> tuple[dict, int]:
         prefix = args.out or f"random3c_n{args.n}_s{args.seed}"
         files = {f"{prefix}.json": graph_to_json(graph)}
     for name, data in files.items():
-        path = FilePath(name)
         try:
-            path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(data, indent=2) + "\n")
         except OSError as err:
-            raise _file_error(path, err) from None
+            raise _file_error(name, err) from None
     return {"result": "ok", "files": sorted(files)}, EXIT_PASS
 
 
@@ -363,15 +367,42 @@ def main(argv=None) -> int:
         detail = err if isinstance(err, InternalError) else f"{type(err).__name__}: {err}"
         where = extract_tb(err.__traceback__)[-1]
         print(f"error: internal error: {detail} "
-              f"(raised at {FilePath(where.filename).name}:{where.lineno})",
+              f"(raised at {os.path.basename(where.filename)}:{where.lineno})",
               file=sys.stderr)
         return EXIT_INTERNAL
     report["elapsed_ms"] = int(round((time.perf_counter() - started) * 1000))
     if not args.quiet:
         try:
-            print(json.dumps(report, indent=2), flush=True)
+            print(json.dumps(report, indent=2))
         except BrokenPipeError:
-            # The reader left; the exit code stands. Stdout now points at
-            # devnull, so the interpreter's exit flush cannot fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            pass  # the reader left; the exit code stands
     return code
+
+
+def run():
+    """Entry point of `python -m circuitmap` and of the `circuitmap` script.
+
+    Runs main, or takes the status of argparse's SystemExit (--version,
+    --help, usage errors) under the interpreter's rule, flushes stdout and
+    stderr and leaves with os._exit, never returning: the interpreter's
+    teardown, which frees every object, costs a run about as much as the
+    library's own work. A reader that has closed stdout loses the rest of
+    the output, --version and --help included, but not the exit code, and
+    stderr stays empty.
+    """
+    try:
+        code = main()
+    except SystemExit as done:
+        code = done.code
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):  # the interpreter prints such a status, exits 1
+        print(code, file=sys.stderr)
+        code = 1
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None: the descriptor was closed at start-up
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                pass
+    os._exit(code)

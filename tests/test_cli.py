@@ -1,8 +1,9 @@
 """End-to-end coverage of the command line entry points.
 
 Everything drives circuitmap.cli.main directly, except the closed-pipe
-test, which needs a real pipe; one subprocess smoke test lives in the
-acceptance suite instead.
+tests, which need a real pipe, and the entry-point tests, which compare
+`python -m circuitmap` (cli.run) with cli.main; one more subprocess smoke
+test lives in the acceptance suite.
 """
 
 import json
@@ -56,6 +57,14 @@ def write_graph(path, name):
 
 def write_json(path, data):
     path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def spawn_module(argv, env=None, **popen):
+    """Start `python -m circuitmap *argv` on the circuitmap imported here."""
+    env = dict(os.environ if env is None else env)
+    package_root = str(Path(circuitmap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "circuitmap", *argv], env=env, **popen)
 
 
 class TestGenerate:
@@ -415,12 +424,8 @@ class TestEnumerate:
         # About 394 KB of report, far past a pipe buffer: the child is still
         # writing when the reader goes away.
         write_graph(in_tmp / "theta.json", "theta20")
-        package_root = str(Path(circuitmap.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        child = subprocess.Popen(
-            [sys.executable, "-m", "circuitmap", "enumerate", "theta.json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child = spawn_module(["enumerate", "theta.json"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert child.stdout.read(1) == b"{"
         child.stdout.close()
         err = child.stderr.read().decode()
@@ -644,3 +649,88 @@ class TestInternalFaults:
         assert out == ""
         assert re.fullmatch(r"error: internal error: KeyError: 'v9' "
                             r"\(raised at test_cli\.py:\d+\)\n", err)
+
+
+ELAPSED = re.compile(r'"elapsed_ms": \d+')
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("argv,code", [
+        (["--version"], EXIT_PASS),
+        (["--help"], EXIT_PASS),
+        (["nope"], EXIT_INPUT),
+    ], ids=["version", "help", "unknown-command"])
+    def test_argparse_output_into_a_closed_pipe_keeps_the_exit_code(self, argv, code):
+        # Buffered stdout, as wherever PYTHONUNBUFFERED is unset: argparse's
+        # text meets the closed pipe only at the final flush.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = spawn_module(argv, env, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        err = child.communicate(timeout=60)[1].decode()
+        assert child.returncode == code
+        if code == EXIT_PASS:
+            assert err == ""
+        else:
+            assert err.endswith("error: argument command: invalid choice: 'nope' "
+                                "(choose from 'verify', 'reconstruct', 'generate', "
+                                "'enumerate', 'classify', 'decompose', 'crossing')\n")
+
+    def test_stdout_closed_at_start_up_keeps_the_exit_code(self, in_tmp):
+        # With descriptor 1 closed, sys.stdout is None and print drops the report.
+        write_graph(in_tmp / "k4.json", "K4")
+        child = spawn_module(["enumerate", "k4.json"], stderr=subprocess.PIPE,
+                             preexec_fn=lambda: os.close(1))
+        assert child.communicate(timeout=60)[1] == b""
+        assert child.returncode == EXIT_PASS
+
+    @pytest.fixture
+    def instances(self, in_tmp):
+        generate_counterexample()
+        write_graph(in_tmp / "k4.json", "K4")
+        g = named_graph("K4")
+        write_json(in_tmp / "swap.json", {"map": [
+            [list(g.edges[i]), list(g.edges[j])]
+            for i, j in zip(range(6), (5, 1, 2, 3, 4, 0))]})
+        return in_tmp
+
+    P3 = ["counterexample_p3.source.json", "counterexample_p3.target.json",
+          "counterexample_p3.map.json"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", *P3], EXIT_PASS),
+        (["verify", "k4.json", "k4.json", "swap.json"], EXIT_FAIL),
+        (["reconstruct", "k4.json", "k4.json", "swap.json"], EXIT_NOT_INDUCED),
+        (["reconstruct", *P3], EXIT_PRECONDITION),
+        (["enumerate", "k4.json", "--max-circuits", "2"], EXIT_PRECONDITION),
+        (["enumerate", "absent.json"], EXIT_INPUT),
+        (["verify", "k4.json"], EXIT_INPUT),
+        (["--version"], EXIT_PASS),
+    ], ids=["pass", "fail", "not-induced", "not-3-connected", "budget", "missing-file",
+            "usage", "version"])
+    def test_module_run_matches_main(self, instances, capsys, argv, code):
+        child = spawn_module(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             cwd=instances, text=True)
+        out, err = child.communicate(timeout=60)
+        try:
+            in_process = main(argv)
+        except SystemExit as done:  # argparse: usage errors and --version
+            in_process = done.code
+        captured = capsys.readouterr()
+        assert child.returncode == in_process == code
+        assert ELAPSED.sub("", out) == ELAPSED.sub("", captured.out)
+        assert err == captured.err
+
+    def test_module_run_writes_the_same_files_as_main(self, in_tmp, capsys):
+        argv = ["generate", "random3c", "--n", "120", "--seed", "1"]
+        (in_tmp / "spawned").mkdir()
+        child = spawn_module(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             cwd=in_tmp / "spawned", text=True)
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (main(argv), "") == (EXIT_PASS, "")
+        assert ELAPSED.sub("", out) == ELAPSED.sub("", capsys.readouterr().out)
+        name = "random3c_n120_s1.json"
+        assert (in_tmp / "spawned" / name).read_bytes() == (in_tmp / name).read_bytes()

@@ -112,11 +112,13 @@ def test_tracer_wraps_a_bound_name(module, attr):
     assert callable(getattr(importlib.import_module(f"circuitmap.{module}"), attr))
 
 
-def run_fresh(code: str, *argv: str) -> str:
-    """Run code in a fresh interpreter that compiles every module it imports."""
+def run_fresh(code: str, *argv: str, site: bool = True) -> str:
+    """Run code in a fresh interpreter that compiles every module it imports;
+    site=False starts it under -S, with no site hooks."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    flags = [] if site else ["-S"]
+    done = subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -156,3 +158,11 @@ def test_cli_start_up_skips_dataclasses_typing_and_generators(tmp_path):
     assert not added & {"dataclasses", "inspect", "typing", "circuitmap.generators"}
     # verify passes, reconstruct refuses the 2-connected source, classify runs.
     assert outcome == "0 4 0 False"
+
+
+def test_cli_import_loads_neither_pathlib_nor_generators():
+    # Under -S, so that no site hook has loaded pathlib before the CLI does.
+    out = run_fresh("import sys, circuitmap.cli\n"
+                    "print(*sorted({'pathlib', 'circuitmap.generators'} & set(sys.modules)))\n",
+                    site=False)
+    assert out == "\n"
