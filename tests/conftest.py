@@ -125,3 +125,20 @@ def bowtie():
         ["a", "b", "c", "d", "e"],
         [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"), ("d", "e")],
     )
+
+
+@pytest.fixture
+def k23_onto_k4():
+    """The smallest passing map that no vertex map induces: K_{2,3}, the
+    theta graph of three 2-edge paths, onto K4 by the perfect
+    1-factorization of K4. Each path goes onto one factor, so its three
+    circuits go onto the three Hamiltonian circuits of K4."""
+    source = build_graph(
+        ["u", "w", "x0", "x1", "x2"],
+        [("u", "x0"), ("x0", "w"), ("u", "x1"), ("x1", "w"), ("u", "x2"), ("x2", "w")],
+    )
+    target = build_graph(
+        ["inf", "0", "1", "2"],
+        [("inf", "0"), ("1", "2"), ("inf", "1"), ("0", "2"), ("inf", "2"), ("0", "1")],
+    )
+    return EdgeMap(source, target, tuple(range(6)))

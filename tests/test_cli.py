@@ -1,11 +1,14 @@
 """End-to-end coverage of the command line entry points.
 
-Everything drives circuitmap.cli.main directly, except the closed-pipe
-tests, which need a real pipe, and the entry-point tests, which compare
-`python -m circuitmap` (cli.run) with cli.main; one more subprocess smoke
-test lives in the acceptance suite.
+Every behaviour of the CLI is checked here, driving circuitmap.cli.main
+directly, except in the closed-pipe tests, which need a real pipe, and the
+entry-point tests, which compare `python -m circuitmap` (cli.run) with
+cli.main and check that run turns the cyclic garbage collector off; one
+more subprocess smoke test lives in the acceptance suite.
 """
 
+import gc
+import hashlib
 import json
 import os
 import re
@@ -16,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import circuitmap
-from circuitmap import InternalError, graph_to_json, named_graph
+from circuitmap import InternalError, graph_from_json, graph_to_json, named_graph
 from circuitmap.cli import (
     EXIT_FAIL,
     EXIT_INPUT,
@@ -59,12 +62,50 @@ def write_json(path, data):
     path.write_text(json.dumps(data), encoding="utf-8")
 
 
-def spawn_module(argv, env=None, **popen):
-    """Start `python -m circuitmap *argv` on the circuitmap imported here."""
+def write_map(path, graph, image=lambda edge: edge):
+    """The map sending each edge of graph to image(edge), in edge order."""
+    write_json(path, {"map": [[list(e), list(image(e))] for e in graph.edges]})
+
+
+def spawn_python(args, env=None, **popen):
+    """Start the interpreter on args, importing the circuitmap imported here."""
     env = dict(os.environ if env is None else env)
     package_root = str(Path(circuitmap.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-m", "circuitmap", *argv], env=env, **popen)
+    return subprocess.Popen([sys.executable, *args], env=env, **popen)
+
+
+def spawn_module(argv, env=None, **popen):
+    """Start `python -m circuitmap *argv` on the circuitmap imported here."""
+    return spawn_python(["-m", "circuitmap", *argv], env, **popen)
+
+
+@pytest.fixture
+def theta20(in_tmp, bowtie):
+    """theta20.json with its identity map theta20.map.json, and bowtie.json:
+    190 and 2 circuits."""
+    g = named_graph("theta20")
+    write_json(in_tmp / "theta20.json", graph_to_json(g))
+    write_map(in_tmp / "theta20.map.json", g)
+    write_json(in_tmp / "bowtie.json", graph_to_json(bowtie))
+    return in_tmp
+
+
+# K5 onto itself by the relabelling 0 1 2 3 4 -> 3 1 4 0 2.
+K5_RELABEL = dict(zip("01234", "31402"))
+
+
+@pytest.fixture
+def k5_maps(in_tmp):
+    """K5.json, the relabelling map k5.map.json, and swapped.map.json, that
+    map with the images of its first and last edges exchanged."""
+    g = named_graph("K5")
+    write_json(in_tmp / "K5.json", graph_to_json(g))
+    write_map(in_tmp / "k5.map.json", g, lambda e: [K5_RELABEL[v] for v in e])
+    pairs = read_json(in_tmp / "k5.map.json")["map"]
+    pairs[0][1], pairs[9][1] = pairs[9][1], pairs[0][1]
+    write_json(in_tmp / "swapped.map.json", {"map": pairs})
+    return in_tmp
 
 
 class TestGenerate:
@@ -89,7 +130,7 @@ class TestGenerate:
                    (in_tmp / f"b.{part}.json").read_bytes()
 
     def test_named_and_random(self, in_tmp):
-        from circuitmap import graph_from_json, is_k_connected
+        from circuitmap import is_k_connected
 
         assert main(["generate", "named", "--name", "prism", "--quiet"]) == EXIT_PASS
         assert read_json(in_tmp / "prism.json") == graph_to_json(named_graph("prism"))
@@ -152,6 +193,50 @@ class TestVerify:
         assert main(["verify", src, tgt, fmap, "--mode", "sampled",
                      "--samples", "30", "--seed", "9"]) == EXIT_PASS
         assert last_report(capsys)["mode"] == "sampled"
+
+    @pytest.mark.parametrize("argv,counts", [
+        # The p = 3 source has only 3 circuits, so 50 samples hit the mix limit.
+        (["counterexample_p3.source.json", "counterexample_p3.target.json",
+          "counterexample_p3.map.json", "--samples", "50"], (3, 1000, "attempt_limit")),
+        # An induced map with m - n = 5 is counted from its fundamental
+        # circuits, with no mix.
+        (["K5.json", "K5.json", "k5.map.json", "--samples", "5"], (5, 0, "samples")),
+        # Cycle rank 19 < 500: the vertex map is read first, so no drawn
+        # circuit is tested, and the report still counts all 190 circuits.
+        (["theta20.json", "theta20.json", "theta20.map.json", "--samples", "500"],
+         (190, 10000, "attempt_limit")),
+    ], ids=["p3", "K5-relabelled", "theta20-identity"])
+    def test_sampled_report_counts(self, theta20, k5_maps, capsys, argv, counts):
+        generate_counterexample()
+        assert main(["verify", *argv, "--mode", "sampled"]) == EXIT_PASS
+        report = last_report(capsys)
+        assert report["result"] == "pass"
+        assert (report["circuits_checked"], report["attempts"],
+                report["stop_reason"]) == counts
+
+    @pytest.mark.parametrize("graph,circuits", [
+        # K_{3,3} passes on the spanning-forest basis alone.
+        ("counterexample_p3.target.json", 15),
+        ("theta20.json", 190),
+    ], ids=["K33", "theta20"])
+    def test_identity_map_reports_every_circuit(self, theta20, capsys, graph, circuits):
+        generate_counterexample()
+        write_map(theta20 / "id.json", graph_from_json(read_json(theta20 / graph)))
+        assert main(["verify", graph, graph, "id.json"]) == EXIT_PASS
+        report = last_report(capsys)
+        assert (report["result"], report["circuits_checked"]) == ("pass", circuits)
+
+    def test_inverse_counterexample_fails_at_the_four_cycle(self, in_tmp, capsys):
+        # K_{3,3} onto the theta graph: its first circuit in canonical order,
+        # the 4-cycle b0-c0-b1-c1, already maps onto no circuit.
+        src, tgt, fmap = generate_counterexample()
+        write_json(in_tmp / "inverse.json",
+                   {"map": [[t, s] for s, t in read_json(in_tmp / fmap)["map"]]})
+        assert main(["verify", tgt, src, "inverse.json"]) == EXIT_FAIL
+        report = last_report(capsys)
+        assert (report["circuits_checked"], report["witness"]["direction"]) == (1, "forward")
+        assert report["witness"]["circuit"] == [
+            ["b0", "c0"], ["b0", "c1"], ["b1", "c0"], ["b1", "c1"]]
 
     def test_broken_map_fails_with_witness(self, in_tmp, capsys):
         src, tgt, fmap = generate_counterexample()
@@ -230,8 +315,7 @@ class TestVerify:
     def test_bad_target_graph_file_is_named(self, in_tmp, capsys):
         write_graph(in_tmp / "k4.json", "K4")
         write_json(in_tmp / "bad.json", {"vertices": ["a", "b"], "edges": "ab"})
-        write_json(in_tmp / "id.json", {"map": [[list(e), list(e)]
-                                                for e in named_graph("K4").edges]})
+        write_map(in_tmp / "id.json", named_graph("K4"))
         assert main(["verify", "k4.json", "bad.json", "id.json"]) == EXIT_INPUT
         assert capsys.readouterr().err == \
             "error: bad.json: 'edges' must be a list of endpoint pairs\n"
@@ -311,8 +395,7 @@ class TestVerify:
                                                       mode, budget):
         # Sampled mode never reads the budget, so the parser must refuse it.
         write_graph(in_tmp / "k4.json", "K4")
-        write_json(in_tmp / "id.json", {"map": [[list(e), list(e)]
-                                                for e in named_graph("K4").edges]})
+        write_map(in_tmp / "id.json", named_graph("K4"))
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", "k4.json", "k4.json", "id.json", "--mode", mode,
                   "--max-circuits", budget])
@@ -349,8 +432,7 @@ class TestReconstruct:
 
     def test_identity_on_k4(self, in_tmp, capsys):
         write_graph(in_tmp / "k4.json", "K4")
-        pairs = [[list(e), list(e)] for e in named_graph("K4").edges]
-        (in_tmp / "id.json").write_text(json.dumps({"map": pairs}), encoding="utf-8")
+        write_map(in_tmp / "id.json", named_graph("K4"))
         assert main(["reconstruct", "k4.json", "k4.json", "id.json"]) == EXIT_PASS
         report = last_report(capsys)
         assert report["result"] == "induced"
@@ -387,6 +469,36 @@ class TestReconstruct:
         assert report["witness"]["vertex"] == "0"
         assert report["witness"]["class"]["kind"] == "violation"
 
+    def test_relabelled_k5_recovers_the_relabelling(self, k5_maps, capsys):
+        assert main(["reconstruct", "K5.json", "K5.json", "k5.map.json"]) == EXIT_PASS
+        report = last_report(capsys)
+        assert (report["result"], report["vertex_map"]) == ("induced", K5_RELABEL)
+
+    def test_swapped_k5_is_refused_at_vertex_0(self, k5_maps, capsys):
+        assert main(["reconstruct", "K5.json", "K5.json",
+                     "swapped.map.json"]) == EXIT_NOT_INDUCED
+        assert last_report(capsys)["witness"] == {"vertex": "0", "class": {
+            "kind": "violation", "variant": "no_common_vertex",
+            "edges": [["0", "2"], ["0", "3"], ["2", "3"]]}}
+
+    def test_generated_random3c_n1000_and_its_label_reversal(self, in_tmp, capsys):
+        # Both runs pass the 3-connectivity guard at n = 1000.
+        assert main(["generate", "random3c", "--n", "1000", "--seed", "7",
+                     "--quiet"]) == EXIT_PASS
+        text = (in_tmp / "random3c_n1000_s7.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == \
+            "33407fd7dbd73cbacf42c1de5976deb5f18bfb149864c951dce63c8e6ed5cccf"
+        g = graph_from_json(json.loads(text))
+        reverse = dict(zip(g.vertices, reversed(g.vertices)))
+        write_json(in_tmp / "reversed.json", {
+            "vertices": list(g.vertices),
+            "edges": [[reverse[u], reverse[v]] for u, v in g.edges]})
+        write_map(in_tmp / "reversed.map.json", g, lambda e: [reverse[v] for v in e])
+        assert main(["reconstruct", "random3c_n1000_s7.json", "reversed.json",
+                     "reversed.map.json"]) == EXIT_PASS
+        report = last_report(capsys)
+        assert (report["result"], report["vertex_map"]) == ("induced", reverse)
+
 
 class TestEnumerate:
     def test_counts(self, in_tmp, capsys):
@@ -407,10 +519,34 @@ class TestEnumerate:
         assert capsys.readouterr().err == \
             "error: g.json: 'edges' must be a list of endpoint pairs\n"
 
+    def test_malformed_edge_entry_names_the_file(self, in_tmp, capsys):
+        write_json(in_tmp / "three.json", {"vertices": ["a", "b", "c"],
+                                           "edges": [["a", "b", "c"], ["b", "c"]]})
+        assert main(["enumerate", "three.json"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: three.json: edge entry 0 must be a pair of strings\n"
+
     def test_budget_exhaustion_is_precondition_exit(self, in_tmp):
         write_graph(in_tmp / "k4.json", "K4")
         assert main(["enumerate", "k4.json", "--max-circuits",
                      "2"]) == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("argv,budget,code", [
+        (["enumerate", "theta20.json"], "189", EXIT_PRECONDITION),
+        (["enumerate", "theta20.json"], "190", EXIT_PASS),
+        (["verify", "theta20.json", "theta20.json", "theta20.map.json"], "189",
+         EXIT_PRECONDITION),
+        (["enumerate", "bowtie.json"], "1", EXIT_PRECONDITION),
+        (["enumerate", "bowtie.json"], "2", EXIT_PASS),
+    ], ids=["theta20-189", "theta20-190", "verify-theta20-189", "bowtie-1", "bowtie-2"])
+    def test_budget_one_short_of_the_count_is_refused(self, theta20, capsys,
+                                                      argv, budget, code):
+        assert main([*argv, "--max-circuits", budget]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_PASS:
+            assert (json.loads(out)["count"], err) == (int(budget), "")
+        else:
+            assert (out, err) == ("", f"error: more than {budget} circuits\n")
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_non_positive_max_circuits_is_input_error(self, in_tmp, capsys, budget):
@@ -431,7 +567,7 @@ class TestEnumerate:
         err = child.stderr.read().decode()
         child.stderr.close()
         assert child.wait(timeout=60) == EXIT_PASS
-        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == ""
 
 
 class TestClassifyDecomposeCrossing:
@@ -463,6 +599,8 @@ class TestClassifyDecomposeCrossing:
         src, tgt, fmap = generate_counterexample()
         assert main(["decompose", src, tgt, fmap,
                      "--vertex", "b0"]) == EXIT_PRECONDITION
+        assert capsys.readouterr() == (
+            "", "error: star preimage of 'b0' is StarAt, not independent\n")
 
     def test_crossing_prism(self, in_tmp, capsys):
         write_graph(in_tmp / "prism.json", "prism")
@@ -473,6 +611,15 @@ class TestClassifyDecomposeCrossing:
         assert report["result"] == "linked_pair"
         assert report["witness"]["path_vertices"] == ["a2", "b2"]
         assert report["witness"]["anchors_a"] == ["a0", "a1", "a2"]
+
+    def test_crossing_double_bowtie_finds_a_circuit_through_the_matching(self, in_tmp,
+                                                                         capsys):
+        write_graph(in_tmp / "double_bowtie.json", "double_bowtie")
+        write_json(in_tmp / "cut.json", [["p1", "q1"], ["p2", "q3"], ["p3", "q2"],
+                                         ["p4", "q4"]])
+        assert main(["crossing", "double_bowtie.json", "cut.json"]) == EXIT_PASS
+        report = last_report(capsys)
+        assert (report["result"], report["crossing_edges_used"]) == ("circuit", 4)
 
     def test_crossing_guard_violation(self, in_tmp):
         write_graph(in_tmp / "theta.json", "theta3")
@@ -504,7 +651,8 @@ class TestClassifyDecomposeCrossing:
         assert capsys.readouterr().err == \
             "error: cut.json: cut file must hold a JSON list of endpoint pairs\n"
 
-    @pytest.mark.parametrize("cut", [[1, 2], [["0", 5]]])
+    @pytest.mark.parametrize("cut", [[1, 2], [["0", 5]],
+                                     [["a0", "b0", "a1"], ["a1", "b1"]]])
     def test_malformed_cut_entry_is_input_error(self, in_tmp, capsys, cut):
         write_graph(in_tmp / "prism.json", "prism")
         (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
@@ -678,6 +826,18 @@ class TestEntryPoints:
             assert err.endswith("error: argument command: invalid choice: 'nope' "
                                 "(choose from 'verify', 'reconstruct', 'generate', "
                                 "'enumerate', 'classify', 'decompose', 'crossing')\n")
+
+    def test_run_turns_the_cyclic_collector_off(self):
+        # main, called in process, leaves its caller's collector as it was.
+        assert main(["enumerate", "absent.json"]) == EXIT_INPUT
+        assert gc.isenabled()
+        child = spawn_python(["-c", "import gc\n"
+                                    "from circuitmap import cli\n"
+                                    "cli.main = lambda: print(gc.isenabled())\n"
+                                    "cli.run()\n"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert child.communicate(timeout=60) == ("False\n", "")
+        assert child.returncode == EXIT_PASS
 
     def test_stdout_closed_at_start_up_keeps_the_exit_code(self, in_tmp):
         # With descriptor 1 closed, sys.stdout is None and print drops the report.

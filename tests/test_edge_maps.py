@@ -27,6 +27,7 @@ from circuitmap import (
     is_circuit,
     EdgeSet,
     is_induced_by,
+    is_k_connected,
     named_graph,
     permuted_edge_map,
     random_three_connected,
@@ -36,6 +37,7 @@ from circuitmap import (
 from circuitmap import edge_maps
 from circuitmap.rng import XorShift64Star
 from conftest import complete, corpus_graphs, seeded_relabel, whitney_twist
+from oracle import brute_circuits
 
 
 def identity_map(g):
@@ -284,6 +286,28 @@ class TestIsomorphismByBasis:
             f.source.edge_count() - f.source.vertex_count() + 1)
         with pytest.raises(NotInducedError):
             reconstruct_vertex_isomorphism(f, check_connectivity=False)
+
+    def test_k23_onto_k4_injects_but_is_neither_isomorphism_nor_induced(self,
+                                                                        k23_onto_k4):
+        f = k23_onto_k4
+        assert (len(brute_circuits(f.source)), len(brute_circuits(f.target))) == (3, 7)
+        verdict = check_circuit_injection(f)
+        assert verdict.passed and verdict.circuits_checked == 3
+        sampled = check_circuit_injection(f, mode="sampled", samples=5, seed=1)
+        assert (sampled.passed, sampled.circuits_checked, sampled.attempts,
+                sampled.stop_reason) == (True, 3, 100, "attempt_limit")
+        verdict = check_circuit_isomorphism(f)
+        assert (verdict.passed, verdict.circuits_checked, verdict.witness.direction) == (
+            False, 2, "reverse")
+        assert_witness_checks(f, verdict)
+        with pytest.raises(NotInducedError) as refused:
+            reconstruct_vertex_isomorphism(f, check_connectivity=False)
+        assert refused.value.vertex == "w"
+        assert refused.value.star_class.kind == "no_common_vertex"
+        # The guard refuses the 2-connected source, though the target is 3-connected.
+        assert is_k_connected(f.target, 3)
+        with pytest.raises(PreconditionError):
+            reconstruct_vertex_isomorphism(f)
 
     @pytest.mark.parametrize("f", differential_instances())
     def test_matches_two_way_exhaustive(self, f):

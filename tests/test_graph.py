@@ -198,7 +198,7 @@ def test_json_vertices_sorted_edges_in_id_order():
         ({"vertices": "ab", "edges": []}, "'vertices' must be a list of strings"),
         ({"vertices": ["a", "b"], "edges": [["a", "b", "c"]]},
          "edge entry 0 must be a pair of strings"),
-        ({"vertices": ["a", 1], "edges": []}, "'vertices' must be a list of strings"),
+        ({"vertices": ["a", 1], "edges": []}, "vertex label 1 is not a string"),
         ({"vertices": ["a", "b"], "edges": ["ab"]},
          "edge entry 0 must be a pair of strings"),
     ],

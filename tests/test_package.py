@@ -21,7 +21,8 @@ import circuitmap
 from circuitmap import build_counterexample, edge_map_to_json, graph_to_json
 
 SRC = str(Path(circuitmap.__file__).resolve().parent.parent)
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 # Every public name, by the submodule that defines it.
 PUBLIC = {
@@ -73,6 +74,27 @@ def test_version_is_a_plain_global():
     assert "__version__" in vars(circuitmap)
     assert circuitmap.__version__ == "0.1.0"
     assert "__version__" in dir(circuitmap)
+
+
+def pyproject_table(name: str) -> dict[str, str]:
+    """The `key = value` lines of one table of pyproject.toml, values unparsed
+    (tomllib is not in the standard library before Python 3.11)."""
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    table = {}
+    for line in lines[lines.index(f"[{name}]") + 1:]:
+        if line.startswith("["):
+            break
+        if line.strip():
+            key, _, value = line.partition("=")
+            table[key.strip()] = value.strip()
+    return table
+
+
+def test_console_script_is_cli_run_and_reports_the_project_version():
+    # The installed `circuitmap` script reaches the same entry function as
+    # `python -m circuitmap`, and --version prints the project's version.
+    assert pyproject_table("project.scripts") == {"circuitmap": '"circuitmap.cli:run"'}
+    assert pyproject_table("project")["version"] == f'"{circuitmap.__version__}"'
 
 
 @pytest.mark.parametrize("path", sorted(Path(circuitmap.__file__).parent.glob("*.py")),
