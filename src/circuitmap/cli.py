@@ -246,13 +246,7 @@ def _cmd_decompose(args) -> tuple[dict, int]:
 
 def _cmd_crossing(args) -> tuple[dict, int]:
     graph = _load(args.graph, graph_from_json)
-
-    def cut_of(pairs):
-        if not isinstance(pairs, list):
-            raise InputError("cut file must hold a JSON list of endpoint pairs")
-        return edge_set_from_pairs(graph, pairs)
-
-    crossing = _load(args.cut, cut_of)
+    crossing = _load(args.cut, lambda pairs: edge_set_from_pairs(graph, pairs))
     outcome = find_crossing_structure(graph, crossing)
     if isinstance(outcome, LinkedCircuitPair):
         report = {"result": "linked_pair",

@@ -232,9 +232,11 @@ def _touched(graph: Graph, ids: Iterable[int]) -> frozenset[str]:
     return frozenset([v for i in ids for v in graph.edges[i]])
 
 
-def edge_set_from_pairs(graph: Graph, pairs: Iterable[Sequence[str]]) -> EdgeSet:
-    """Resolve endpoint pairs (order inside a pair does not matter) to an
-    EdgeSet; the first entry that is not a pair of strings raises InputError."""
+def edge_set_from_pairs(graph: Graph, pairs: Sequence[Sequence[str]]) -> EdgeSet:
+    """Resolve a list or tuple of endpoint pairs (either way round) to an EdgeSet;
+    any other container, or the first entry not a pair of strings, is an InputError."""
+    if not isinstance(pairs, (list, tuple)):
+        raise InputError("edge set must be a list of endpoint pairs")
     ids = set()
     for k, pair in enumerate(pairs):
         if not _is_string_pair(pair):
@@ -475,9 +477,17 @@ def _fundamental_circuits(graph: Graph, order: Iterable[int]):
 
 def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by least label."""
+    return _components(graph._adjacency, graph.vertices)
+
+
+def _components(adjacency, labels, skip: int = -1) -> tuple[tuple[str, ...], ...]:
+    """Components of an index graph (adjacency as in _rooted_forest), read off
+    its forest roots: sorted label tuples, ordered by least label. Deleted
+    edges are left out of adjacency; the vertex index `skip` is in no tuple."""
     blocks: dict[int, list[str]] = {}
-    for v, r in zip(graph.vertices, _rooted_forest(graph._adjacency)[3]):
-        blocks.setdefault(r, []).append(v)
+    for v, r in zip(labels, _rooted_forest(adjacency, skip)[3]):
+        if r >= 0:
+            blocks.setdefault(r, []).append(v)
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 

@@ -27,8 +27,7 @@ from .circuits import circuit_and_attached_path
 from .connectivity import cutpoints, is_k_connected, two_disjoint_paths
 from .edge_maps import EdgeMap, IndependentEdges, classify_star_preimage
 from .errors import DecompositionViolationError, InputError, InternalError, PreconditionError
-from .graph import (Circuit, EdgeSet, Frozen, Graph, Path, _rooted_forest, components,
-                    delete_edges, induced_subgraph, star)
+from .graph import Circuit, EdgeSet, Frozen, Graph, Path, _components, induced_subgraph, star
 
 
 def decompose_by_star_preimage(edge_map: EdgeMap, w: str
@@ -59,9 +58,9 @@ def decompose_by_star_preimage(edge_map: EdgeMap, w: str
 def _two_sides(graph: Graph, cut: EdgeSet, error: type[Exception], what: str
                ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The two components left by deleting `cut`, every cut edge joining
-    them; otherwise raise `error`, naming the cut as `what`."""
-    reduced, _ = delete_edges(graph, cut)
-    blocks = components(reduced)
+    them; otherwise raise `error`, naming the cut as `what`. No graph is built."""
+    kept = [[p for p in row if p[1] not in cut.members] for row in graph._adjacency]
+    blocks = _components(kept, graph.vertices)
     if len(blocks) != 2:
         raise error(f"deleting the {what} left {len(blocks)} components, not 2")
     side_a = set(blocks[0])
@@ -230,13 +229,9 @@ def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
                              weak: Graph, v: str) -> Circuit:
     """Side `weak` has cutpoint v: join two of its split components by two
     disjoint paths through the whole graph avoiding v, and return the
-    resulting circuit, which must use four crossing edges."""
-    # The roots of weak's forest with v deleted name the split components:
-    # a is the least label left, b the least label outside a's component.
-    root = _rooted_forest(weak._adjacency, weak._index[v])[3]
-    a = min(x for x, r in zip(weak.vertices, root) if r >= 0)
-    split = root[weak._index[a]]
-    b = min(x for x, r in zip(weak.vertices, root) if r not in (-1, split))
+    resulting circuit, which must use four crossing edges. a and b are the
+    least labels of the first two components of weak - v."""
+    a, b = [c[0] for c in _components(weak._adjacency, weak.vertices, weak._index[v])[:2]]
     first, second = two_disjoint_paths(graph, a, b, forbidden=(v,))
     circuit = Circuit(graph, frozenset(first.edges) | frozenset(second.edges))
     used = len(set(circuit.edges) & crossing.members)

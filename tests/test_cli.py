@@ -393,7 +393,8 @@ class TestVerify:
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_non_positive_max_circuits_is_input_error(self, in_tmp, capsys,
                                                       mode, budget):
-        # Sampled mode never reads the budget, so the parser must refuse it.
+        # The parser refuses the budget before check_circuit_injection can,
+        # and its message names the flag.
         write_graph(in_tmp / "k4.json", "K4")
         write_map(in_tmp / "id.json", named_graph("K4"))
         with pytest.raises(SystemExit) as exit_info:
@@ -644,12 +645,14 @@ class TestClassifyDecomposeCrossing:
         assert report["result"] == "decomposition_violation"
         assert report["detail"] == "deleting the preimage left 1 components, not 2"
 
-    def test_crossing_cut_must_be_list(self, in_tmp, capsys):
+    @pytest.mark.parametrize("text", ["{}", "5", "null", '"ab"'],
+                             ids=["object", "number", "null", "string"])
+    def test_crossing_cut_must_be_list(self, in_tmp, capsys, text):
         write_graph(in_tmp / "prism.json", "prism")
-        (in_tmp / "cut.json").write_text("{}", encoding="utf-8")
+        (in_tmp / "cut.json").write_text(text, encoding="utf-8")
         assert main(["crossing", "prism.json", "cut.json"]) == EXIT_INPUT
         assert capsys.readouterr().err == \
-            "error: cut.json: cut file must hold a JSON list of endpoint pairs\n"
+            "error: cut.json: edge set must be a list of endpoint pairs\n"
 
     @pytest.mark.parametrize("cut", [[1, 2], [["0", 5]],
                                      [["a0", "b0", "a1"], ["a1", "b1"]]])

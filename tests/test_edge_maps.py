@@ -308,6 +308,15 @@ class TestIsomorphismByBasis:
         assert is_k_connected(f.target, 3)
         with pytest.raises(PreconditionError):
             reconstruct_vertex_isomorphism(f)
+        # Beyond the p family and induced maps the preimage dichotomy fails:
+        # one preimage is a star, the other three neither a star nor
+        # independent, so no target vertex splits the source.
+        assert [classify_star_preimage(f, w) for w in f.target.vertices] == [
+            StarAt("u"), *(StarViolation("no_common_vertex", edges)
+                           for edges in ((3, 5, 0), (1, 5, 2), (1, 3, 4)))]
+        for w in f.target.vertices:
+            with pytest.raises(PreconditionError):
+                decompose_by_star_preimage(f, w)
 
     @pytest.mark.parametrize("f", differential_instances())
     def test_matches_two_way_exhaustive(self, f):

@@ -44,6 +44,7 @@ from circuitmap import (
 )
 from circuitmap import circuits as circuits_module, edge_maps
 from circuitmap.connectivity import _cuts_and_count
+from circuitmap.graph import _components
 from circuitmap.rng import XorShift64Star
 from conftest import (CORPUS, blocks_and_trees, complete, cycle_graph, ladder,
                       seeded_relabel, whitney_twist)
@@ -272,14 +273,16 @@ def test_traversal_answers_match_oracle(g):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(sparse_graphs(), graphs()))
 def test_search_with_a_skipped_vertex_matches_oracle(g):
-    # _cuts_and_count(g, skip=x) must describe g - x, which the oracle reads
-    # off the subgraph built without x.
+    # _cuts_and_count(g, skip=x) and _components(..., skip=x) must describe
+    # g - x, which the oracle reads off the subgraph built without x.
     for x, label in enumerate(g.vertices):
         rest = build_graph([v for v in g.vertices if v != label],
                            [e for e in g.edges if label not in e])
         cut, count = _cuts_and_count(g, skip=x)
         assert tuple(sorted(g.vertices[i] for i in cut)) == brute_cutpoints(rest)
         assert count == len(brute_components(rest))
+        assert _components(g._adjacency, g.vertices, x) == tuple(
+            sorted(tuple(sorted(b)) for b in brute_components(rest)))
 
 
 # Roots are taken by degree, not by index: here the highest-degree vertex

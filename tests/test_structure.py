@@ -8,14 +8,17 @@ from circuitmap import (
     Circuit,
     EdgeMap,
     EdgeSet,
+    Graph,
     InputError,
     InternalError,
     LinkedCircuitPair,
     PreconditionError,
     Path,
+    build_counterexample,
     build_graph,
     connector_images_nonadjacent,
     cutpoints,
+    decompose_by_star_preimage,
     edge_set_from_pairs,
     find_crossing_structure,
     induced_subgraph,
@@ -188,20 +191,34 @@ def test_two_sides_checks_count_and_crossing():
 
 def test_cutpoint_split_builds_only_the_two_sides(monkeypatch):
     # The weak side's components without its cutpoint come from its own
-    # forest, so the double bowtie builds its two sides and no third graph.
+    # forest, and a cut's components from the source's adjacency with the
+    # cut left out, so the double bowtie builds its two sides and no third
+    # graph, and the split of the p = 3 counterexample builds none.
     calls = []
+    built = []
+    graph_init = Graph.__init__
 
     def counted(graph, vertices):
         calls.append(graph)
         return induced_subgraph(graph, vertices)
 
-    monkeypatch.setattr(structure, "induced_subgraph", counted)
+    def counted_init(self, vertices, edges):
+        built.append(vertices)
+        graph_init(self, vertices, edges)
+
     g = named_graph("double_bowtie")
     cut = edge_set_from_pairs(
         g, [("p1", "q1"), ("p2", "q3"), ("p3", "q2"), ("p4", "q4")])
+    _, _, f = build_counterexample(3)
+    monkeypatch.setattr(structure, "induced_subgraph", counted)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
     record = witness_record(find_crossing_structure(g, cut))
-    assert len(calls) == 2
+    assert (len(calls), len(built)) == (2, 2)
     assert record == json.loads(GOLDEN_WITNESSES.read_text())["double_bowtie"]
+    built.clear()
+    assert decompose_by_star_preimage(f, "c0")[:2] == (
+        ("u", "x_1_1", "x_1_2", "x_2_1"), ("w", "x_0_1", "x_0_2", "x_2_2"))
+    assert built == []
 
 
 def test_glued_cases_put_the_cutpoint_on_the_named_side():

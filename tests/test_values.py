@@ -207,13 +207,16 @@ def test_cached_lookups_on_frozen_instances():
      r"^edge set entry 0 must be a pair of strings$"),
     (lambda: edge_set_from_pairs(named_graph("K4"), ["01"]),
      r"^edge set entry 0 must be a pair of strings$"),
+    *[(lambda pairs=pairs: edge_set_from_pairs(named_graph("K4"), pairs),
+       r"^edge set must be a list of endpoint pairs$") for pairs in ({}, 5, None, "01")],
 ], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-empty",
         "path-step",
         "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
         "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first",
         "circuit-negative-id", "circuit-id-past-end", "circuit-string-id",
         "path-negative-id", "graph-string-entry", "graph-three-labels",
-        "edge-set-three-labels", "edge-set-string-entry"])
+        "edge-set-three-labels", "edge-set-string-entry", "edge-set-dict",
+        "edge-set-int", "edge-set-none", "edge-set-string"])
 def test_constructor_validation(build, message):
     with pytest.raises(InputError, match=message):
         build()
