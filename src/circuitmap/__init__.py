@@ -32,7 +32,7 @@ _HOME = {name: module for module, names in (
                " NotInducedError PreconditionError"),
     ("generators", "build_counterexample complete_bipartite named_graph permuted_edge_map"
                    " random_three_connected random_two_connected theta_graph"),
-    ("graph", "Circuit EdgeSet Graph Path build_graph components delete_edges"
+    ("graph", "Circuit EdgeSet Graph Path build_graph components"
               " edge_set_from_pairs graph_from_json graph_to_json induced_subgraph star"),
     ("structure", "LinkedCircuitPair connector_images_nonadjacent decompose_by_star_preimage"
                   " find_crossing_structure validate_linked_pair"),

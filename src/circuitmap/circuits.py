@@ -19,7 +19,6 @@ from .graph import (
     Graph,
     Path,
     _edge_ids_form_circuit,
-    require_same_host,
 )
 
 DEFAULT_MAX_CIRCUITS = 100_000
@@ -27,7 +26,8 @@ DEFAULT_MAX_CIRCUITS = 100_000
 
 def is_circuit(graph: Graph, edge_set: EdgeSet) -> bool:
     """Recognize the edge set of a simple cycle inside graph."""
-    require_same_host(graph, edge_set)
+    if edge_set.host != graph:
+        raise InputError("edge set is hosted on a different graph")
     return _edge_ids_form_circuit(graph, edge_set.members)
 
 
@@ -199,7 +199,7 @@ class _CircuitMasks(Sequence):
         return ids
 
     def _built(self, mask: int) -> Circuit:
-        return Circuit(self._graph, frozenset(self._expanded(mask)))
+        return Circuit(self._graph, self._expanded(mask))
 
 
 def _peel(adjacency: list[list[tuple[int, int]]], doomed) -> None:
@@ -231,7 +231,7 @@ def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str
         raise PreconditionError("attachment search needs a 2-connected graph")
 
     first, second = two_disjoint_paths(graph, a, b)
-    circuit = Circuit(graph, frozenset(first.edges) | frozenset(second.edges))
+    circuit = Circuit(graph, first.edges + second.edges)
     on_circuit = circuit.vertex_set()
     if c in on_circuit:
         result = (circuit, Path.empty(graph, c), c)
@@ -245,7 +245,7 @@ def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str
         if {t1, t2} == {a, b}:
             # Both probes pass through a and b, so the two full probe paths
             # close into a circuit through a and b that already contains c.
-            joined = Circuit(graph, frozenset(toward_1.edges) | frozenset(toward_2.edges))
+            joined = Circuit(graph, toward_1.edges + toward_2.edges)
             result = (joined, Path.empty(graph, c), c)
         elif t1 not in (a, b):
             result = (circuit, prefix_1, t1)

@@ -15,6 +15,7 @@ graphs, by id) and the checks built on it:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from types import MappingProxyType
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
@@ -42,15 +43,17 @@ from .rng import XorShift64Star
 class EdgeMap(Frozen):
     """A one-to-one correspondence between the edges of two graphs.
 
-    assignment[i] is the target edge id of source edge i. Construction
-    rejects anything that is not a bijection between the full edge sets.
+    assignment[i] is the target edge id of source edge i, kept as a tuple of
+    any iterable. Construction rejects anything that is not a bijection
+    between the full edge sets; a bool is not an edge id.
     """
 
     source: Graph
     target: Graph
     assignment: tuple[int, ...]
 
-    def __init__(self, source: Graph, target: Graph, assignment: tuple[int, ...]):
+    def __init__(self, source: Graph, target: Graph, assignment: Iterable[int]):
+        assignment = tuple(assignment)
         m_src = source.edge_count()
         m_tgt = target.edge_count()
         if m_src != m_tgt:
@@ -61,7 +64,7 @@ class EdgeMap(Frozen):
                 f"assignment covers {len(assignment)} of {m_src} edges")
         inverse: list[int | None] = [None] * m_tgt
         for i, j in enumerate(assignment):
-            if not isinstance(j, int) or not 0 <= j < m_tgt:
+            if type(j) is not int or not 0 <= j < m_tgt:
                 raise InputError(f"edge {i} maps to invalid id {j!r}")
             if inverse[j] is not None:
                 raise InputError(f"target edge {j} has two preimages")
@@ -123,7 +126,7 @@ def edge_map_from_json(source: Graph, target: Graph, data) -> EdgeMap:
         assignment[i] = j
     if len(entries) != len(assignment):  # each entry filled a slot of its own
         raise InputError(f"map covers {len(entries)} of {len(assignment)} source edges")
-    return EdgeMap(source, target, tuple(assignment))
+    return EdgeMap(source, target, assignment)
 
 
 def _require_covered_target(target: Graph) -> Graph:
@@ -260,7 +263,7 @@ def _witness(edge_map: EdgeMap, direction: str, ids) -> MapWitness | None:
         home, other, mapped = edge_map.source, edge_map.target, edge_map.image(ids)
     else:
         home, other, mapped = edge_map.target, edge_map.source, edge_map.preimage(ids)
-    return MapWitness(direction, Circuit(home, frozenset(ids)), EdgeSet(other, mapped))
+    return MapWitness(direction, Circuit(home, ids), EdgeSet(other, mapped))
 
 
 def check_circuit_isomorphism(edge_map: EdgeMap) -> Verdict:
@@ -422,19 +425,24 @@ def classify_star_preimage(edge_map: EdgeMap, w: str) -> StarImageClass:
 
 
 class VertexIso(Frozen):
-    """A bijective vertex relabeling, stored as (source, target) pairs."""
+    """A bijective vertex relabeling, stored as a tuple of (source, target) pairs."""
 
     pairs: tuple[tuple[str, str], ...]
 
-    def __init__(self, pairs: tuple[tuple[str, str], ...]):
-        table = dict(pairs)
-        if len(table) != len(pairs) or len(set(table.values())) != len(pairs):
+    def __init__(self, pairs: Iterable[tuple[str, str]]):
+        pairs = tuple(pairs)
+        try:
+            table = dict(pairs)
+            repeats = len(table) != len(pairs) or len(set(table.values())) != len(pairs)
+        except (TypeError, ValueError):
+            raise InputError("vertex map must be (source, target) pairs") from None
+        if repeats:
             raise InputError("vertex map repeats a source or target")
         self.__dict__.update(pairs=pairs, _table=table)
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str]) -> "VertexIso":
-        return cls(tuple(sorted(mapping.items())))
+        return cls(sorted(mapping.items()))
 
     @property
     def as_dict(self) -> MappingProxyType:
@@ -524,7 +532,7 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
         pairs.append((v, w))
     if len(centers) != len(pairs) or centers != set(target.vertices):
         raise NotInducedError("star centers do not form a vertex bijection")
-    iso = VertexIso(tuple(pairs))
+    iso = VertexIso(pairs)
     if not is_induced_by(edge_map, iso):
         raise InternalError("collected star centers do not induce the map")
     return iso

@@ -79,7 +79,7 @@ def build_counterexample(p: int) -> tuple[Graph, Graph, EdgeMap]:
     for i in range(p):
         for j in range(p):
             assignment[i * p + j] = j * p + (i + j) % p
-    return source, target, EdgeMap(source, target, tuple(assignment))
+    return source, target, EdgeMap(source, target, assignment)
 
 
 # -- permuted maps ------------------------------------------------------------
@@ -102,9 +102,9 @@ def permuted_edge_map(graph: Graph, relabel: dict[str, str]) -> EdgeMap:
         x, y = relabel[u], relabel[v]
         mapped.append((x, y) if x < y else (y, x))
     target_edges = sorted(mapped)
-    target = Graph(tuple(sorted(relabel.values())), tuple(target_edges))
+    target = Graph(sorted(relabel.values()), target_edges)
     position = {pair: j for j, pair in enumerate(target_edges)}
-    return EdgeMap(graph, target, tuple(position[pair] for pair in mapped))
+    return EdgeMap(graph, target, [position[pair] for pair in mapped])
 
 
 # -- named catalog ------------------------------------------------------------

@@ -24,11 +24,13 @@ class Frozen:
     keywords, then class defaults for the fields left out. It raises
     TypeError for extra positionals, an unknown name, a name given twice
     or a field with no value. A subclass that validates writes its own
-    __init__. Either stores the fields with one self.__dict__.update call,
-    since the instance __setattr__ refuses every assignment. Instances are
-    equal when they have the same class and equal fields, hash by their
-    fields and repr like a dataclass. functools.cached_property works as
-    well: it, too, writes to the instance __dict__.
+    __init__, which first makes each container field a tuple or frozenset
+    of whatever iterable it gets, so no caller freezes an argument. Either
+    stores the fields with one self.__dict__.update call, since the
+    instance __setattr__ refuses every assignment. Instances are equal when
+    they have the same class and equal fields, hash by their fields and
+    repr like a dataclass. functools.cached_property works as well: it,
+    too, writes to the instance __dict__.
     """
 
     _fields: tuple[str, ...] = ()
@@ -88,16 +90,17 @@ def _is_string_pair(value) -> bool:
 class Graph(Frozen):
     """Immutable simple graph.
 
-    vertices: ordered tuple of distinct string labels.
-    edges: endpoint pairs, lists or tuples of two labels, kept as a tuple of
-    tuples; a pair's position is its edge id. The first faulty pair in order
-    raises InputError.
+    vertices: any iterable of distinct string labels, kept as a tuple.
+    edges: any iterable of endpoint pairs, lists or tuples of two labels,
+    kept as a tuple of tuples; a pair's position is its edge id. The first
+    faulty pair in order raises InputError.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
+        vertices = tuple(vertices)
         # The lookups are built by the loops that validate: label -> index,
         # sorted pair -> edge id, and per edge id its endpoint indices.
         index: dict[str, int] = {}
@@ -189,16 +192,17 @@ def build_graph(vertices: Iterable, edges: Iterable[Sequence]) -> Graph:
     labels = dict.fromkeys(v if isinstance(v, str) else str(v) for v in vertices)
     pairs = [(u if isinstance(u, str) else str(u), v if isinstance(v, str) else str(v))
              for u, v in edges]
-    return Graph(tuple(labels), pairs)
+    return Graph(labels, pairs)
 
 
 class EdgeSet(Frozen):
-    """A subset of a specific graph's edges, by id."""
+    """A subset of a specific graph's edges, by id, kept as a frozenset."""
 
     host: Graph
     members: frozenset[int]
 
-    def __init__(self, host: Graph, members: frozenset[int]):
+    def __init__(self, host: Graph, members: Iterable[int]):
+        members = frozenset(members)
         _require_edge_ids(host, members)
         self.__dict__.update(host=host, members=members)
 
@@ -220,10 +224,10 @@ class EdgeSet(Frozen):
 
 
 def _require_edge_ids(host: Graph, ids: Iterable[int]) -> None:
-    """Refuse any id that is not an int in range(host.edge_count())."""
+    """Refuse any id that is not an int (a bool is not) in range(host.edge_count())."""
     m = len(host.edges)
     for i in ids:
-        if not isinstance(i, int) or not 0 <= i < m:
+        if type(i) is not int or not 0 <= i < m:
             raise InputError(f"invalid edge id {i!r} for host with {m} edges")
 
 
@@ -242,16 +246,11 @@ def edge_set_from_pairs(graph: Graph, pairs: Sequence[Sequence[str]]) -> EdgeSet
         if not _is_string_pair(pair):
             raise InputError(f"edge set entry {k} must be a pair of strings")
         ids.add(graph.edge_id(*pair))
-    return EdgeSet(graph, frozenset(ids))
-
-
-def require_same_host(graph: Graph, edge_set: EdgeSet) -> None:
-    if edge_set.host != graph:
-        raise InputError("edge set is hosted on a different graph")
+    return EdgeSet(graph, ids)
 
 
 class Path(Frozen):
-    """A simple path, stored as its vertex sequence plus the matching edge ids.
+    """A simple path, stored as its vertex sequence and matching edge ids, as tuples.
 
     A path may be empty: a single vertex and no edges.
     """
@@ -260,7 +259,8 @@ class Path(Frozen):
     vertices: tuple[str, ...]
     edges: tuple[int, ...]
 
-    def __init__(self, host: Graph, vertices: tuple[str, ...], edges: tuple[int, ...]):
+    def __init__(self, host: Graph, vertices: Iterable[str], edges: Iterable[int]):
+        vertices, edges = tuple(vertices), tuple(edges)
         _require_edge_ids(host, edges)
         self.__dict__.update(host=host, vertices=vertices, edges=edges)
         if len(self.vertices) != len(self.edges) + 1:
@@ -280,9 +280,9 @@ class Path(Frozen):
 
     @classmethod
     def from_vertices(cls, graph: Graph, vertices: Sequence[str]) -> "Path":
-        ids = tuple(graph.edge_id(vertices[k], vertices[k + 1])
-                    for k in range(len(vertices) - 1))
-        return cls(graph, tuple(vertices), ids)
+        ids = [graph.edge_id(vertices[k], vertices[k + 1])
+               for k in range(len(vertices) - 1)]
+        return cls(graph, vertices, ids)
 
     def is_empty(self) -> bool:
         return not self.edges
@@ -291,8 +291,7 @@ class Path(Frozen):
         return self.vertices[0], self.vertices[-1]
 
     def reversed(self) -> "Path":
-        return Path(self.host, tuple(reversed(self.vertices)),
-                    tuple(reversed(self.edges)))
+        return Path(self.host, self.vertices[::-1], self.edges[::-1])
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(self.host.endpoints(i) for i in self.edges)
@@ -342,12 +341,13 @@ def _edge_ids_form_circuit(graph: Graph, ids: Collection[int]) -> bool:
 
 
 class Circuit(Frozen):
-    """The edge set of a simple cycle. Construction validates the shape."""
+    """The edge set of a simple cycle, as a frozenset. Construction validates it."""
 
     host: Graph
     edges: frozenset[int]
 
-    def __init__(self, host: Graph, edges: frozenset[int]):
+    def __init__(self, host: Graph, edges: Iterable[int]):
+        edges = frozenset(edges)
         _require_edge_ids(host, edges)
         self.__dict__.update(host=host, edges=edges)
         if not _edge_ids_form_circuit(host, edges):
@@ -372,7 +372,7 @@ class Circuit(Frozen):
 
 def star(graph: Graph, v: str) -> EdgeSet:
     """All edges incident to v (empty for an isolated vertex)."""
-    return EdgeSet(graph, frozenset(graph.incident_edges(v)))
+    return EdgeSet(graph, graph.incident_edges(v))
 
 
 def _rooted_forest(adjacency, skip: int = -1
@@ -491,18 +491,6 @@ def _components(adjacency, labels, skip: int = -1) -> tuple[tuple[str, ...], ...
     return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
 
 
-def delete_edges(graph: Graph, removed: EdgeSet) -> tuple[Graph, tuple[int, ...]]:
-    """Remove an edge subset, keeping every vertex.
-
-    Returns the reduced graph and a translation table mapping each new edge
-    id to the id it had in the original graph.
-    """
-    require_same_host(graph, removed)
-    keep = [i for i in range(graph.edge_count()) if i not in removed.members]
-    reduced = Graph(graph.vertices, tuple(graph.edges[i] for i in keep))
-    return reduced, tuple(keep)
-
-
 def induced_subgraph(graph: Graph, vertices: Iterable[str]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on a vertex subset, keeping the host's vertex order.
 
@@ -512,10 +500,10 @@ def induced_subgraph(graph: Graph, vertices: Iterable[str]) -> tuple[Graph, tupl
     wanted = set()
     for v in vertices:
         wanted.add(graph.require_vertex(v))
-    kept_vertices = tuple(v for v in graph.vertices if v in wanted)
+    kept_vertices = [v for v in graph.vertices if v in wanted]
     keep = [i for i, (u, v) in enumerate(graph.edges)
             if u in wanted and v in wanted]
-    sub = Graph(kept_vertices, tuple(graph.edges[i] for i in keep))
+    sub = Graph(kept_vertices, [graph.edges[i] for i in keep])
     return sub, tuple(keep)
 
 
@@ -543,4 +531,4 @@ def graph_from_json(data) -> Graph:
         raise InputError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of endpoint pairs")
-    return Graph(tuple(vertices), edges)
+    return Graph(vertices, edges)

@@ -212,8 +212,8 @@ def _linked_pair_from_two_connected_sides(graph: Graph, crossing: EdgeSet,
     circ_a, tail_a, attach_a = circuit_and_attached_path(sub_a, a1, a2, a3)
     circ_b, tail_b, attach_b = circuit_and_attached_path(sub_b, b1, b2, b3)
 
-    circuit_a = Circuit(graph, frozenset(ids_a[i] for i in circ_a.edges))
-    circuit_b = Circuit(graph, frozenset(ids_b[i] for i in circ_b.edges))
+    circuit_a = Circuit(graph, [ids_a[i] for i in circ_a.edges])
+    circuit_b = Circuit(graph, [ids_b[i] for i in circ_b.edges])
 
     # Joining path: attach_a .. a3, the crossing edge e3, b3 .. attach_b.
     path = Path(graph, tail_a.vertices[::-1] + tail_b.vertices,
@@ -233,8 +233,8 @@ def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
     least labels of the first two components of weak - v."""
     a, b = [c[0] for c in _components(weak._adjacency, weak.vertices, weak._index[v])[:2]]
     first, second = two_disjoint_paths(graph, a, b, forbidden=(v,))
-    circuit = Circuit(graph, frozenset(first.edges) | frozenset(second.edges))
-    used = len(set(circuit.edges) & crossing.members)
+    circuit = Circuit(graph, first.edges + second.edges)
+    used = len(circuit.edges & crossing.members)
     if used < 4:
         raise InternalError(
             f"constructed circuit uses {used} crossing edges, expected >= 4")

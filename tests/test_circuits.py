@@ -66,6 +66,11 @@ def test_is_circuit_rejects_disjoint_triangles(prism):
     assert not is_circuit(prism, EdgeSet(prism, frozenset({0, 1, 2, 3, 4, 5})))
 
 
+def test_is_circuit_rejects_foreign_set(k4, prism):
+    with pytest.raises(InputError, match=r"^edge set is hosted on a different graph$"):
+        is_circuit(prism, EdgeSet(k4, frozenset({0, 1, 3})))
+
+
 def test_is_circuit_rejects_empty(k4):
     assert not is_circuit(k4, EdgeSet(k4, frozenset()))
 

@@ -12,7 +12,6 @@ from circuitmap import (
     Path,
     build_graph,
     components,
-    delete_edges,
     edge_set_from_pairs,
     graph_from_json,
     graph_to_json,
@@ -90,32 +89,6 @@ def test_edge_set_iterates_in_id_order(k4):
 def test_edge_set_from_pairs_rejects_unknown(k4):
     with pytest.raises(InputError, match=r"^no edge joins '0' and '0'$"):
         edge_set_from_pairs(k4, [("0", "1"), ("0", "0")])
-
-
-def test_delete_edges_splits_prism_into_triangles(prism):
-    matching = edge_set_from_pairs(prism, [("a0", "b0"), ("a1", "b1"), ("a2", "b2")])
-    reduced, old_id = delete_edges(prism, matching)
-    assert reduced.edge_count() == 6
-    assert components(reduced) == (("a0", "a1", "a2"), ("b0", "b1", "b2"))
-    # surviving ids translate back to the original numbering
-    assert [old_id[e] for e in range(reduced.edge_count())] == [0, 1, 2, 3, 4, 5]
-
-
-def test_delete_edges_rejects_foreign_set(k4, prism):
-    with pytest.raises(InputError, match=r"^edge set is hosted on a different graph$"):
-        delete_edges(prism, star(k4, "0"))
-
-
-def test_delete_nothing_is_identity(k4):
-    reduced, old_id = delete_edges(k4, EdgeSet(k4, frozenset()))
-    assert reduced == k4 and old_id == tuple(range(6))
-
-
-def test_delete_everything_leaves_isolated_vertices():
-    g = build_graph("012", [("0", "1"), ("1", "2"), ("2", "0")])
-    reduced, _ = delete_edges(g, EdgeSet(g, frozenset({0, 1, 2})))
-    assert reduced.edge_count() == 0
-    assert components(reduced) == (("0",), ("1",), ("2",))
 
 
 def test_components_of_connected_graph_is_one_block():

@@ -40,7 +40,7 @@ PUBLIC = {
                    "permuted_edge_map", "random_three_connected", "random_two_connected",
                    "theta_graph"],
     "graph": ["Circuit", "EdgeSet", "Graph", "Path", "build_graph", "components",
-              "delete_edges", "edge_set_from_pairs", "graph_from_json", "graph_to_json",
+              "edge_set_from_pairs", "graph_from_json", "graph_to_json",
               "induced_subgraph", "star"],
     "structure": ["LinkedCircuitPair", "connector_images_nonadjacent",
                   "decompose_by_star_preimage", "find_crossing_structure",
@@ -51,9 +51,9 @@ SUBMODULES = ["circuits", "cli", "connectivity", "edge_maps", "errors", "generat
               "graph", "rng", "structure"]
 
 
-def test_public_surface_has_54_names():
-    assert len(NAMES) == 54
-    assert len({name for _, name in NAMES}) == 54
+def test_public_surface_has_53_names():
+    assert len(NAMES) == 53
+    assert len({name for _, name in NAMES}) == 53
 
 
 @pytest.mark.parametrize("module,name", NAMES)
@@ -106,6 +106,28 @@ def test_package_imports_only_the_standard_library(path):
     imported += [node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.level == 0]
     assert {name.partition(".")[0] for name in imported} <= sys.stdlib_module_names
+
+
+FREEZING_CONSTRUCTORS = {"Graph", "EdgeSet", "Path", "Circuit", "EdgeMap", "VertexIso", "cls"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(circuitmap.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_caller_freezes_a_value_constructor_argument(path):
+    # Each validating constructor stores its containers as tuples or
+    # frozensets itself, so no call to one wraps an argument in tuple() or
+    # frozenset().
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    frozen = [
+        f"line {node.lineno}: {node.func.id}({arg.func.id}(...))"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in FREEZING_CONSTRUCTORS
+        for arg in [*node.args, *(k.value for k in node.keywords)]
+        if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+        and arg.func.id in ("tuple", "frozenset")
+    ]
+    assert frozen == []
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -23,7 +23,9 @@ from circuitmap import (
     Verdict,
     VertexIso,
     build_graph,
+    check_circuit_injection,
     edge_set_from_pairs,
+    is_induced_by,
     named_graph,
 )
 
@@ -186,6 +188,9 @@ def test_cached_lookups_on_frozen_instances():
     (lambda: EdgeMap(triangle(), triangle(), (0, 0, 1)), r"^target edge 0 has two preimages$"),
     (lambda: EdgeMap(triangle(), triangle(), (0, 1)), r"^assignment covers 2 of 3 edges$"),
     (lambda: VertexIso((("a", "b"), ("c", "b"))), r"^vertex map repeats a source or target$"),
+    (lambda: VertexIso([1, 2]), r"^vertex map must be \(source, target\) pairs$"),
+    (lambda: VertexIso([("a",)]), r"^vertex map must be \(source, target\) pairs$"),
+    (lambda: VertexIso([("a", ["b"])]), r"^vertex map must be \(source, target\) pairs$"),
     (lambda: Graph(("a", "b"), (("a", "b"), ("b", "a"))),
      r"^edge 1 repeats pair \('a', 'b'\)$"),
     (lambda: Graph(("a", "b"), (("b", "b"), ("a", "b"))), r"^edge 0 is a loop at 'b'$"),
@@ -212,6 +217,7 @@ def test_cached_lookups_on_frozen_instances():
 ], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-empty",
         "path-step",
         "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
+        "vertex-iso-not-pairs", "vertex-iso-short-pair", "vertex-iso-unhashable-target",
         "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first",
         "circuit-negative-id", "circuit-id-past-end", "circuit-string-id",
         "path-negative-id", "graph-string-entry", "graph-three-labels",
@@ -226,3 +232,60 @@ def test_list_and_tuple_pairs_build_the_same_graph():
     from_lists = Graph(("a", "b", "c"), [["a", "b"], ["b", "c"], ["c", "a"]])
     assert from_lists.edges == (("a", "b"), ("b", "c"), ("c", "a"))
     assert from_lists == triangle() and hash(from_lists) == hash(triangle())
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: EdgeSet(triangle(), {True}), r"^invalid edge id True for host with 3 edges$"),
+    (lambda: Path(triangle(), ("b", "c"), (True,)),
+     r"^invalid edge id True for host with 3 edges$"),
+    (lambda: Circuit(triangle(), {True, 0, 2}), r"^invalid edge id True for host with 3 edges$"),
+    (lambda: EdgeMap(triangle(), triangle(), (True, 0, 2)), r"^edge 0 maps to invalid id True$"),
+], ids=["edge-set", "path", "circuit", "edge-map"])
+def test_edge_ids_refuse_a_bool(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
+# (class, leading arguments, container arguments as the object stores them)
+CONTAINERS = [
+    (Graph, lambda: (), (("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")))),
+    (EdgeSet, lambda: (triangle(),), (frozenset({0, 2}),)),
+    (Path, lambda: (triangle(),), (("a", "b", "c"), (0, 1))),
+    (Circuit, lambda: (triangle(),), (frozenset({0, 1, 2}),)),
+    (EdgeMap, lambda: (triangle(), triangle()), ((1, 2, 0),)),
+    (VertexIso, lambda: (), ((("a", "b"), ("b", "a")),)),
+]
+
+
+GIVEN_AS = {"list": list, "set": set, "generator": lambda value: (x for x in value)}
+
+
+@pytest.mark.parametrize("cls,head,stored,kind", [
+    pytest.param(cls, head, stored, kind, id=f"{cls.__name__}-{kind}")
+    for cls, head, stored in CONTAINERS
+    for kind in ("list", "generator", "set")
+    if kind != "set" or isinstance(stored[0], frozenset)
+])
+def test_constructors_freeze_any_iterable(cls, head, stored, kind):
+    # Built from a list, a set or a generator, the object equals and hashes
+    # like its twin built from tuples or frozensets, and the caller's later
+    # edits of its own list or set do not reach it.
+    given = [GIVEN_AS[kind](value) for value in stored]
+    built = cls(*head(), *given)
+    for value in given:
+        if isinstance(value, (list, set)):
+            value.clear()
+    twin = cls(*head(), *stored)
+    assert built == twin and hash(built) == hash(twin)
+
+
+def test_edge_map_keeps_its_bijection_when_the_caller_edits_its_list():
+    square = build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    assignment = [0, 1, 2, 3]
+    edge_map = EdgeMap(square, square, assignment)
+    assignment[3] = 0
+    assert edge_map.assignment == (0, 1, 2, 3) and edge_map._inverse == (0, 1, 2, 3)
+    assert is_induced_by(edge_map, VertexIso.from_dict({v: v for v in "abcd"}))
+    for mode in ("exhaustive", "sampled"):
+        verdict = check_circuit_injection(edge_map, mode)
+        assert verdict.passed and verdict.circuits_checked == 1
