@@ -430,8 +430,8 @@ class VertexIso(Frozen):
     pairs: tuple[tuple[str, str], ...]
 
     def __init__(self, pairs: Iterable[tuple[str, str]]):
-        pairs = tuple(pairs)
         try:
+            pairs = tuple(map(tuple, pairs))
             table = dict(pairs)
             repeats = len(table) != len(pairs) or len(set(table.values())) != len(pairs)
         except (TypeError, ValueError):

@@ -149,7 +149,7 @@ class Graph(Frozen):
         return len(self.edges)
 
     def require_vertex(self, v) -> str:
-        if v not in self._index:
+        if not isinstance(v, str) or v not in self._index:
             raise InputError(f"unknown vertex {v!r}")
         return v
 
@@ -157,15 +157,16 @@ class Graph(Frozen):
         return self.edges[edge_id]
 
     def has_edge(self, u: str, v: str) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._pair_ids
+        try:
+            return ((u, v) if u < v else (v, u)) in self._pair_ids
+        except TypeError:
+            return False
 
     def edge_id(self, u: str, v: str) -> int:
         """Resolve an unordered endpoint pair to its edge id."""
-        key = (u, v) if u < v else (v, u)
         try:
-            return self._pair_ids[key]
-        except KeyError:
+            return self._pair_ids[(u, v) if u < v else (v, u)]
+        except (KeyError, TypeError):
             raise InputError(f"no edge joins {u!r} and {v!r}") from None
 
     def _row(self, v: str) -> tuple[tuple[int, int], ...]:

@@ -44,11 +44,6 @@ class XorShift64Star:
             raise InputError("randrange needs a positive bound")
         return (self.next_u64() * n) >> 64
 
-    def choice(self, seq):
-        if not seq:
-            raise InputError("choice from an empty sequence")
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(seq) - 1, 0, -1):

@@ -159,7 +159,7 @@ def glued_blocks(seed, shared, chord):
                         if e not in sides[0] and e[::-1] not in sides[0]]
     if chord:
         own = [[v for e in side for v in e if v[0] != "g"] for side in sides]
-        edges.append((rng.choice(own[0]), rng.choice(own[1])))
+        edges.append(tuple(vs[rng.randrange(len(vs))] for vs in own))
     return build_graph([v for e in edges for v in e], edges)
 
 

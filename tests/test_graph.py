@@ -11,6 +11,7 @@ from circuitmap import (
     InputError,
     Path,
     build_graph,
+    circuit_and_attached_path,
     components,
     edge_set_from_pairs,
     graph_from_json,
@@ -18,6 +19,7 @@ from circuitmap import (
     induced_subgraph,
     named_graph,
     star,
+    two_disjoint_paths,
 )
 
 
@@ -61,6 +63,23 @@ def test_accessors(k4):
         k4.edge_id("0", "0")
     with pytest.raises(InputError, match=r"^unknown vertex 'z'$"):
         k4.require_vertex("z")
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda g: g.edge_id("0", 1), "no edge joins '0' and 1"),
+    (lambda g: g.has_edge("0", 1), False),
+    (lambda g: induced_subgraph(g, [["0"]]), "unknown vertex ['0']"),
+    (lambda g: two_disjoint_paths(g, "0", "1", forbidden=[["2"]]), "unknown vertex ['2']"),
+    (lambda g: circuit_and_attached_path(g, ["0"], "1", "2"), "unknown vertex ['0']"),
+], ids=["edge-id", "has-edge", "induced-subgraph", "two-disjoint-paths", "attached-path"])
+def test_labels_that_are_not_strings_are_refused(k4, call, expected):
+    # A label that is not a string names no vertex: an InputError (here its
+    # message) or False, never a TypeError from comparing or hashing it.
+    try:
+        outcome = call(k4)
+    except InputError as err:
+        outcome = str(err)
+    assert outcome == expected
 
 
 def test_star_is_incident_edge_set(k4):

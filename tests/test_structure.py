@@ -92,7 +92,7 @@ def glued(seed, tag_1, tag_2, rng):
     one."""
     vs_1, es_1 = tagged(random_three_connected(20, seed), tag_1)
     vs_2, es_2 = tagged(random_three_connected(20, seed + 1), tag_2)
-    glue_1, glue_2 = rng.choice(vs_1), rng.choice(vs_2)
+    glue_1, glue_2 = (vs[rng.randrange(len(vs))] for vs in (vs_1, vs_2))
     rename = {glue_2: glue_1}
     es_2 = [(rename.get(u, u), rename.get(v, v)) for u, v in es_2]
     groups = [[v for v in vs_1 if v != glue_1], [v for v in vs_2 if v != glue_2]]

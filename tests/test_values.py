@@ -191,6 +191,7 @@ def test_cached_lookups_on_frozen_instances():
     (lambda: VertexIso([1, 2]), r"^vertex map must be \(source, target\) pairs$"),
     (lambda: VertexIso([("a",)]), r"^vertex map must be \(source, target\) pairs$"),
     (lambda: VertexIso([("a", ["b"])]), r"^vertex map must be \(source, target\) pairs$"),
+    (lambda: VertexIso(["abc"]), r"^vertex map must be \(source, target\) pairs$"),
     (lambda: Graph(("a", "b"), (("a", "b"), ("b", "a"))),
      r"^edge 1 repeats pair \('a', 'b'\)$"),
     (lambda: Graph(("a", "b"), (("b", "b"), ("a", "b"))), r"^edge 0 is a loop at 'b'$"),
@@ -218,6 +219,7 @@ def test_cached_lookups_on_frozen_instances():
         "path-step",
         "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
         "vertex-iso-not-pairs", "vertex-iso-short-pair", "vertex-iso-unhashable-target",
+        "vertex-iso-three-letter-entry",
         "graph-repeat", "graph-loop", "graph-non-string", "graph-unknown-first",
         "circuit-negative-id", "circuit-id-past-end", "circuit-string-id",
         "path-negative-id", "graph-string-entry", "graph-three-labels",
@@ -289,3 +291,14 @@ def test_edge_map_keeps_its_bijection_when_the_caller_edits_its_list():
     for mode in ("exhaustive", "sampled"):
         verdict = check_circuit_injection(edge_map, mode)
         assert verdict.passed and verdict.circuits_checked == 1
+
+
+def test_vertex_iso_stores_list_entries_as_tuples():
+    built = VertexIso([["a", "b"], ["b", "a"]])
+    twin = VertexIso((("a", "b"), ("b", "a")))
+    assert built == twin and hash(built) == hash(twin)
+
+
+def test_vertex_iso_stores_the_pairs_its_table_holds():
+    iso = VertexIso(["ab"])
+    assert iso.pairs == (("a", "b"),) and dict(iso.pairs) == iso.as_dict
