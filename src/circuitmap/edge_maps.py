@@ -16,6 +16,7 @@ graphs, by id) and the checks built on it:
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain, filterfalse
 from types import MappingProxyType
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
@@ -425,7 +426,8 @@ def classify_star_preimage(edge_map: EdgeMap, w: str) -> StarImageClass:
 
 
 class VertexIso(Frozen):
-    """A bijective vertex relabeling, stored as a tuple of (source, target) pairs."""
+    """A bijective relabeling of string vertex labels, stored as a tuple of
+    (source, target) pairs."""
 
     pairs: tuple[tuple[str, str], ...]
 
@@ -436,21 +438,17 @@ class VertexIso(Frozen):
             repeats = len(table) != len(pairs) or len(set(table.values())) != len(pairs)
         except (TypeError, ValueError):
             raise InputError("vertex map must be (source, target) pairs") from None
+        if not all(map(str.__instancecheck__, chain(table, table.values()))):
+            label = next(filterfalse(str.__instancecheck__, chain.from_iterable(pairs)))
+            raise InputError(f"vertex label {label!r} is not a string")
         if repeats:
             raise InputError("vertex map repeats a source or target")
         self.__dict__.update(pairs=pairs, _table=table)
-
-    @classmethod
-    def from_dict(cls, mapping: dict[str, str]) -> "VertexIso":
-        return cls(sorted(mapping.items()))
 
     @property
     def as_dict(self) -> MappingProxyType:
         """The relabeling as a read-only source -> target mapping."""
         return MappingProxyType(self._table)
-
-    def apply(self, v: str) -> str:
-        return self._table[v]
 
 
 def is_induced_by(edge_map: EdgeMap, iso: VertexIso) -> bool:

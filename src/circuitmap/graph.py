@@ -172,9 +172,6 @@ class Graph(Frozen):
     def _row(self, v: str) -> tuple[tuple[int, int], ...]:
         return self._adjacency[self._index[self.require_vertex(v)]]
 
-    def degree(self, v: str) -> int:
-        return len(self._row(v))
-
     def incident_edges(self, v: str) -> tuple[int, ...]:
         """Edge ids at v, in id order."""
         return tuple(sorted(eid for _, eid in self._row(v)))
@@ -215,10 +212,6 @@ class EdgeSet(Frozen):
 
     def __contains__(self, edge_id: int) -> bool:
         return edge_id in self.members
-
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        """Member endpoint pairs in edge-id order."""
-        return tuple(self.host.endpoints(i) for i in sorted(self.members))
 
     def vertex_set(self) -> frozenset[str]:
         return _touched(self.host, self.members)
@@ -291,12 +284,6 @@ class Path(Frozen):
     def ends(self) -> tuple[str, str]:
         return self.vertices[0], self.vertices[-1]
 
-    def reversed(self) -> "Path":
-        return Path(self.host, self.vertices[::-1], self.edges[::-1])
-
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self.host.endpoints(i) for i in self.edges)
-
 
 def _edge_ids_form_circuit(graph: Graph, ids: Collection[int]) -> bool:
     """True iff the edge subset is the edge set of one simple cycle:
@@ -363,9 +350,6 @@ class Circuit(Frozen):
 
     def vertex_set(self) -> frozenset[str]:
         return _touched(self.host, self.edges)
-
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self.host.endpoints(i) for i in self.key())
 
 
 # -- whole-graph operations --

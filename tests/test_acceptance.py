@@ -204,7 +204,7 @@ def test_criterion_6_dichotomy_sweeps():
             if isinstance(kind, IndependentEdges):
                 side_a, side_b, crossing = decompose_by_star_preimage(f, w)
                 assert sorted(side_a + side_b) == sorted(source.vertices)
-                for x, y in crossing.pairs():
+                for x, y in map(crossing.host.endpoints, crossing):
                     assert (x in side_a) != (y in side_a)
 
     # relabeling maps from criterion 2

@@ -55,7 +55,7 @@ def test_accessors(k4):
     assert k4.vertex_count() == 4
     assert k4.edge_count() == 6
     assert k4.endpoints(0) == ("0", "1")
-    assert k4.degree("0") == 3
+    assert len(k4.incident_edges("0")) == 3
     assert k4.neighbors("0") == ("1", "2", "3")
     assert k4.incident_edges("3") == (2, 4, 5)
     assert k4.has_edge("2", "3") and not k4.has_edge("0", "0")
@@ -95,13 +95,13 @@ def test_star_of_isolated_vertex_is_empty():
 
 def test_star_on_triangle():
     g = build_graph("012", [("0", "1"), ("1", "2"), ("2", "0")])
-    assert star(g, "1").pairs() == (("0", "1"), ("1", "2"))
+    assert tuple(map(g.endpoints, star(g, "1"))) == (("0", "1"), ("1", "2"))
 
 
 def test_edge_set_iterates_in_id_order(k4):
     s = EdgeSet(k4, frozenset({5, 0, 3}))
     assert list(s) == [0, 3, 5]
-    assert s.pairs() == (("0", "1"), ("1", "2"), ("2", "3"))
+    assert tuple(map(k4.endpoints, s)) == (("0", "1"), ("1", "2"), ("2", "3"))
     assert s.vertex_set() == frozenset({"0", "1", "2", "3"})
 
 
@@ -134,8 +134,7 @@ class TestPath:
         p = Path.from_vertices(k4, ["0", "1", "2"])
         assert p.edges == (0, 3)
         assert p.ends() == ("0", "2")
-        assert p.reversed().vertices == ("2", "1", "0")
-        assert p.pairs() == (("0", "1"), ("1", "2"))
+        assert tuple(map(k4.endpoints, p.edges)) == (("0", "1"), ("1", "2"))
 
     def test_empty(self, k4):
         p = Path.empty(k4, "3")
@@ -239,7 +238,6 @@ def test_lookups_match_vertices_and_edges(inputs):
         ids = tuple(i for i, e in enumerate(g.edges) if v in e)
         others = [e[1] if e[0] == v else e[0] for e in g.edges if v in e]
         assert g.incident_edges(v) == ids
-        assert g.degree(v) == len(ids)
         assert g.neighbors(v) == tuple(sorted(others, key=position))
 
 
@@ -247,4 +245,4 @@ def test_incident_edges_keep_id_order_when_neighbours_do_not():
     g = build_graph("abc", [("a", "c"), ("a", "b")])
     assert g.incident_edges("a") == (0, 1)
     assert g.neighbors("a") == ("b", "c")
-    assert g.degree("a") == 2 and g.incident_edges("b") == (1,)
+    assert g.incident_edges("b") == (1,)

@@ -4,13 +4,15 @@ circuitmap loads its submodules on first use, and the CLI imports the
 generators only for `generate`. These tests pin the public names, check
 that every name the benchmark's tracer wraps is bound where it looks and
 that the package imports nothing outside the standard library, and check
-in fresh interpreters which modules a CLI run loads.
+in fresh interpreters which modules a CLI run loads. The last test runs the
+README's library example and quick start.
 """
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,15 @@ from pathlib import Path
 import pytest
 
 import circuitmap
-from circuitmap import build_counterexample, edge_map_to_json, graph_to_json
+from circuitmap import (
+    IndependentEdges,
+    NotInducedError,
+    build_counterexample,
+    edge_map_to_json,
+    graph_to_json,
+    reconstruct_vertex_isomorphism,
+)
+from circuitmap.cli import main
 
 SRC = str(Path(circuitmap.__file__).resolve().parent.parent)
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,3 +220,37 @@ def test_cli_import_loads_neither_pathlib_nor_generators():
                     "print(*sorted({'pathlib', 'circuitmap.generators'} & set(sys.modules)))\n",
                     site=False)
     assert out == "\n"
+
+
+def test_readme_examples_hold(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    library = re.search(r"^## Library\n.*?^```python\n(.*?)^```$", readme, re.M | re.S)[1]
+    transcript = re.search(r"^## Quick start\n.*?^```sh\n(.*?)^```$", readme, re.M | re.S)[1]
+    # The library example, with each line commented # True or # False asserted.
+    code, claims = re.subn(r"^(.+?)\s+# (True|False)$", r"assert (\1) is \2", library,
+                           flags=re.M)
+    assert claims
+    exec(code, {})
+    # The quick start transcript, run in process: each command prints the
+    # README's report up to elapsed_ms and exits with the status it echoes.
+    monkeypatch.chdir(tmp_path)
+    statuses = []
+    for command, printed in re.findall(r"^\$ ((?:.*\\\n)*.*)\n((?:(?!\$ ).*\n)*)",
+                                       transcript, re.M):
+        argv = command.replace("\\\n", " ").split()
+        if argv == ["echo", "$?"]:
+            assert statuses[-1] == int(printed)
+            continue
+        assert argv[0] == "circuitmap"
+        statuses.append(main(argv[1:]))
+        report, expected = json.loads(capsys.readouterr().out), json.loads(printed)
+        assert report.pop("elapsed_ms") >= 0 and expected.pop("elapsed_ms") >= 0
+        assert report == expected
+    assert statuses == [0, 0, 4]
+    # The prose under it: without the guard, reconstruction names the vertex
+    # whose star image has no common center.
+    _, _, f = build_counterexample(3)
+    with pytest.raises(NotInducedError) as refused:
+        reconstruct_vertex_isomorphism(f, check_connectivity=False)
+    assert refused.value.vertex == "x_0_1"
+    assert refused.value.star_class == IndependentEdges()

@@ -544,7 +544,7 @@ def _some_isolated(draw, g):
     """g, or g without its isolated vertices."""
     if draw(st.booleans()):
         return g
-    return build_graph([v for v in g.vertices if g.degree(v)], g.edges)
+    return build_graph([v for v in g.vertices if g.incident_edges(v)], g.edges)
 
 
 def _identity(g):
@@ -568,7 +568,7 @@ def test_reconstruct_matches_brute_force_vertex_maps(f):
     # map that some vertex bijection induces.
     maps = brute_inducing_maps(f)
     classes = {v: brute_star_class(f.target, f.image(star(f.source, v).members))
-               for v in f.source.vertices if f.source.degree(v)}
+               for v in f.source.vertices if f.source.incident_edges(v)}
     first = next((v for v in f.source.vertices
                   if v not in classes or classes[v][0] != "star"), None)
     try:

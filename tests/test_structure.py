@@ -315,7 +315,8 @@ class TestWitnessValidation:
     @pytest.mark.parametrize("change,message", [
         (lambda g, w: {"bridge_b": 6}, "bridges are the same edge"),
         (lambda g, w: {"bridge_b": 0}, r"bridge \('a0', 'a1'\) does not join the circuits"),
-        (lambda g, w: {"path": w.path.reversed()}, "path must run from circuit_a to circuit_b"),
+        (lambda g, w: {"path": Path(g, w.path.vertices[::-1], w.path.edges[::-1])},
+         "path must run from circuit_a to circuit_b"),
         (lambda g, w: {"path": Path.from_vertices(g, ["a2", "a0", "b0"])},
          "path reenters circuit_a"),
         (lambda g, w: {"path": Path.from_vertices(g, ["a2", "b2", "b0"])},
@@ -357,8 +358,9 @@ class TestWitnessValidation:
         # and its path, reversed, hanging c = b2 onto t = a2.
         w = find_crossing_structure(prism, prism_matching(prism))
         a, b, t = w.anchors_a()
+        back = Path(prism, w.path.vertices[::-1], w.path.edges[::-1])
         parts = {"graph": prism, "a": a, "b": b, "c": w.path.vertices[-1],
-                 "circuit": w.circuit_a, "path": w.path.reversed(), "t": t}
+                 "circuit": w.circuit_a, "path": back, "t": t}
         validate_attached_path(**parts)
         with pytest.raises(InternalError, match=f"^{message}$"):
             validate_attached_path(**{**parts, **change(prism)})

@@ -169,8 +169,8 @@ def test_cached_lookups_on_frozen_instances():
     assert edge_map.preimage_of(0) == 2
     assert edge_map.inverted() == EdgeMap(triangle(), triangle(), (2, 0, 1))
 
-    iso = VertexIso.from_dict({"b": "a", "a": "b"})
-    assert iso.as_dict == {"a": "b", "b": "a"} and iso.apply("a") == "b"
+    iso = VertexIso(sorted({"b": "a", "a": "b"}.items()))
+    assert iso.as_dict == {"a": "b", "b": "a"}
     assert iso == VertexIso((("a", "b"), ("b", "a")))
 
 
@@ -215,6 +215,9 @@ def test_cached_lookups_on_frozen_instances():
      r"^edge set entry 0 must be a pair of strings$"),
     *[(lambda pairs=pairs: edge_set_from_pairs(named_graph("K4"), pairs),
        r"^edge set must be a list of endpoint pairs$") for pairs in ({}, 5, None, "01")],
+    (lambda: VertexIso([(1, 2)]), r"^vertex label 1 is not a string$"),
+    (lambda: VertexIso([("a", "b"), ("c", 4)]), r"^vertex label 4 is not a string$"),
+    (lambda: VertexIso([("a", None), (3, "b")]), r"^vertex label None is not a string$"),
 ], ids=["graph-duplicate", "graph-unknown", "edge-set", "path-length", "path-empty",
         "path-step",
         "circuit", "edge-map-repeat", "edge-map-short", "vertex-iso",
@@ -224,7 +227,8 @@ def test_cached_lookups_on_frozen_instances():
         "circuit-negative-id", "circuit-id-past-end", "circuit-string-id",
         "path-negative-id", "graph-string-entry", "graph-three-labels",
         "edge-set-three-labels", "edge-set-string-entry", "edge-set-dict",
-        "edge-set-int", "edge-set-none", "edge-set-string"])
+        "edge-set-int", "edge-set-none", "edge-set-string", "vertex-iso-int-labels",
+        "vertex-iso-int-target", "vertex-iso-first-bad-label"])
 def test_constructor_validation(build, message):
     with pytest.raises(InputError, match=message):
         build()
@@ -287,7 +291,7 @@ def test_edge_map_keeps_its_bijection_when_the_caller_edits_its_list():
     edge_map = EdgeMap(square, square, assignment)
     assignment[3] = 0
     assert edge_map.assignment == (0, 1, 2, 3) and edge_map._inverse == (0, 1, 2, 3)
-    assert is_induced_by(edge_map, VertexIso.from_dict({v: v for v in "abcd"}))
+    assert is_induced_by(edge_map, VertexIso(sorted({v: v for v in "abcd"}.items())))
     for mode in ("exhaustive", "sampled"):
         verdict = check_circuit_injection(edge_map, mode)
         assert verdict.passed and verdict.circuits_checked == 1
