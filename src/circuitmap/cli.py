@@ -163,7 +163,8 @@ def _cmd_reconstruct(args) -> tuple[dict, int]:
     try:
         iso = reconstruct_vertex_isomorphism(edge_map)
     except PreconditionError as err:
-        return {"result": "not_three_connected", "detail": str(err)}, EXIT_PRECONDITION
+        return ({"result": "not_three_connected", "detail": str(err),
+                 "separator": err.separator}, EXIT_PRECONDITION)
     except NotInducedError as err:
         witness = {"vertex": err.vertex}
         if err.star_class is not None:
@@ -216,11 +217,14 @@ def _cmd_enumerate(args) -> tuple[dict, int]:
 def _cmd_classify(args) -> tuple[dict, int]:
     edge_map = _load_map_files(args)
     source, target = edge_map.source, edge_map.target
+    try:
+        images = {v: _star_class_json(target, classify_star_image(edge_map, v))
+                  for v in source.vertices}
+    except InputError as err:  # an isolated source vertex
+        raise InputError(f"{args.source}: {err}") from None
     report = {
         "result": "ok",
-        "star_images": {
-            v: _star_class_json(target, classify_star_image(edge_map, v))
-            for v in source.vertices},
+        "star_images": images,
         "star_preimages": {
             w: _star_class_json(source, classify_star_preimage(edge_map, w))
             for w in target.vertices},

@@ -70,62 +70,78 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     k vertices disconnects it. Under this convention K_n is (n-1)-connected
     but not n-connected.
 
-    For k <= 2 the depth-first forest answers: one root, and for k = 2 no
-    cutpoint. For k >= 3 a vertex of degree below k fails at once: its
-    neighbours cut it off from the n - 1 - deg > 0 others.
-
-    For k = 3 (so n >= 4) one forest search first refuses a graph that is
-    disconnected or has a cutpoint. Any spanning tree T of the connected
-    graph then decides the rest. Call a vertex with a child in T a hub. A
-    non-hub is a leaf of T, and deleting one or two leaves from a tree on
-    n >= 4 vertices leaves a tree, so every separator S of one or two
-    vertices holds a hub of every spanning tree. Over an odd number t of
-    trees the hub counts of S's vertices add up to at least t, so one of
-    them is a hub of more than t/2 trees: a candidate. G is 3-connected iff,
-    for every candidate a, G - a is connected and has no cutpoint. Why: if
-    G is 3-connected, a cutpoint b of G - a, or G - a itself disconnected,
-    would give a separator {a, b} or {a}. Conversely, a separator holds a
-    candidate a, and then G - a is disconnected or the separator's other
-    vertex is a cutpoint of G - a.
-
-    The first tree is breadth-first from a vertex of greatest degree; each
-    later scan expands the vertices that were hubs least often first, so it
-    routes around earlier hubs (see _breadth_first_hubs). Trees are added
-    two at a time while the candidates outnumber t and their number falls,
-    and the candidates are searched heaviest first. The whole guard takes
-    one search, t scans and at most c searches, O((t + c) * (n + m)). The
-    candidates fall with every added pair of trees, so t <= h + 1 and
-    c <= h for the h hubs of the first tree: never more than O((h + 1) *
-    (n + m)), the cost of searching every hub of that tree.
-
-    For k >= 4 let v be a vertex of least degree. The graph is k-connected
-    iff deg(v) >= k, every w not adjacent to v is joined to v by k
-    internally disjoint paths, and so is every non-adjacent pair of v's
-    neighbours. Why: take a minimum separator S with |S| < k. If v is not in
-    S, a vertex w in another component of G - S is not adjacent to v. If v
-    is in S, minimality gives v neighbours x and y in two components of
-    G - S, which are not adjacent. S separates either pair.
+    For k <= 3 _small_separator answers. For k >= 4 let v be a vertex of
+    least degree. If deg(v) < k, its neighbours cut it off from the
+    n - 1 - deg > 0 others. Otherwise the graph is k-connected iff every w
+    not adjacent to v is joined to v by k internally disjoint paths, and so
+    is every non-adjacent pair of v's neighbours. Why: take a minimum
+    separator S with |S| < k. If v is not in S, a vertex w in another
+    component of G - S is not adjacent to v. If v is in S, minimality gives
+    v neighbours x and y in two components of G - S, which are not
+    adjacent. S separates either pair.
     """
     _require_int(k, 1, "k must be a positive integer")
     n = graph.vertex_count()
     if n <= k:
         return False
-    if k <= 2:
-        cut, components = _cuts_and_count(graph)
-        return components == 1 and (k == 1 or not cut)
+    if k <= 3:
+        return _small_separator(graph, k) is None
     adjacency = graph._adjacency
     v = min(range(n), key=lambda i: len(adjacency[i]))
     if len(adjacency[v]) < k:
         return False
-    if k == 3:
-        return _cuts_and_count(graph) == (set(), 1) and all(
-            _cuts_and_count(graph, x) == (set(), 1)
-            for x in _hub_candidates(adjacency))
     near = {w for w, _ in adjacency[v]}
     pairs = [(v, w) for w in range(n) if w != v and w not in near]
     pairs += [(x, y) for x, y in combinations(sorted(near), 2)
               if not any(w == y for w, _ in adjacency[x])]
     return all(_augment(graph, s, t, k)[0] == k for s, t in pairs)
+
+
+def _small_separator(graph: Graph, k: int = 3) -> tuple[str, ...] | None:
+    """The first set of fewer than k <= 3 vertices whose deletion
+    disconnects a graph of more than k vertices, as sorted labels, or None.
+
+    For k = 3 a vertex of least degree, if that degree is below 3, gives its
+    neighbours, which cut it off from the n - 1 - deg > 0 others. Then the
+    search of G gives () when G is disconnected and, for k >= 2, (b,) for
+    its cutpoint b of least index. For k = 3 (so n >= 4) any spanning tree
+    T of the connected graph then decides the rest. Call a vertex with a
+    child in T a hub. A non-hub is a leaf of T, and deleting one or two
+    leaves from a tree on n >= 4 vertices leaves a tree, so every separator
+    S of one or two vertices holds a hub of every spanning tree. Over an odd
+    number t of trees the hub counts of S's vertices add up to at least t,
+    so one of them is a hub of more than t/2 trees: a candidate. Each
+    candidate a, heaviest first, gives (a,) when G - a is disconnected, or
+    (a, b) for the cutpoint b of G - a of least index. Nothing is missed: a
+    separator holds a candidate a, and then G - a is disconnected or the
+    separator's other vertex is a cutpoint of G - a.
+
+    The first tree is breadth-first from a vertex of greatest degree, and
+    later scans route around earlier hubs (see _breadth_first_hubs); they
+    are added two at a time while the candidates outnumber t and keep
+    falling. That is one search, t scans and c searches, O((t + c) *
+    (n + m)), with t <= h + 1 and c <= h for the h hubs of the first tree:
+    never more than searching every hub of that tree.
+    """
+    adjacency = graph._adjacency
+    labels = graph.vertices
+    if k == 3:
+        v = min(range(len(adjacency)), key=lambda i: len(adjacency[i]))
+        if len(adjacency[v]) < 3:
+            return tuple(sorted(labels[w] for w, _ in adjacency[v]))
+
+    def deleted():  # G itself, then, once G passes, each candidate
+        yield -1
+        if k == 3:
+            yield from _hub_candidates(adjacency)
+
+    for a in deleted():
+        cut, components = _cuts_and_count(graph, a)
+        if components == 1 and (k == 1 or not cut):
+            continue
+        found = [a] if components > 1 else [a, min(cut)]
+        return tuple(sorted(labels[x] for x in found if x >= 0))
+    return None
 
 
 def _hub_candidates(adjacency) -> list[int]:

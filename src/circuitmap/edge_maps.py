@@ -20,7 +20,7 @@ from itertools import chain, filterfalse
 from types import MappingProxyType
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
-from .connectivity import is_k_connected
+from .connectivity import _small_separator, is_k_connected
 from .errors import (
     InputError,
     InternalError,
@@ -478,23 +478,24 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
     For a verified circuit injection whose source is 3-connected, every
     star maps onto exactly one target star, and reading off those centers
     yields the unique inducing vertex isomorphism. Raises
-    PreconditionError when the source guard fails (suppress with
-    check_connectivity=False to probe other maps), and NotInducedError at
-    the first vertex whose star image is not a full star, or when the
-    collected centers fail to be a bijection. The center of v is an end of
-    v's first image that lies on all deg(v) images of its edges and has
-    degree deg(v), the least label first. Only the two ends of a one-edge
-    component can share a center, as f is injective; when its image is a
-    one-edge component too, the second end takes the image's other end.
-    Each edge uv then maps into star(c(u)) ∩ star(c(v)), the one edge
-    c(u)c(v), so a map that `is_induced_by` still rejects is a library
+    PreconditionError with a separator of the source when the source guard
+    fails (suppress with check_connectivity=False to probe other maps), and
+    NotInducedError at the first vertex whose star image is not a full
+    star, or when the collected centers fail to be a bijection. The center
+    of v is an end of v's first image that lies on all deg(v) images of its
+    edges and has degree deg(v), the least label first. Only the two ends
+    of a one-edge component can share a center, as f is injective; when its
+    image is a one-edge component too, the second end takes the image's
+    other end. Each edge uv then maps into star(c(u)) ∩ star(c(v)), the one
+    edge c(u)c(v), so a map that `is_induced_by` still rejects is a library
     fault: InternalError. With the guard off this costs O(n + m); a star
     class (classify_star_image) is built only for the refused vertex.
     """
-    if check_connectivity and not is_k_connected(edge_map.source, 3):
-        raise PreconditionError(
-            "reconstruction requires a 3-connected source")
     source, target = edge_map.source, edge_map.target
+    if check_connectivity and not is_k_connected(source, 3):
+        raise PreconditionError(
+            "reconstruction requires a 3-connected source",
+            separator=_small_separator(source) if source.vertex_count() > 3 else None)
     image_ends, names = target._ends, target.vertices
     # Per source vertex, the endpoint indices of its edges' images, two per
     # edge in id order; and per target vertex, its degree.

@@ -25,7 +25,13 @@ class InputError(CircuitMapError, ValueError):
 
 class PreconditionError(CircuitMapError):
     """Valid input outside an operation's hypotheses: a connectivity guard,
-    the circuit-count budget, or endpoints with no two disjoint paths."""
+    the circuit-count budget, or endpoints with no two disjoint paths.
+    Reconstruction's refused 3-connectivity guard sets `separator`, at most
+    two source vertices whose deletion disconnects it (None if n <= 3)."""
+
+    def __init__(self, message, separator=None):
+        super().__init__(message)
+        self.separator = separator
 
 
 # The benchmark's pool scripts catch the circuit budget under this name.

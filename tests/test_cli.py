@@ -429,7 +429,27 @@ class TestReconstruct:
     def test_counterexample_hits_guard(self, capsys):
         src, tgt, fmap = generate_counterexample()
         assert main(["reconstruct", src, tgt, fmap]) == EXIT_PRECONDITION
-        assert last_report(capsys)["result"] == "not_three_connected"
+        report = last_report(capsys)
+        assert list(report) == ["result", "detail", "separator", "elapsed_ms"]
+        assert report["result"] == "not_three_connected"
+        # The neighbours of x_0_1, the first vertex of degree 2.
+        assert report["separator"] == ["u", "x_0_2"]
+
+    @pytest.mark.parametrize("graph,separator", [
+        # A triangle has too few vertices for a separator to be named.
+        ({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]},
+         None),
+        # Two K4s: least degree 3, so the search of G finds it disconnected.
+        ({"vertices": [f"{t}{i}" for t in "ab" for i in range(4)],
+          "edges": [[f"{t}{i}", f"{t}{j}"] for t in "ab"
+                    for i in range(4) for j in range(i + 1, 4)]},
+         []),
+    ])
+    def test_guard_names_its_separator(self, in_tmp, capsys, graph, separator):
+        write_json(in_tmp / "g.json", graph)
+        write_map(in_tmp / "id.json", graph_from_json(graph))
+        assert main(["reconstruct", "g.json", "g.json", "id.json"]) == EXIT_PRECONDITION
+        assert last_report(capsys)["separator"] == separator
 
     def test_identity_on_k4(self, in_tmp, capsys):
         write_graph(in_tmp / "k4.json", "K4")
@@ -586,7 +606,8 @@ class TestClassifyDecomposeCrossing:
         write_json(in_tmp / "t.json", {"vertices": ["x", "y"], "edges": [["x", "y"]]})
         write_json(in_tmp / "m.json", {"map": [[["a", "b"], ["x", "y"]]]})
         assert main(["classify", "s.json", "t.json", "m.json"]) == EXIT_INPUT
-        assert "'c' has no incident edges" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: s.json: ") and "'c' has no incident edges" in err
 
     def test_decompose_counterexample(self, capsys):
         src, tgt, fmap = generate_counterexample()

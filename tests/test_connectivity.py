@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from circuitmap import (
     InputError,
     PreconditionError,
+    build_counterexample,
     build_graph,
     complete_bipartite,
     cutpoints,
@@ -22,7 +23,7 @@ from circuitmap import connectivity
 from circuitmap.rng import XorShift64Star
 from conftest import CORPUS
 from oracle import _connected_on, brute_is_k_connected
-from test_properties import graphs
+from test_properties import assert_small_separator_matches_oracle, graphs
 
 # Rows [graph name, a, b, forbidden vertex or null, [path, path] or
 # "NoTwoPathsError"], recorded from the earlier two_disjoint_paths that kept
@@ -181,14 +182,20 @@ def three_connected_instances():
                 yield build_graph(base.vertices, edges)
 
 
-def test_three_connectivity_matches_oracle_at_least_degree_three():
+def test_three_connectivity_matches_oracle_at_least_degree_three(k23_onto_k4):
     # The hypothesis differential stops at six vertices and the networkx one
     # needs networkx; these families reach 24 vertices and, unlike random
     # small graphs, mostly pass the least-degree exit, so the searches of G
     # and of its candidates decide them: a separator of 1 or 2 vertices
     # leaves G - a disconnected for some candidate a, or with a cutpoint.
-    for g in three_connected_instances():
+    # The separator the guard finds for k <= 3 agrees with the oracle too,
+    # here and on the 2-connected sources of K_{2,3} onto K4 and of the
+    # counterexamples for p = 3 and 5.
+    extra = [k23_onto_k4.source, build_counterexample(3)[0], build_counterexample(5)[0]]
+    for g in [*three_connected_instances(), *extra]:
         assert is_k_connected(g, 3) is brute_is_k_connected(g, 3), g
+        for k in range(1, min(4, g.vertex_count())):
+            assert_small_separator_matches_oracle(g, k)
     assert not any(is_k_connected(glued_blocks(seed, shared, False), 3)
                    for seed in range(12) for shared in (0, 1, 2))
     assert all(is_k_connected(glued_blocks(seed, 2, True), 3) for seed in range(12))

@@ -42,12 +42,13 @@ from circuitmap import (
     Verdict,
 )
 from circuitmap import circuits as circuits_module, edge_maps
-from circuitmap.connectivity import _cuts_and_count
+from circuitmap.connectivity import _cuts_and_count, _small_separator
 from circuitmap.graph import _components
 from circuitmap.rng import XorShift64Star
 from conftest import (CORPUS, blocks_and_trees, complete, cycle_graph, ladder,
                       seeded_relabel, whitney_twist)
 from oracle import (
+    _connected_on,
     brute_circuits,
     brute_components,
     brute_cutpoints,
@@ -231,6 +232,19 @@ def test_circuit_symmetric_differences_stay_even(g):
 @given(graphs(max_vertices=6, max_edges=9), st.integers(1, 4))
 def test_connectivity_matches_oracle(g, k):
     assert is_k_connected(g, k) is brute_is_k_connected(g, k)
+    if k <= 3 and g.vertex_count() > k:
+        assert_small_separator_matches_oracle(g, k)
+
+
+def assert_small_separator_matches_oracle(g, k):
+    """_small_separator(g, k) is None iff the oracle calls g k-connected;
+    a separator it returns is fewer than k sorted labels whose deletion
+    leaves g disconnected."""
+    separator = _small_separator(g, k)
+    assert (separator is None) is brute_is_k_connected(g, k), (g, k, separator)
+    if separator is not None:
+        assert len(separator) < k and list(separator) == sorted(separator)
+        assert not _connected_on(g, set(g.vertices) - set(separator)), (g, separator)
 
 
 @settings(max_examples=40, deadline=None)
