@@ -76,9 +76,6 @@ class EdgeMap(Frozen):
     def image_of(self, edge_id: int) -> int:
         return self.assignment[edge_id]
 
-    def preimage_of(self, edge_id: int) -> int:
-        return self._inverse[edge_id]
-
     def image(self, edge_ids) -> frozenset[int]:
         return frozenset(self.assignment[i] for i in edge_ids)
 

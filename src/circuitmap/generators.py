@@ -95,6 +95,9 @@ def permuted_edge_map(graph: Graph, relabel: dict[str, str]) -> EdgeMap:
     """
     if set(relabel) != set(graph.vertices):
         raise InputError("relabeling must cover exactly the vertices")
+    for label in relabel.values():
+        if not isinstance(label, str):
+            raise InputError(f"vertex label {label!r} is not a string")
     if len(set(relabel.values())) != len(relabel):
         raise InputError("relabeling repeats a target label")
     mapped = []
@@ -159,6 +162,8 @@ def named_graph(name: str, size: int | None = None) -> Graph:
     (no size), wheel (rim size, or compact W5 / W6 forms), theta (path
     count, or compact theta3 forms).
     """
+    if not isinstance(name, str):
+        raise InputError(f"catalog name {name!r} is not a string")
     key = name.strip().lower().replace("-", "_")
     plain = {
         "k4": lambda: _complete(4),
@@ -279,7 +284,7 @@ def random_three_connected(n: int, seed: int) -> Graph:
     Drawing the chords costs O((n + chords) * log n) plus the shifts of
     one sorted list of the used pair ranks; the 3-connectivity checks come
     on top, O((t + c) * (n + m)) each for t scans and c candidates (see
-    connectivity.is_k_connected): 1-4 ms at n = 120 and 5-8 ms at
+    connectivity._small_separator): 1-4 ms at n = 120 and 5-8 ms at
     n = 1000 on a 2-vCPU VM.
     """
     _require_int(n, 4, "3-connected graphs need at least 4 vertices", "n")

@@ -156,12 +156,6 @@ class Graph(Frozen):
     def endpoints(self, edge_id: int) -> tuple[str, str]:
         return self.edges[edge_id]
 
-    def has_edge(self, u: str, v: str) -> bool:
-        try:
-            return ((u, v) if u < v else (v, u)) in self._pair_ids
-        except TypeError:
-            return False
-
     def edge_id(self, u: str, v: str) -> int:
         """Resolve an unordered endpoint pair to its edge id."""
         try:
@@ -169,15 +163,10 @@ class Graph(Frozen):
         except (KeyError, TypeError):
             raise InputError(f"no edge joins {u!r} and {v!r}") from None
 
-    def _row(self, v: str) -> tuple[tuple[int, int], ...]:
-        return self._adjacency[self._index[self.require_vertex(v)]]
-
     def incident_edges(self, v: str) -> tuple[int, ...]:
         """Edge ids at v, in id order."""
-        return tuple(sorted(eid for _, eid in self._row(v)))
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(self.vertices[ni] for ni, _ in self._row(v))
+        row = self._adjacency[self._index[self.require_vertex(v)]]
+        return tuple(sorted(eid for _, eid in row))
 
 
 def build_graph(vertices: Iterable, edges: Iterable[Sequence]) -> Graph:
@@ -340,10 +329,6 @@ class Circuit(Frozen):
         self.__dict__.update(host=host, edges=edges)
         if not _edge_ids_form_circuit(host, edges):
             raise InputError("edge set is not a circuit")
-
-    def key(self) -> tuple[int, ...]:
-        """Canonical sort key: the sorted edge-id tuple."""
-        return tuple(sorted(self.edges))
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -79,7 +79,7 @@ def whitney_twist(n_a, n_b, seed):
     a = random_three_connected(n_a, seed)
     b = random_three_connected(n_b, seed + 1)
     y1, y2 = next((y1, y2) for y1 in b.vertices for y2 in b.vertices
-                  if y1 < y2 and not b.has_edge(y1, y2))
+                  if y1 < y2 and (y1, y2) not in b._pair_ids)
     x1, x2 = "a" + a.vertices[0], "a" + a.vertices[1]
 
     def glue(onto):

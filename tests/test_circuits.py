@@ -103,14 +103,14 @@ def test_theta_has_three_circuits_no_squares(theta3):
 
 
 def test_enumeration_order_is_canonical(k4):
-    keys = [c.key() for c in enumerate_circuits(k4)]
+    keys = [tuple(sorted(c.edges)) for c in enumerate_circuits(k4)]
     assert keys == sorted(keys)
     assert keys[0] == (0, 1, 3)
 
 
 def test_enumeration_deterministic(k4):
-    a = [c.key() for c in enumerate_circuits(k4)]
-    b = [c.key() for c in enumerate_circuits(k4)]
+    a = [tuple(sorted(c.edges)) for c in enumerate_circuits(k4)]
+    b = [tuple(sorted(c.edges)) for c in enumerate_circuits(k4)]
     assert a == b
 
 
@@ -128,7 +128,7 @@ def enumeration_cases():
 
 def enumerated_lists() -> dict[str, list[list[int]]]:
     """Each case's circuits as sorted edge-id lists, in returned order."""
-    return {name: [list(c.key()) for c in enumerate_circuits(graph)]
+    return {name: [sorted(c.edges) for c in enumerate_circuits(graph)]
             for name, graph in enumeration_cases()}
 
 
@@ -148,7 +148,7 @@ def test_enumerate_subcommand_reports_the_recorded_lists(tmp_path, capsys):
         assert report["count"] == len(golden[name])
         assert report["circuits"] == [[list(graph.endpoints(i)) for i in ids]
                                       for ids in golden[name]]
-        assert report["circuits"] == [[list(pair) for pair in map(graph.endpoints, c.key())]
+        assert report["circuits"] == [[list(pair) for pair in map(graph.endpoints, sorted(c.edges))]
                                       for c in enumerate_circuits(graph)]
 
 
@@ -314,13 +314,13 @@ def shuffled_k4s(copies: int, seed: int):
     (shuffled_k4s(16, 3), 7 * 16),                # 96 chains: masks of four digits
 ], ids=["cx13", "cx31", "k4x16"])
 def test_canonical_order_past_one_machine_word(graph, count):
-    keys = [c.key() for c in enumerate_circuits(graph)]
+    keys = [tuple(sorted(c.edges)) for c in enumerate_circuits(graph)]
     assert len(keys) == count
     assert keys == sorted(keys)
 
 
 def test_canonical_order_on_long_chains():
-    keys = [c.key() for c in enumerate_circuits(cycle_with_chords(3000, 6, 7))]
+    keys = [tuple(sorted(c.edges)) for c in enumerate_circuits(cycle_with_chords(3000, 6, 7))]
     assert keys == sorted(keys)
 
 

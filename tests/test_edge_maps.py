@@ -56,7 +56,7 @@ def swapped_k4_map():
 class TestEdgeMapValidation:
     def test_identity_ok(self, k4):
         f = identity_map(k4)
-        assert f.image_of(3) == 3 and f.preimage_of(3) == 3
+        assert f.image_of(3) == 3 and f._inverse[3] == 3
 
     def test_wrong_length(self, k4):
         with pytest.raises(InputError, match="^assignment covers 3 of 6 edges$"):
@@ -74,7 +74,7 @@ class TestEdgeMapValidation:
         with pytest.raises(InputError, match="^source has 6 edges but target has 9$"):
             EdgeMap(k4, prism, tuple(range(6)))
 
-    def test_image_and_preimage_of_sets(self, k4):
+    def test_images_and_preimages_of_sets(self, k4):
         f = EdgeMap(k4, k4, (1, 0, 2, 3, 4, 5))
         assert f.image({0, 2}) == frozenset({1, 2})
         assert f.preimage({0, 1}) == frozenset({0, 1})
@@ -152,7 +152,7 @@ class TestInjectionCheck:
         assert not v.passed and not bool(v)
         # first circuit in canonical order that breaks: triangle {0,1,3}
         assert v.witness.direction == "forward"
-        assert v.witness.circuit.key() == (0, 1, 3)
+        assert tuple(sorted(v.witness.circuit.edges)) == (0, 1, 3)
         assert not is_circuit(k4, v.witness.mapped)
 
     def test_counterexample_injects_but_does_not_reflect(self):
@@ -204,7 +204,7 @@ class TestInjectionCheck:
         with pytest.raises(PreconditionError, match=r"^more than 1171 circuits$"):
             check_circuit_injection(f, max_count=1171)
         v = check_circuit_injection(f, max_count=1172)
-        assert v.circuits_checked == 1 and v.witness.circuit.key() == (0, 1, 6)
+        assert v.circuits_checked == 1 and tuple(sorted(v.witness.circuit.edges)) == (0, 1, 6)
 
     def test_unknown_mode(self, k4):
         with pytest.raises(InputError, match="^unknown mode 'guess'$"):

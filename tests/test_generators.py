@@ -126,6 +126,13 @@ class TestPermutedEdgeMap:
             permuted_edge_map(k4, {"0": "a", "1": "b", "2": "c"})
         with pytest.raises(InputError, match="^relabeling repeats a target label$"):
             permuted_edge_map(k4, {"0": "a", "1": "a", "2": "b", "3": "c"})
+        # A label that is not a string is refused before it is compared or hashed.
+        with pytest.raises(InputError, match="^vertex label 1 is not a string$"):
+            permuted_edge_map(k4, {"0": 1, "1": "x", "2": "y", "3": "z"})
+        with pytest.raises(InputError, match=r"^vertex label \[1\] is not a string$"):
+            permuted_edge_map(k4, {"0": "w", "1": [1], "2": "y", "3": "z"})
+        with pytest.raises(InputError, match="^vertex label 0 is not a string$"):
+            permuted_edge_map(k4, {"0": 0, "1": 1, "2": 2, "3": 3})
 
 
 class TestNamedCatalog:
@@ -159,8 +166,9 @@ class TestNamedCatalog:
          ("wheel", None, "'wheel' needs a size parameter"),
          ("wheel", 2, "wheel rim needs at least 3 vertices"),
          ("theta", None, "'theta' needs a size parameter"),
-         ("w", None, "'w' needs a size parameter")],
-        ids=["nope-None", "K4-5", "wheel-None", "wheel-2", "theta-None", "w-None"],
+         ("w", None, "'w' needs a size parameter"),
+         (5, None, "catalog name 5 is not a string")],
+        ids=["nope-None", "K4-5", "wheel-None", "wheel-2", "theta-None", "w-None", "5-None"],
     )
     def test_bad_names(self, name, size, message):
         with pytest.raises(InputError, match=f"^{message}$"):

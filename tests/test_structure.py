@@ -152,10 +152,10 @@ def crossing_cases():
 
 def witness_record(witness) -> dict:
     if isinstance(witness, Circuit):
-        return {"kind": "circuit", "circuit": list(witness.key())}
+        return {"kind": "circuit", "circuit": sorted(witness.edges)}
     return {"kind": "linked_pair",
-            "circuit_a": list(witness.circuit_a.key()),
-            "circuit_b": list(witness.circuit_b.key()),
+            "circuit_a": sorted(witness.circuit_a.edges),
+            "circuit_b": sorted(witness.circuit_b.edges),
             "bridges": [witness.bridge_a, witness.bridge_b],
             "path_vertices": list(witness.path.vertices),
             "path_edge": witness.path_edge,
