@@ -122,7 +122,15 @@ def _small_separator(graph: Graph, k: int = 3) -> tuple[str, ...] | None:
     falling. That is one search, t scans and c searches, O((t + c) *
     (n + m)), with t <= h + 1 and c <= h for the h hubs of the first tree:
     never more than searching every hub of that tree.
+
+    A separator found by search is kept in the graph's __dict__, keyed by
+    k, as Graph._adjacency is, so a refused guard that then names its
+    separator searches once. None is never kept: a guard that passes leaves
+    the next one to search again.
     """
+    known = graph.__dict__.get("_separators", {}).get(k)
+    if known is not None:
+        return known
     adjacency = graph._adjacency
     labels = graph.vertices
     if k == 3:
@@ -140,7 +148,9 @@ def _small_separator(graph: Graph, k: int = 3) -> tuple[str, ...] | None:
         if components == 1 and (k == 1 or not cut):
             continue
         found = [a] if components > 1 else [a, min(cut)]
-        return tuple(sorted(labels[x] for x in found if x >= 0))
+        known = tuple(sorted(labels[x] for x in found if x >= 0))
+        graph.__dict__.setdefault("_separators", {})[k] = known
+        return known
     return None
 
 

@@ -184,24 +184,25 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     circuit is tested in canonical order, so the witness of a failing map is
     the canonically first counterexample.
 
-    mode "sampled" checks up to `samples` circuits drawn from a seeded
-    generator: fundamental circuits of a random spanning tree, then random
-    symmetric differences of known circuits filtered back to circuits. A
-    sampled Pass is evidence, not proof; a sampled Fail is always genuine.
-    Every run first asks reconstruct_vertex_isomorphism, guard off, for a
-    vertex map φ inducing the map (by the paper's converse, every circuit
-    injection from a 3-connected source has one). Then f(C) = φ(C) is a
-    circuit for every circuit C, so no image is tested and circuits_checked
-    is the count the stream would draw: `samples` fundamental circuits and
-    no mix when m − n ≥ samples (more than `samples` chords), read without
-    a forest; below that the stream is drained. A map the read refuses is
-    tested on the stream.
+    mode "sampled" first asks reconstruct_vertex_isomorphism, guard off,
+    for a vertex map φ inducing the map (by the paper's converse, every
+    circuit injection from a 3-connected source has one). Then f(C) = φ(C)
+    is a circuit for every circuit C, so the run stops there: it passes
+    with stop_reason "induced", no attempts and circuits_checked
+    min(samples, μ), for the cycle rank μ = m − n + c of a source with c
+    components, which counts the fundamental circuits of any spanning
+    forest, each certified by φ. A map the read refuses is tested on up to
+    `samples` circuits drawn from a seeded generator: fundamental circuits
+    of a random spanning tree, then random symmetric differences of known
+    circuits filtered back to circuits. A sampled Pass of a refused map is
+    evidence, not proof; a sampled Fail is always genuine.
 
     Each circuit is tested in time linear in its length, so a sampled run
     costs O(n + m) plus time linear in the circuits drawn and the pairs
     mixed (see _sampled_circuits). Its verdict also carries
     samples_requested, attempts (mixes tried) and stop_reason, decided
-    here: "witness", "samples", "attempt_limit" or "too_few_circuits".
+    here: "induced", "witness", "samples", "attempt_limit" or
+    "too_few_circuits".
     """
     _require_int(samples, 1, "samples must be positive", "samples")
     _require_int(max_count, 1, "max_count must be positive", "max_count")
@@ -220,10 +221,12 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     except NotInducedError:
         checked, broken = _first_broken(
             edge_map, _sampled_circuits(source, samples, seed, stats=stats))
-    else:  # induced: every drawn circuit would pass, so only the count is read
-        broken, checked = None, samples
-        if source.edge_count() - source.vertex_count() < samples:
-            checked = sum(1 for _ in _sampled_circuits(source, samples, seed, stats=stats))
+    else:  # induced: no image is tested
+        m, checked = source.edge_count(), samples
+        if m - source.vertex_count() < samples:  # μ = m − n + c may be below samples
+            checked = min(samples, len(_fundamental_circuits(source, range(m))[1]))
+        return Verdict(True, mode, checked, samples_requested=samples, attempts=0,
+                       stop_reason="induced")
     if broken is not None:
         reason = "witness"
     elif checked >= samples:  # the stream ran dry: checked is its whole pool

@@ -6,7 +6,8 @@ code, so callers match on the class, never on message text:
 * InputError (exit 1): a file, argument or object the caller supplied is
   malformed or inconsistent; every count, size and seed passes _require_int.
 * PreconditionError (exit 4): well-formed input outside an operation's
-  hypotheses, such as a connectivity guard or the circuit budget.
+  hypotheses, such as a connectivity guard, the circuit budget or a
+  generator's edge bound.
 * NotInducedError (exit 3, reconstruct) and DecompositionViolationError
   (exit 2, decompose): verdicts that carry their own report.
 * InternalError (exit 5): a postcondition of the library's own
@@ -25,7 +26,8 @@ class InputError(CircuitMapError, ValueError):
 
 class PreconditionError(CircuitMapError):
     """Valid input outside an operation's hypotheses: a connectivity guard,
-    the circuit-count budget, or endpoints with no two disjoint paths.
+    the circuit-count budget, a generator's edge bound, or endpoints with
+    no two disjoint paths.
     Reconstruction's refused 3-connectivity guard sets `separator`, at most
     two source vertices whose deletion disconnects it (None if n <= 3)."""
 

@@ -14,9 +14,21 @@ from math import isqrt
 
 from .connectivity import is_k_connected
 from .edge_maps import EdgeMap
-from .errors import InputError, InternalError, _require_int
+from .errors import InputError, InternalError, PreconditionError, _require_int
 from .graph import Graph, build_graph
 from .rng import XorShift64Star
+
+# The most edges a generator is asked for: p² for theta and K_{p,p}, 2n
+# for a wheel, n for the random graphs. A desk-scale bound, above every
+# size the tests, the benchmark and the roadmap's baselines build (the
+# largest is random2c at n = 512k); a larger request is refused before
+# anything is allocated.
+MAX_EDGES = 1_000_000
+
+
+def _require_edges(edges: int, what: str) -> None:
+    if edges > MAX_EDGES:
+        raise PreconditionError(f"{what} exceeds the bound of {MAX_EDGES} edges")
 
 
 # -- the counterexample family ------------------------------------------------
@@ -30,6 +42,7 @@ def theta_graph(p: int) -> Graph:
     j = 0 incident to hub u and j = p-1 incident to hub w.
     """
     _require_int(p, 2, "theta graph needs at least 2 edges per path", "p")
+    _require_edges(p * p, "theta graph")
     vertices = ["u", "w"]
     for i in range(p):
         for k in range(1, p):
@@ -46,6 +59,7 @@ def theta_graph(p: int) -> Graph:
 def complete_bipartite(p: int) -> Graph:
     """K_{p,p} on sides b0..b{p-1} and c0..c{p-1}; edge (j, t) has id j*p + t."""
     _require_int(p, 1, "complete bipartite part size must be positive", "p")
+    _require_edges(p * p, "complete bipartite graph")
     vertices = [f"b{j}" for j in range(p)] + [f"c{t}" for t in range(p)]
     edges = [(f"b{j}", f"c{t}") for j in range(p) for t in range(p)]
     return build_graph(vertices, edges)
@@ -71,6 +85,8 @@ def build_counterexample(p: int) -> tuple[Graph, Graph, EdgeMap]:
     hub-to-hub paths) lands on a circuit of the target, but the map is not
     a circuit isomorphism and the source is 2- but not 3-connected.
     """
+    if isinstance(p, int) and p > 2:  # before _is_prime divides up to √p
+        _require_edges(p * p, "counterexample")
     if not isinstance(p, int) or not _is_prime(p) or p <= 2:
         raise InputError(f"parameter must be a prime greater than 2, got {p!r}")
     source = theta_graph(p)
@@ -121,6 +137,7 @@ def _complete(n: int) -> Graph:
 
 def _wheel(n: int) -> Graph:
     _require_int(n, 3, "wheel rim needs at least 3 vertices", "n")
+    _require_edges(2 * n, "wheel")
     rim = [f"r{i}" for i in range(n)]
     edges = [(rim[i], rim[(i + 1) % n]) for i in range(n)]
     edges += [("hub", r) for r in rim]
@@ -268,6 +285,7 @@ def random_two_connected(n: int, seed: int) -> Graph:
     most 2n integers; no structure of size Theta(n^2) is built.
     """
     _require_int(n, 3, "2-connected graphs need at least 3 vertices", "n")
+    _require_edges(n, "random 2-connected graph")
     rng = XorShift64Star(seed)
     labels, edges, _ = _random_cycle_with_chords(n, rng, rng.randrange(n + 1))
     return build_graph(labels, edges)
@@ -288,6 +306,7 @@ def random_three_connected(n: int, seed: int) -> Graph:
     n = 1000 on a 2-vCPU VM.
     """
     _require_int(n, 4, "3-connected graphs need at least 4 vertices", "n")
+    _require_edges(n, "random 3-connected graph")
     rng = XorShift64Star(seed)
     labels, edges, absent = _random_cycle_with_chords(n, rng, 0)
 

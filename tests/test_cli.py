@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,22 @@ class TestGenerate:
             "error: 3-connected graphs need at least 4 vertices\n"
         assert list(in_tmp.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, graph", [
+        (["named", "--name", "theta99999999999999999999"], "theta graph"),
+        (["named", "--name", "theta", "--size", "9" * 30], "theta graph"),
+        # 2^89 - 1 is prime: trial division up to its square root never ends.
+        (["counterexample", "--p", str(2**89 - 1)], "counterexample"),
+        (["random3c", "--n", "9" * 30], "random 3-connected graph"),
+    ], ids=["theta-suffix", "theta-size", "counterexample", "random3c"])
+    def test_size_past_the_edge_bound_is_refused_before_building(
+            self, in_tmp, capsys, argv, graph):
+        started = time.perf_counter()
+        assert main(["generate", *argv]) == EXIT_PRECONDITION
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == \
+            f"error: {graph} exceeds the bound of 1000000 edges\n"
+        assert list(in_tmp.iterdir()) == []
+
     def test_out_prefix_in_missing_directory_is_input_error(self, in_tmp, capsys):
         assert main(["generate", "named", "--name", "K4",
                      "--out", "absent/k4"]) == EXIT_INPUT
@@ -198,13 +215,13 @@ class TestVerify:
         # The p = 3 source has only 3 circuits, so 50 samples hit the mix limit.
         (["counterexample_p3.source.json", "counterexample_p3.target.json",
           "counterexample_p3.map.json", "--samples", "50"], (3, 1000, "attempt_limit")),
-        # An induced map with m - n = 5 is counted from its fundamental
-        # circuits, with no mix.
-        (["K5.json", "K5.json", "k5.map.json", "--samples", "5"], (5, 0, "samples")),
-        # Cycle rank 19 < 500: the vertex map is read first, so no drawn
-        # circuit is tested, and the report still counts all 190 circuits.
+        # An induced map stops at the vertex read: with m - n = 5 it reports
+        # the 5 samples, each a fundamental circuit the vertex map certifies.
+        (["K5.json", "K5.json", "k5.map.json", "--samples", "5"], (5, 0, "induced")),
+        # Cycle rank 19 < 500: no circuit is drawn, and the report counts the
+        # 19 fundamental circuits of a spanning tree.
         (["theta20.json", "theta20.json", "theta20.map.json", "--samples", "500"],
-         (190, 10000, "attempt_limit")),
+         (19, 0, "induced")),
     ], ids=["p3", "K5-relabelled", "theta20-identity"])
     def test_sampled_report_counts(self, theta20, k5_maps, capsys, argv, counts):
         generate_counterexample()

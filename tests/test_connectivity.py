@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from circuitmap import (
+    EdgeMap,
     InputError,
     PreconditionError,
     build_counterexample,
@@ -17,6 +18,7 @@ from circuitmap import (
     is_k_connected,
     named_graph,
     random_three_connected,
+    reconstruct_vertex_isomorphism,
     two_disjoint_paths,
 )
 from circuitmap import connectivity
@@ -265,7 +267,8 @@ def test_separating_pairs_hold_a_candidate_on_small_graphs(g):
 
 @pytest.fixture
 def guard_work(monkeypatch):
-    """is_k_connected(g, 3) as (verdict, scans, lowpoint searches)."""
+    """check(g), by default is_k_connected(g, 3), as (its value, scans,
+    lowpoint searches)."""
     calls = Counter()
     for name in ("_breadth_first_hubs", "_rooted_forest"):
         def counted(*args, name=name, real=getattr(connectivity, name)):
@@ -273,9 +276,9 @@ def guard_work(monkeypatch):
             return real(*args)
         monkeypatch.setattr(connectivity, name, counted)
 
-    def run(g):
+    def run(g, check=lambda g: is_k_connected(g, 3)):
         calls.clear()
-        verdict = is_k_connected(g, 3)
+        verdict = check(g)
         return verdict, calls["_breadth_first_hubs"], calls["_rooted_forest"]
     return run
 
@@ -324,6 +327,24 @@ def test_chains_of_blocks_fail_within_few_searches(guard_work):
         assert guard_work(one) == (False, 0, 1)
         verdict, scans, searches = guard_work(two)
         assert not verdict and scans + searches <= 8, (seed, scans, searches)
+
+
+def refused_separator(g):
+    """The separator that reconstruction's refused guard names for g."""
+    with pytest.raises(PreconditionError) as refusal:
+        reconstruct_vertex_isomorphism(EdgeMap(g, g, range(g.edge_count())))
+    return refusal.value.separator
+
+
+@pytest.mark.parametrize("seed, separator", [
+    (1, ("c0_v5", "c0_v6")), (2, ("c108_v5", "c108_v6")), (3, ("c0_v10", "c0_v9"))])
+def test_a_refused_reconstruction_runs_one_guard(guard_work, seed, separator):
+    # The guard keeps the separator it found on the graph, so the refusal
+    # names it without a second scan or search.
+    alone = guard_work(block_chain(seed, 2))
+    refused = guard_work(block_chain(seed, 2), refused_separator)
+    assert alone[0] is False and refused[0] == separator
+    assert refused[1:] == alone[1:]
 
 
 def test_three_connectivity_runs_no_flow(monkeypatch):

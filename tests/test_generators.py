@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from circuitmap import (
     InputError,
+    PreconditionError,
     build_counterexample,
     build_graph,
     check_circuit_injection,
@@ -24,6 +25,7 @@ from circuitmap import (
     reconstruct_vertex_isomorphism,
     theta_graph,
 )
+from circuitmap import generators
 from circuitmap.generators import _AbsentPairs
 from circuitmap.rng import XorShift64Star
 from oracle import brute_is_k_connected
@@ -240,6 +242,23 @@ def test_size_and_seed_must_be_ints(build, name, value):
     message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
     with pytest.raises(InputError, match=message):
         build(value)
+
+
+@pytest.mark.parametrize("build, largest, past", [
+    pytest.param(theta_graph, 5, 6, id="theta_graph"),
+    pytest.param(complete_bipartite, 5, 6, id="complete_bipartite"),
+    pytest.param(build_counterexample, 5, 7, id="build_counterexample"),
+    pytest.param(lambda n: named_graph("wheel", n), 12, 13, id="wheel"),
+    pytest.param(lambda n: random_two_connected(n, 1), 25, 26, id="random_two_connected"),
+    pytest.param(lambda n: random_three_connected(n, 1), 25, 26, id="random_three_connected"),
+])
+def test_sizes_past_the_edge_bound_are_refused(monkeypatch, build, largest, past):
+    # The bound counts p² edges for theta and K_{p,p}, 2n for a wheel and n
+    # for the random graphs.
+    monkeypatch.setattr(generators, "MAX_EDGES", 25)
+    build(largest)
+    with pytest.raises(PreconditionError, match="exceeds the bound of 25 edges$"):
+        build(past)
 
 
 def fingerprint(graph):

@@ -672,15 +672,25 @@ def test_sampled_failures_are_sound(n, seed, shuffle_seed):
 @given(graphs(), st.one_of(st.none(), st.integers(0, 2**32)), st.integers(1, 30),
        st.sampled_from([1, 2, 7]))
 def test_sampled_stop_reason_follows_from_the_count(g, shuffle_seed, samples, seed):
-    # The stream ends by itself only at `samples` circuits, with fewer than
-    # two to mix, or after 20 × samples mixes, so without a witness the
-    # number checked alone decides the reason.
+    # A map the vertex read accepts stops there, reporting the cycle rank
+    # capped at samples. The stream ends by itself only at `samples`
+    # circuits, with fewer than two to mix, or after 20 × samples mixes, so
+    # without a witness the number checked alone decides the reason.
     images = list(range(g.edge_count()))
     if shuffle_seed is not None:
         XorShift64Star(shuffle_seed).shuffle(images)
-    v = check_circuit_injection(EdgeMap(g, g, tuple(images)), mode="sampled",
-                                samples=samples, seed=seed)
+    f = EdgeMap(g, g, tuple(images))
+    v = check_circuit_injection(f, mode="sampled", samples=samples, seed=seed)
     assert v.samples_requested == samples
+    try:
+        reconstruct_vertex_isomorphism(f, check_connectivity=False)
+    except NotInducedError:
+        assert v.stop_reason != "induced"
+    else:
+        rank = g.edge_count() - g.vertex_count() + len(components(g))
+        assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
+            True, min(samples, rank), 0, "induced")
+        return
     if v.witness:
         assert not v.passed and v.stop_reason == "witness"
         return

@@ -11,9 +11,11 @@ from circuitmap import (
     EdgeSet,
     InputError,
     NotInducedError,
+    Verdict,
     build_counterexample,
     build_graph,
     check_circuit_injection,
+    components,
     is_circuit,
     named_graph,
     permuted_edge_map,
@@ -84,12 +86,43 @@ def identity(graph):
     return permuted_edge_map(graph, {v: v for v in graph.vertices})
 
 
+def cycle_rank(graph):
+    return graph.edge_count() - graph.vertex_count() + len(components(graph))
+
+
+def refused(f):
+    """f, after checking that the vertex-map read refuses it, so that a
+    sampled run tests it on the stream."""
+    with pytest.raises(NotInducedError):
+        reconstruct_vertex_isomorphism(f, check_connectivity=False)
+    return f
+
+
+def traded_cycle_images():
+    """The 9-cycle onto itself with the images of the non-adjacent edges
+    v0v1 and v4v5 exchanged: the one circuit maps onto itself."""
+    images = list(range(9))
+    images[0], images[4] = images[4], images[0]
+    g = cycle_graph(9)
+    return refused(EdgeMap(g, g, tuple(images)))
+
+
 def test_stop_reason_samples():
     v = check_circuit_injection(identity(named_graph("K5")), mode="sampled",
                                 samples=20, seed=3)
+    assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
+        True, 6, 0, "induced")
+    # A Whitney twist of cycle rank 11 is refused by the read and passes every
+    # drawn circuit: 5 samples are fundamental circuits, 20 need mixes.
+    f = refused(whitney_twist(5, 6, 0))
+    assert cycle_rank(f.source) == 11
+    v = check_circuit_injection(f, mode="sampled", samples=5, seed=3)
+    assert v.passed and v.stop_reason == "samples"
+    assert (v.samples_requested, v.circuits_checked, v.attempts) == (5, 5, 0)
+    v = check_circuit_injection(f, mode="sampled", samples=20, seed=3)
     assert v.passed and v.stop_reason == "samples"
     assert v.samples_requested == 20 and v.circuits_checked == 20
-    assert v.attempts >= 20 - 6   # K5 has 6 fundamental circuits
+    assert v.attempts >= 20 - 11
 
 
 def test_stop_reason_witness():
@@ -105,6 +138,12 @@ def test_stop_reason_witness():
 def test_stop_reason_attempt_limit():
     v = check_circuit_injection(identity(theta_graph(3)), mode="sampled",
                                 samples=50, seed=1)
+    assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
+        True, 2, 0, "induced")
+    # The p = 3 counterexample has the same source, whose 3 circuits are
+    # all the mixes can reach.
+    f = refused(build_counterexample(3)[2])
+    v = check_circuit_injection(f, mode="sampled", samples=50, seed=1)
     assert v.passed and v.stop_reason == "attempt_limit"
     assert v.circuits_checked == 3 and v.attempts == 20 * 50
 
@@ -112,6 +151,9 @@ def test_stop_reason_attempt_limit():
 def test_stop_reason_too_few_circuits():
     v = check_circuit_injection(identity(cycle_graph(9)), mode="sampled",
                                 samples=50, seed=1)
+    assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
+        True, 1, 0, "induced")
+    v = check_circuit_injection(traded_cycle_images(), mode="sampled", samples=50, seed=1)
     assert v.passed and v.stop_reason == "too_few_circuits"
     assert v.circuits_checked == 1 and v.attempts == 0
 
@@ -145,17 +187,31 @@ def test_cli_reports_sampling_keys_only_in_sampled_mode(tmp_path, monkeypatch, c
                  "--samples", "50"]) == EXIT_PASS
     report = json.loads(capsys.readouterr().out)
     assert report["samples_requested"] == 50
+    assert report["attempts"] == 0
+    assert report["stop_reason"] == "induced"
+    # The counterexample onto K_{3,3}, written against the same source.
+    _, k33, p3 = build_counterexample(3)
+    _write("k33.json", graph_to_json(k33))
+    _write("p3.json", edge_map_to_json(refused(p3)))
+    assert main(["verify", "s.json", "k33.json", "p3.json", "--mode", "sampled",
+                 "--samples", "50"]) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples_requested"] == 50
     assert report["attempts"] == 1000
     assert report["stop_reason"] == "attempt_limit"
-    assert main(["verify", "s.json", "t.json", "m.json"]) == EXIT_PASS
-    report = json.loads(capsys.readouterr().out)
-    assert set(report) == {"result", "mode", "circuits_checked", "witness",
-                           "elapsed_ms"}
+    for target, edge_map in ("t.json", "m.json"), ("k33.json", "p3.json"):
+        assert main(["verify", "s.json", target, edge_map]) == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"result", "mode", "circuits_checked", "witness",
+                               "elapsed_ms"}
 
 
 @pytest.mark.parametrize("samples", [1, 2])
 def test_tiny_sample_counts_stop_on_samples(samples):
     v = check_circuit_injection(identity(named_graph("prism")), mode="sampled",
+                                samples=samples, seed=5)
+    assert v.circuits_checked == samples and v.stop_reason == "induced"
+    v = check_circuit_injection(refused(whitney_twist(5, 6, 1)), mode="sampled",
                                 samples=samples, seed=5)
     assert v.circuits_checked == samples and v.stop_reason == "samples"
 
@@ -230,41 +286,64 @@ def differential_maps():
 
 
 def shortcut_taken(f, samples):
-    """How a sampled run treats f: "tested" when the vertex-map read refuses
-    it, else "counted" when m − n ≥ samples (the count needs no stream) and
-    "drained" below that count threshold."""
+    """How a sampled run treats f: "tested" on the stream when the vertex-map
+    read refuses it; else "capped" at `samples` circuits when m − n ≥
+    samples, and "ranked", counting the chords of a forest, below that
+    count threshold."""
     try:
         reconstruct_vertex_isomorphism(f, check_connectivity=False)
     except NotInducedError:
         return "tested"
     source = f.source
-    return "counted" if source.edge_count() - source.vertex_count() >= samples else "drained"
+    return "capped" if source.edge_count() - source.vertex_count() >= samples else "ranked"
 
 
 def _refuse(f, check_connectivity=True):
     raise NotInducedError("refused")
 
 
+def _no_stream(graph, samples, seed, *, stats):
+    raise AssertionError("the stream was called")
+
+
+def induced_verdict(f, samples):
+    return Verdict(True, "sampled", min(samples, cycle_rank(f.source)), None,
+                   samples_requested=samples, attempts=0, stop_reason="induced")
+
+
 @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in differential_maps()])
 def test_shortcut_leaves_every_verdict_unchanged(f, monkeypatch):
-    fast = {(samples, seed): check_circuit_injection(f, mode="sampled",
-                                                     samples=samples, seed=seed)
-            for samples in DIFFERENTIAL_SAMPLES for seed in (1, 2, 3)}
+    # A map the read accepts passes, as the stream would, with no stream at
+    # all; a refused map's whole verdict is the stream's.
+    induced = shortcut_taken(f, 1) != "tested"
+    with monkeypatch.context() as patch:
+        if induced:
+            patch.setattr(edge_maps, "_sampled_circuits", _no_stream)
+        fast = {(samples, seed): check_circuit_injection(f, mode="sampled",
+                                                         samples=samples, seed=seed)
+                for samples in DIFFERENTIAL_SAMPLES for seed in (1, 2, 3)}
     monkeypatch.setattr(edge_maps, "reconstruct_vertex_isomorphism", _refuse)
     for (samples, seed), verdict in fast.items():
-        assert verdict == check_circuit_injection(f, mode="sampled",
-                                                  samples=samples, seed=seed), (samples, seed)
+        streamed = check_circuit_injection(f, mode="sampled", samples=samples, seed=seed)
+        if induced:
+            assert (verdict.passed, verdict.witness) == (streamed.passed, streamed.witness)
+            assert verdict == induced_verdict(f, samples), (samples, seed)
+        else:
+            assert verdict == streamed, (samples, seed)
 
 
 def test_differential_maps_fall_on_both_sides_of_the_count_threshold():
     taken = {(name, samples): shortcut_taken(f, samples)
              for name, f in differential_maps() for samples in DIFFERENTIAL_SAMPLES}
-    # The pendant tree of the disconnected source is read like any vertex.
+    # The read accepts exactly the unswapped relabellings; the pendant tree of
+    # the disconnected source is read like any vertex.
     unswapped = [*CATALOG, "random2c_n30", "random2c_n200", "random3c_n30", "K8",
                  "disconnected"]
-    assert all(taken[(name, 500)] == "drained" for name in unswapped)
-    assert taken[("K5", 50)] == "drained"
-    assert taken[("K5", 5)] == taken[("K8", 5)] == taken[("random3c_n30", 5)] == "counted"
+    for (name, samples), way in taken.items():
+        assert (way == "tested") is (name not in unswapped), (name, samples)
+    assert all(taken[(name, 500)] == "ranked" for name in unswapped)
+    assert taken[("K5", 50)] == "ranked"
+    assert taken[("K5", 5)] == taken[("K8", 5)] == taken[("random3c_n30", 5)] == "capped"
     assert all(taken[(name, 500)] == "tested" for name in (
         "counterexample_p3", "inverse_p7", "twist/seed0", "K5/swap1"))
 
@@ -282,7 +361,7 @@ def test_induced_is_read_once_when_the_rank_is_within_samples(monkeypatch):
     v = check_circuit_injection(identity(theta_graph(20)), mode="sampled", samples=500)
     assert calls == [{"check_connectivity": False}]
     assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
-        True, 190, 10000, "attempt_limit")
+        True, 19, 0, "induced")
 
 
 def test_induced_is_read_once_per_sampled_run_and_never_in_exhaustive_mode(monkeypatch):
@@ -299,11 +378,6 @@ def test_induced_is_read_once_per_sampled_run_and_never_in_exhaustive_mode(monke
     assert len(calls) == len(runs)
 
 
-def _no_stream(graph, samples, seed, *, stats):
-    raise AssertionError("the stream was advanced")
-    yield
-
-
 @pytest.mark.parametrize("f", [
     pytest.param(relabelled(complete(8)), id="K8"),
     pytest.param(identity(named_graph("K5")), id="K5"),
@@ -311,7 +385,8 @@ def _no_stream(graph, samples, seed, *, stats):
 ])
 def test_induced_map_at_the_count_threshold_draws_no_circuit(f, monkeypatch):
     monkeypatch.setattr(edge_maps, "_sampled_circuits", _no_stream)
-    v = check_circuit_injection(f, mode="sampled", samples=5, seed=2)
-    assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
-        True, 5, 0, "samples")
-    assert v.samples_requested == 5 and v.witness is None
+    # m − n ≥ 5 for each source; above that count the rank is read from a
+    # forest, where the parent drained the stream.
+    for samples in (5, 50, 500):
+        v = check_circuit_injection(f, mode="sampled", samples=samples, seed=2)
+        assert v == induced_verdict(f, samples), samples
