@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .connectivity import is_k_connected, two_disjoint_paths
+from .connectivity import _refusal, is_k_connected, two_disjoint_paths
 from .errors import InputError, InternalError, PreconditionError, _require_int
 from .graph import (
     Circuit,
@@ -228,7 +228,7 @@ def circuit_and_attached_path(graph: Graph, a: str, b: str, c: str
     if len({a, b, c}) != 3:
         raise InputError("a, b, c must be distinct")
     if not is_k_connected(graph, 2):
-        raise PreconditionError("attachment search needs a 2-connected graph")
+        raise _refusal(graph, 2, "attachment search needs a 2-connected graph")
 
     first, second = two_disjoint_paths(graph, a, b)
     circuit = Circuit(graph, first.edges + second.edges)

@@ -10,7 +10,9 @@ stable interface:
     2  verification failed (a witness shows the map breaks circuits)
     3  no vertex isomorphism induces the map (reconstruct: its source is
        3-connected, so by the paper's theorem the map breaks a circuit)
-    4  precondition failed (connectivity guards, desk-scale bounds)
+    4  precondition failed: a refused connectivity guard reports
+       not_two_connected or not_three_connected with its separator; any
+       other precondition (desk-scale bounds) is an error: line
     5  internal error (a result failed the library's own check: a bug)
 
 main(argv) returns the exit code, for callers in process, and leaves
@@ -65,6 +67,8 @@ EXIT_FAIL = 2
 EXIT_NOT_INDUCED = 3
 EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
+
+_NOT_CONNECTED = {2: "not_two_connected", 3: "not_three_connected"}
 
 
 def _file_error(path, err: Exception) -> InputError:
@@ -162,9 +166,6 @@ def _cmd_reconstruct(args) -> tuple[dict, int]:
     edge_map = _load_map_files(args)
     try:
         iso = reconstruct_vertex_isomorphism(edge_map)
-    except PreconditionError as err:
-        return ({"result": "not_three_connected", "detail": str(err),
-                 "separator": err.separator}, EXIT_PRECONDITION)
     except NotInducedError as err:
         witness = {"vertex": err.vertex}
         if err.star_class is not None:
@@ -359,8 +360,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        if err.k is None:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        report = {"result": _NOT_CONNECTED[err.k], "detail": str(err),
+                  "separator": err.separator}
+        code = EXIT_PRECONDITION
     except Exception as err:  # InternalError, or a fault no check anticipated
         from traceback import extract_tb
 

@@ -154,6 +154,14 @@ def _small_separator(graph: Graph, k: int = 3) -> tuple[str, ...] | None:
     return None
 
 
+def _refusal(graph: Graph, k: int, message: str) -> PreconditionError:
+    """The refusal of a k-connectivity guard (k <= 3) that graph failed:
+    its separator is the one _small_separator found, a lookup once the
+    guard has searched, or None when n <= k."""
+    separator = _small_separator(graph, k) if graph.vertex_count() > k else None
+    return PreconditionError(message, separator=separator, k=k)
+
+
 def _hub_candidates(adjacency) -> list[int]:
     """The vertices that are hubs of more than half of t scans of a
     connected graph, heaviest first (ties to the least index).

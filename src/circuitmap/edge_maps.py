@@ -20,12 +20,11 @@ from itertools import chain, filterfalse
 from types import MappingProxyType
 
 from .circuits import DEFAULT_MAX_CIRCUITS, enumerate_circuits
-from .connectivity import _small_separator, is_k_connected
+from .connectivity import _refusal, is_k_connected
 from .errors import (
     InputError,
     InternalError,
     NotInducedError,
-    PreconditionError,
     _require_int,
 )
 from .graph import (
@@ -493,9 +492,7 @@ def reconstruct_vertex_isomorphism(edge_map: EdgeMap,
     """
     source, target = edge_map.source, edge_map.target
     if check_connectivity and not is_k_connected(source, 3):
-        raise PreconditionError(
-            "reconstruction requires a 3-connected source",
-            separator=_small_separator(source) if source.vertex_count() > 3 else None)
+        raise _refusal(source, 3, "reconstruction requires a 3-connected source")
     image_ends, names = target._ends, target.vertices
     # Per source vertex, the endpoint indices of its edges' images, two per
     # edge in id order; and per target vertex, its degree.

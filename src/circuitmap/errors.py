@@ -28,12 +28,14 @@ class PreconditionError(CircuitMapError):
     """Valid input outside an operation's hypotheses: a connectivity guard,
     the circuit-count budget, a generator's edge bound, or endpoints with
     no two disjoint paths.
-    Reconstruction's refused 3-connectivity guard sets `separator`, at most
-    two source vertices whose deletion disconnects it (None if n <= 3)."""
+    Every refused k-connectivity guard sets `k` and `separator`: fewer than
+    k sorted vertex labels whose deletion disconnects the graph (None if
+    n <= k). Every other refusal leaves both None."""
 
-    def __init__(self, message, separator=None):
+    def __init__(self, message, separator=None, k=None):
         super().__init__(message)
         self.separator = separator
+        self.k = k
 
 
 # The benchmark's pool scripts catch the circuit budget under this name.

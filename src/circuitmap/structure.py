@@ -24,7 +24,7 @@ whose images under a circuit injection can never share an endpoint.
 from __future__ import annotations
 
 from .circuits import circuit_and_attached_path
-from .connectivity import cutpoints, is_k_connected, two_disjoint_paths
+from .connectivity import _refusal, cutpoints, is_k_connected, two_disjoint_paths
 from .edge_maps import EdgeMap, IndependentEdges, classify_star_preimage
 from .errors import DecompositionViolationError, InputError, InternalError, PreconditionError
 from .graph import Circuit, EdgeSet, Frozen, Graph, Path, _components, induced_subgraph, star
@@ -43,7 +43,7 @@ def decompose_by_star_preimage(edge_map: EdgeMap, w: str
     map was not actually a circuit injection.
     """
     if not is_k_connected(edge_map.source, 2):
-        raise PreconditionError("decomposition needs a 2-connected source")
+        raise _refusal(edge_map.source, 2, "decomposition needs a 2-connected source")
     kind = classify_star_preimage(edge_map, w)
     if not isinstance(kind, IndependentEdges):
         raise PreconditionError(
@@ -171,7 +171,7 @@ def find_crossing_structure(graph: Graph, crossing: EdgeSet
     if crossing.host != graph:
         raise InputError("crossing set is hosted on a different graph")
     if not is_k_connected(graph, 3):
-        raise PreconditionError("graph is not 3-connected")
+        raise _refusal(graph, 3, "graph is not 3-connected")
 
     touched = set()
     for eid in crossing:

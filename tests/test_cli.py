@@ -92,6 +92,27 @@ def theta20(in_tmp, bowtie):
     return in_tmp
 
 
+@pytest.fixture
+def bowtie_files(in_tmp, bowtie):
+    """bowtie.json with its identity map bowtie.map.json, and cut.json: two
+    edges at the cutpoint c."""
+    write_json(in_tmp / "bowtie.json", graph_to_json(bowtie))
+    write_map(in_tmp / "bowtie.map.json", bowtie)
+    write_json(in_tmp / "cut.json", [["c", "d"], ["c", "e"]])
+    return in_tmp
+
+
+# The reports of the two bowtie refusals: decompose's 2-connectivity guard
+# names the cutpoint, crossing's 3-connectivity guard the neighbours of a,
+# the first vertex of degree 2.
+BOWTIE_REFUSALS = [
+    (["decompose", "bowtie.json", "bowtie.json", "bowtie.map.json", "--vertex", "a"],
+     "not_two_connected", "decomposition needs a 2-connected source", ["c"]),
+    (["crossing", "bowtie.json", "cut.json"],
+     "not_three_connected", "graph is not 3-connected", ["b", "c"]),
+]
+
+
 # K5 onto itself by the relabelling 0 1 2 3 4 -> 3 1 4 0 2.
 K5_RELABEL = dict(zip("01234", "31402"))
 
@@ -660,11 +681,29 @@ class TestClassifyDecomposeCrossing:
         report = last_report(capsys)
         assert (report["result"], report["crossing_edges_used"]) == ("circuit", 4)
 
-    def test_crossing_guard_violation(self, in_tmp):
+    def test_crossing_guard_violation(self, in_tmp, capsys):
         write_graph(in_tmp / "theta.json", "theta3")
         cut = [["u", "x_0_1"], ["u", "x_1_1"], ["u", "x_2_1"]]
         (in_tmp / "cut.json").write_text(json.dumps(cut), encoding="utf-8")
         assert main(["crossing", "theta.json", "cut.json"]) == EXIT_PRECONDITION
+        report = last_report(capsys)
+        assert list(report) == ["result", "detail", "separator", "elapsed_ms"]
+        assert report["result"] == "not_three_connected"
+        # The neighbours of x_0_1, the first vertex of degree 2.
+        assert report["separator"] == ["u", "x_0_2"]
+
+    @pytest.mark.parametrize("argv,result,detail,separator", BOWTIE_REFUSALS,
+                             ids=["decompose", "crossing"])
+    def test_guard_refusal_names_its_separator(self, bowtie_files, capsys,
+                                               argv, result, detail, separator):
+        assert main(argv) == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert list(report) == ["result", "detail", "separator", "elapsed_ms"]
+        assert (report["result"], report["detail"], report["separator"], err) == (
+            result, detail, separator, "")
+        assert main([*argv, "--quiet"]) == EXIT_PRECONDITION
+        assert capsys.readouterr() == ("", "")
 
     def test_decompose_violation_exits_2(self, in_tmp, capsys):
         # The matching {a0a1, b0b1, a2b2} of the prism goes onto the star of
@@ -889,7 +928,7 @@ class TestEntryPoints:
         assert child.returncode == EXIT_PASS
 
     @pytest.fixture
-    def instances(self, in_tmp):
+    def instances(self, in_tmp, bowtie_files):
         generate_counterexample()
         write_graph(in_tmp / "k4.json", "K4")
         g = named_graph("K4")
@@ -906,12 +945,13 @@ class TestEntryPoints:
         (["verify", "k4.json", "k4.json", "swap.json"], EXIT_FAIL),
         (["reconstruct", "k4.json", "k4.json", "swap.json"], EXIT_NOT_INDUCED),
         (["reconstruct", *P3], EXIT_PRECONDITION),
+        (BOWTIE_REFUSALS[0][0], EXIT_PRECONDITION),
         (["enumerate", "k4.json", "--max-circuits", "2"], EXIT_PRECONDITION),
         (["enumerate", "absent.json"], EXIT_INPUT),
         (["verify", "k4.json"], EXIT_INPUT),
         (["--version"], EXIT_PASS),
-    ], ids=["pass", "fail", "not-induced", "not-3-connected", "budget", "missing-file",
-            "usage", "version"])
+    ], ids=["pass", "fail", "not-induced", "not-3-connected", "not-2-connected", "budget",
+            "missing-file", "usage", "version"])
     def test_module_run_matches_main(self, instances, capsys, argv, code):
         child = spawn_module(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              cwd=instances, text=True)

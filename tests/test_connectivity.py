@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from circuitmap import (
-    EdgeMap,
     InputError,
     PreconditionError,
     build_counterexample,
@@ -18,14 +17,14 @@ from circuitmap import (
     is_k_connected,
     named_graph,
     random_three_connected,
-    reconstruct_vertex_isomorphism,
     two_disjoint_paths,
 )
 from circuitmap import connectivity
 from circuitmap.rng import XorShift64Star
-from conftest import CORPUS
+from conftest import CORPUS, complete
 from oracle import _connected_on, brute_is_k_connected
-from test_properties import assert_small_separator_matches_oracle, graphs
+from test_properties import (CONNECTIVITY_GUARDS, assert_guard_refusals_match_oracle,
+                             assert_small_separator_matches_oracle, graphs)
 
 # Rows [graph name, a, b, forbidden vertex or null, [path, path] or
 # "NoTwoPathsError"], recorded from the earlier two_disjoint_paths that kept
@@ -197,10 +196,28 @@ def test_three_connectivity_matches_oracle_at_least_degree_three(k23_onto_k4):
     for g in [*three_connected_instances(), *extra]:
         assert is_k_connected(g, 3) is brute_is_k_connected(g, 3), g
         for k in range(1, min(4, g.vertex_count())):
-            assert_small_separator_matches_oracle(g, k)
+            assert_small_separator_matches_oracle(g, k, connectivity._small_separator(g, k))
     assert not any(is_k_connected(glued_blocks(seed, shared, False), 3)
                    for seed in range(12) for shared in (0, 1, 2))
     assert all(is_k_connected(glued_blocks(seed, 2, True), 3) for seed in range(12))
+
+
+def two_disjoint_k4s():
+    return build_graph([f"{t}{i}" for t in "ab" for i in range(4)],
+                       [(f"{t}{i}", f"{t}{j}") for t in "ab"
+                        for i, j in combinations(range(4), 2)])
+
+
+def test_every_guard_refusal_names_an_oracle_separator(k23_onto_k4, bowtie):
+    # All four guards, reconstruction's, the crossing search's (k = 3),
+    # decomposition's and the attachment search's (k = 2), on the instances
+    # above, the sources of K_{2,3} onto K4 and of the counterexamples for
+    # p = 3 and 5, a bowtie (cutpoint c), two disjoint K4s (the empty
+    # separator) and a triangle, too small for k = 3 to name a separator.
+    extra = [k23_onto_k4.source, build_counterexample(3)[0], build_counterexample(5)[0],
+             bowtie, two_disjoint_k4s(), complete(3)]
+    for g in [*three_connected_instances(), *extra]:
+        assert_guard_refusals_match_oracle(g)
 
 
 def assert_separators_hold(g, chosen):
@@ -287,12 +304,9 @@ def test_three_connectivity_searches_only_candidates(guard_work):
     # One search of G itself, then the first scan of K5 and of W7 has one
     # hub, the start, which claims every other vertex: one candidate.
     assert guard_work(named_graph("K5")) == guard_work(named_graph("W7")) == (True, 1, 2)
-    two_k4 = build_graph([f"{t}{i}" for t in "ab" for i in range(4)],
-                         [(f"{t}{i}", f"{t}{j}") for t in "ab"
-                          for i, j in combinations(range(4), 2)])
     # theta3 fails the least-degree exit, two K4s the search of G.
     assert guard_work(named_graph("theta3")) == (False, 0, 0)
-    assert guard_work(two_k4) == (False, 0, 1)
+    assert guard_work(two_disjoint_k4s()) == (False, 0, 1)
     # 26 searches here where one breadth-first tree's hubs gave 41-45.
     verdict, scans, searches = guard_work(random_three_connected(120, 1))
     assert verdict and scans <= 7 and searches <= 30
@@ -329,22 +343,32 @@ def test_chains_of_blocks_fail_within_few_searches(guard_work):
         assert not verdict and scans + searches <= 8, (seed, scans, searches)
 
 
-def refused_separator(g):
-    """The separator that reconstruction's refused guard names for g."""
-    with pytest.raises(PreconditionError) as refusal:
-        reconstruct_vertex_isomorphism(EdgeMap(g, g, range(g.edge_count())))
-    return refusal.value.separator
+def refused_separator(call):
+    """A check for guard_work: the separator that the connectivity guard
+    refusing call(g) names."""
+    def check(g):
+        with pytest.raises(PreconditionError) as refusal:
+            call(g)
+        assert refusal.value.k is not None
+        return refusal.value.separator
+    return check
 
 
 @pytest.mark.parametrize("seed, separator", [
     (1, ("c0_v5", "c0_v6")), (2, ("c108_v5", "c108_v6")), (3, ("c0_v10", "c0_v9"))])
 def test_a_refused_reconstruction_runs_one_guard(guard_work, seed, separator):
-    # The guard keeps the separator it found on the graph, so the refusal
-    # names it without a second scan or search.
-    alone = guard_work(block_chain(seed, 2))
-    refused = guard_work(block_chain(seed, 2), refused_separator)
-    assert alone[0] is False and refused[0] == separator
-    assert refused[1:] == alone[1:]
+    # A guard keeps the separator it found on the graph, so each of the four
+    # refusals names it without a second scan or search. Blocks sharing two
+    # vertices refuse the k = 3 guards (the chain is 2-connected), blocks
+    # sharing one the k = 2 guards.
+    for k, _, call in CONNECTIVITY_GUARDS:
+        chain = block_chain(seed, k - 1)
+        alone = guard_work(chain, lambda g: connectivity._small_separator(g, k))
+        refused = guard_work(build_graph(chain.vertices, chain.edges),
+                             refused_separator(call))
+        assert alone[0] is not None and refused == alone, (k, call)
+        if k == 3:
+            assert refused[0] == separator
 
 
 def test_three_connectivity_runs_no_flow(monkeypatch):

@@ -24,7 +24,9 @@ from circuitmap import (
     complete_bipartite,
     components,
     cutpoints,
+    decompose_by_star_preimage,
     enumerate_circuits,
+    find_crossing_structure,
     graph_from_json,
     graph_to_json,
     is_circuit,
@@ -233,18 +235,57 @@ def test_circuit_symmetric_differences_stay_even(g):
 def test_connectivity_matches_oracle(g, k):
     assert is_k_connected(g, k) is brute_is_k_connected(g, k)
     if k <= 3 and g.vertex_count() > k:
-        assert_small_separator_matches_oracle(g, k)
+        assert_small_separator_matches_oracle(g, k, _small_separator(g, k))
+    if k in (2, 3):
+        assert_guard_refusals_match_oracle(g, k)
 
 
-def assert_small_separator_matches_oracle(g, k):
-    """_small_separator(g, k) is None iff the oracle calls g k-connected;
-    a separator it returns is fewer than k sorted labels whose deletion
+def assert_small_separator_matches_oracle(g, k, separator):
+    """separator, found for g and k, is None iff the oracle calls g
+    k-connected; otherwise it is fewer than k sorted labels whose deletion
     leaves g disconnected."""
-    separator = _small_separator(g, k)
     assert (separator is None) is brute_is_k_connected(g, k), (g, k, separator)
     if separator is not None:
         assert len(separator) < k and list(separator) == sorted(separator)
         assert not _connected_on(g, set(g.vertices) - set(separator)), (g, separator)
+
+
+def _identity(g):
+    return EdgeMap(g, g, range(g.edge_count()))
+
+
+# The four k-connectivity guards, as (k, fewest vertices the call takes,
+# a call on g that reaches the guard before any other check of g).
+CONNECTIVITY_GUARDS = [
+    (3, 1, lambda g: reconstruct_vertex_isomorphism(_identity(g))),
+    (3, 1, lambda g: find_crossing_structure(g, EdgeSet(g, ()))),
+    (2, 1, lambda g: decompose_by_star_preimage(_identity(g), g.vertices[0])),
+    (2, 3, lambda g: circuit_and_attached_path(g, *g.vertices[:3])),
+]
+
+
+def assert_guard_refusals_match_oracle(g, k=None):
+    """Each k-connectivity guard (every guard when k is None) refuses g iff
+    the oracle says g is not k-connected. A refusal carries k, and its
+    separator is None exactly when n <= k; otherwise the separator passes
+    assert_small_separator_matches_oracle."""
+    n = g.vertex_count()
+    for guard_k, least, guard in CONNECTIVITY_GUARDS:
+        if k not in (None, guard_k) or n < least:
+            continue
+        refusal = None
+        try:
+            guard(g)
+        except PreconditionError as err:
+            if err.k is not None:
+                refusal = err
+        assert refusal is None or refusal.k == guard_k, (g, guard_k)
+        if n <= guard_k:
+            assert refusal is not None and refusal.separator is None, (g, guard_k)
+        else:
+            separator = None if refusal is None else refusal.separator
+            assert (refusal is None) is (separator is None), (g, guard_k)
+            assert_small_separator_matches_oracle(g, guard_k, separator)
 
 
 @settings(max_examples=40, deadline=None)
