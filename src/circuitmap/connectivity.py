@@ -97,7 +97,7 @@ def is_k_connected(graph: Graph, k: int) -> bool:
     return all(_augment(graph, s, t, k)[0] == k for s, t in pairs)
 
 
-def _small_separator(graph: Graph, k: int = 3) -> tuple[str, ...] | None:
+def _small_separator(graph: Graph, k: int) -> tuple[str, ...] | None:
     """The first set of fewer than k <= 3 vertices whose deletion
     disconnects a graph of more than k vertices, as sorted labels, or None.
 

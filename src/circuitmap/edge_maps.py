@@ -35,7 +35,6 @@ from .graph import (
     _edge_ids_form_circuit,
     _fundamental_circuits,
     _is_string_pair,
-    star,
 )
 from .rng import XorShift64Star
 
@@ -190,11 +189,13 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
     with stop_reason "induced", no attempts and circuits_checked
     min(samples, μ), for the cycle rank μ = m − n + c of a source with c
     components, which counts the fundamental circuits of any spanning
-    forest, each certified by φ. A map the read refuses is tested on up to
-    `samples` circuits drawn from a seeded generator: fundamental circuits
-    of a random spanning tree, then random symmetric differences of known
-    circuits filtered back to circuits. A sampled Pass of a refused map is
-    evidence, not proof; a sampled Fail is always genuine.
+    forest, each certified by φ. A map the read refuses is tested on every
+    fundamental circuit of a seeded random spanning forest, then, if they
+    are fewer than `samples`, on random symmetric differences of known
+    circuits filtered back to circuits. A fail counts every circuit tested;
+    a pass counts at most `samples`. A sampled Pass of a refused map is
+    exact onto a target of the source's rank n − c (f is then a circuit
+    isomorphism), else evidence; a sampled Fail is always genuine.
 
     Each circuit is tested in time linear in its length, so a sampled run
     costs O(n + m) plus time linear in the circuits drawn and the pairs
@@ -228,8 +229,8 @@ def check_circuit_injection(edge_map: EdgeMap, mode: str = "exhaustive",
                        stop_reason="induced")
     if broken is not None:
         reason = "witness"
-    elif checked >= samples:  # the stream ran dry: checked is its whole pool
-        reason = "samples"
+    elif checked >= samples:  # the whole forest passed, or mixes filled it out
+        checked, reason = samples, "samples"
     elif checked < 2:
         reason = "too_few_circuits"
     else:
@@ -310,9 +311,11 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *, stats: dict):
     then random pairwise symmetric differences kept when they are circuits.
 
     _shuffled_forest picks the spanning forest from a seeded shuffle of
-    the edges and reads each chord's circuit. Mixing draws random
-    pairs from the pool; edge-disjoint pairs are skipped, since their
-    symmetric difference is never a circuit.
+    the edges and reads every chord's circuit in chord order, each once;
+    the first `samples` form the pool. Mixing draws random pairs from a
+    pool of fewer than `samples`, so only after a forest of fewer chords;
+    edge-disjoint pairs are skipped, since their symmetric difference is
+    never a circuit.
     Cost: O(n + m) for the forest plus time linear in the circuits found
     and in the pairs mixed, of which there are at most 20 × samples.
 
@@ -323,8 +326,7 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *, stats: dict):
     rng = XorShift64Star(seed)
     _, chords, circuit_of = _shuffled_forest(graph, rng)
 
-    # Every circuit drawn joins the pool; fundamental circuits are distinct,
-    # each holding its own chord.
+    # Fundamental circuits are distinct, each holding its own chord.
     emitted: set[frozenset[int]] = set()
     pool: list[frozenset[int]] = []
     for eid in chords[:samples]:
@@ -332,6 +334,7 @@ def _sampled_circuits(graph: Graph, samples: int, seed: int, *, stats: dict):
         emitted.add(ids)
         pool.append(ids)
         yield ids
+    yield from map(circuit_of, chords[samples:])
 
     limit = samples * 20
     while 2 <= len(pool) < samples and stats["attempts"] < limit:
@@ -407,7 +410,7 @@ def _classify_edge_ids(graph: Graph, ids: frozenset[int]) -> StarImageClass:
 
 def classify_star_image(edge_map: EdgeMap, v: str) -> StarImageClass:
     """Classify the image of v's star in the target (target edge ids)."""
-    ids = star(edge_map.source, v).members
+    ids = edge_map.source.incident_edges(v)
     if not ids:
         raise InputError(f"source vertex {v!r} has no incident edges")
     return _classify_edge_ids(edge_map.target, edge_map.image(ids))
@@ -415,7 +418,7 @@ def classify_star_image(edge_map: EdgeMap, v: str) -> StarImageClass:
 
 def classify_star_preimage(edge_map: EdgeMap, w: str) -> StarImageClass:
     """Classify the preimage of w's star in the source (source edge ids)."""
-    ids = star(edge_map.target, w).members
+    ids = edge_map.target.incident_edges(w)
     if not ids:
         raise InputError(f"target vertex {w!r} has no incident edges")
     return _classify_edge_ids(edge_map.source, edge_map.preimage(ids))

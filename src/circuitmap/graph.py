@@ -340,11 +340,6 @@ class Circuit(Frozen):
 # -- whole-graph operations --
 
 
-def star(graph: Graph, v: str) -> EdgeSet:
-    """All edges incident to v (empty for an isolated vertex)."""
-    return EdgeSet(graph, graph.incident_edges(v))
-
-
 def _rooted_forest(adjacency, skip: int = -1
                    ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """Root every component of an index graph with one iterative depth-first
@@ -443,11 +438,6 @@ def _fundamental_circuits(graph: Graph, order: Iterable[int]):
         return ids
 
     return forest_ids, chords, circuit_of
-
-
-def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by least label."""
-    return _components(graph._adjacency, graph.vertices)
 
 
 def _components(adjacency, labels, skip: int = -1) -> tuple[tuple[str, ...], ...]:

@@ -27,7 +27,7 @@ from .circuits import circuit_and_attached_path
 from .connectivity import _refusal, cutpoints, is_k_connected, two_disjoint_paths
 from .edge_maps import EdgeMap, IndependentEdges, classify_star_preimage
 from .errors import DecompositionViolationError, InputError, InternalError, PreconditionError
-from .graph import Circuit, EdgeSet, Frozen, Graph, Path, _components, induced_subgraph, star
+from .graph import Circuit, EdgeSet, Frozen, Graph, Path, _components, induced_subgraph
 
 
 def decompose_by_star_preimage(edge_map: EdgeMap, w: str
@@ -48,8 +48,7 @@ def decompose_by_star_preimage(edge_map: EdgeMap, w: str
     if not isinstance(kind, IndependentEdges):
         raise PreconditionError(
             f"star preimage of {w!r} is {type(kind).__name__}, not independent")
-    crossing = EdgeSet(edge_map.source,
-                       edge_map.preimage(star(edge_map.target, w).members))
+    crossing = EdgeSet(edge_map.source, edge_map.preimage(edge_map.target.incident_edges(w)))
     side_a, side_b = _two_sides(edge_map.source, crossing,
                                 DecompositionViolationError, "preimage")
     return side_a, side_b, crossing

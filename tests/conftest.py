@@ -129,6 +129,10 @@ def bowtie():
 
 @pytest.fixture
 def k23_onto_k4():
+    return k23_onto_k4_map()
+
+
+def k23_onto_k4_map():
     """The smallest passing map that no vertex map induces: K_{2,3}, the
     theta graph of three 2-edge paths, onto K4 by the perfect
     1-factorization of K4. Each path goes onto one factor, so its three

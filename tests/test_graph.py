@@ -12,15 +12,14 @@ from circuitmap import (
     Path,
     build_graph,
     circuit_and_attached_path,
-    components,
     edge_set_from_pairs,
     graph_from_json,
     graph_to_json,
     induced_subgraph,
     named_graph,
-    star,
     two_disjoint_paths,
 )
+from circuitmap.graph import _components
 
 
 def test_build_graph_coerces_and_orders():
@@ -55,7 +54,7 @@ def test_accessors(k4):
     assert k4.vertex_count() == 4
     assert k4.edge_count() == 6
     assert k4.endpoints(0) == ("0", "1")
-    assert len(k4.incident_edges("0")) == 3
+    assert k4.incident_edges("0") == (0, 1, 2)
     assert tuple(k4.vertices[ni] for ni, _ in k4._adjacency[k4._index["0"]]) == ("1", "2", "3")
     assert k4.incident_edges("3") == (2, 4, 5)
     assert ("2", "3") in k4._pair_ids and ("0", "0") not in k4._pair_ids
@@ -79,20 +78,14 @@ def test_labels_that_are_not_strings_are_refused(k4, call, expected):
     assert str(err.value) == expected
 
 
-def test_star_is_incident_edge_set(k4):
-    s = star(k4, "0")
-    assert sorted(s.members) == [0, 1, 2]
-    assert all("0" in k4.endpoints(e) for e in s.members)
-
-
 def test_star_of_isolated_vertex_is_empty():
     g = build_graph(["a", "b", "c"], [("a", "b")])
-    assert star(g, "c").members == frozenset()
+    assert g.incident_edges("c") == ()
 
 
 def test_star_on_triangle():
     g = build_graph("012", [("0", "1"), ("1", "2"), ("2", "0")])
-    assert tuple(map(g.endpoints, star(g, "1"))) == (("0", "1"), ("1", "2"))
+    assert tuple(map(g.endpoints, g.incident_edges("1"))) == (("0", "1"), ("1", "2"))
 
 
 def test_edge_set_iterates_in_id_order(k4):
@@ -109,12 +102,12 @@ def test_edge_set_from_pairs_rejects_unknown(k4):
 
 def test_components_of_connected_graph_is_one_block():
     g = build_graph("012", [("0", "1"), ("1", "2"), ("2", "0")])
-    assert components(g) == (("0", "1", "2"),)
+    assert _components(g._adjacency, g.vertices) == (("0", "1", "2"),)
 
 
 def test_components_orders_by_least_label():
     g = build_graph(["x", "m", "a"], [])
-    assert components(g) == (("a",), ("m",), ("x",))
+    assert _components(g._adjacency, g.vertices) == (("a",), ("m",), ("x",))
 
 
 def test_induced_subgraph(prism):

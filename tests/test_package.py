@@ -49,9 +49,8 @@ PUBLIC = {
     "generators": ["build_counterexample", "complete_bipartite", "named_graph",
                    "permuted_edge_map", "random_three_connected", "random_two_connected",
                    "theta_graph"],
-    "graph": ["Circuit", "EdgeSet", "Graph", "Path", "build_graph", "components",
-              "edge_set_from_pairs", "graph_from_json", "graph_to_json",
-              "induced_subgraph", "star"],
+    "graph": ["Circuit", "EdgeSet", "Graph", "Path", "build_graph", "edge_set_from_pairs",
+              "graph_from_json", "graph_to_json", "induced_subgraph"],
     "structure": ["LinkedCircuitPair", "connector_images_nonadjacent",
                   "decompose_by_star_preimage", "find_crossing_structure",
                   "validate_linked_pair"],
@@ -61,9 +60,9 @@ SUBMODULES = ["circuits", "cli", "connectivity", "edge_maps", "errors", "generat
               "graph", "rng", "structure"]
 
 
-def test_public_surface_has_53_names():
-    assert len(NAMES) == 53
-    assert len({name for _, name in NAMES}) == 53
+def test_public_surface_has_51_names():
+    assert len(NAMES) == 51
+    assert len({name for _, name in NAMES}) == 51
 
 
 @pytest.mark.parametrize("module,name", NAMES)

@@ -22,7 +22,6 @@ from circuitmap import (
     classify_star_image,
     classify_star_preimage,
     complete_bipartite,
-    components,
     cutpoints,
     decompose_by_star_preimage,
     enumerate_circuits,
@@ -36,7 +35,6 @@ from circuitmap import (
     random_three_connected,
     random_two_connected,
     reconstruct_vertex_isomorphism,
-    star,
     StarAt,
     theta_graph,
     two_disjoint_paths,
@@ -47,8 +45,8 @@ from circuitmap import circuits as circuits_module, edge_maps
 from circuitmap.connectivity import _cuts_and_count, _small_separator
 from circuitmap.graph import _components
 from circuitmap.rng import XorShift64Star
-from conftest import (CORPUS, blocks_and_trees, complete, cycle_graph, ladder,
-                      seeded_relabel, whitney_twist)
+from conftest import (CORPUS, blocks_and_trees, complete, cycle_graph, k23_onto_k4_map,
+                      ladder, seeded_relabel, whitney_twist)
 from oracle import (
     _connected_on,
     brute_circuits,
@@ -81,7 +79,7 @@ def graphs(draw, max_vertices=7, max_edges=10):
 def test_each_edge_sits_in_exactly_its_two_endpoint_stars(g):
     for eid in range(g.edge_count()):
         u, v = g.endpoints(eid)
-        holders = [x for x in g.vertices if eid in star(g, x).members]
+        holders = [x for x in g.vertices if eid in g.incident_edges(x)]
         assert sorted(holders) == sorted((u, v))
 
 
@@ -230,8 +228,12 @@ def test_circuit_symmetric_differences_stay_even(g):
                 is_circuit(g, EdgeSet(g, mix))
 
 
+# theta3 and K_{2,3} have only two-vertex separators, so a guard refusal that
+# named too few labels fails here, not only in the fixed families.
 @settings(max_examples=30, deadline=None)
 @given(graphs(max_vertices=6, max_edges=9), st.integers(1, 4))
+@example(named_graph("theta", 3), 3)
+@example(k23_onto_k4_map().source, 3)
 def test_connectivity_matches_oracle(g, k):
     assert is_k_connected(g, k) is brute_is_k_connected(g, k)
     if k <= 3 and g.vertex_count() > k:
@@ -319,7 +321,7 @@ def sparse_graphs(draw, max_vertices=9):
 @given(sparse_graphs())
 def test_traversal_answers_match_oracle(g):
     assert cutpoints(g) == brute_cutpoints(g)
-    assert [set(b) for b in components(g)] == brute_components(g)
+    assert [set(b) for b in _components(g._adjacency, g.vertices)] == brute_components(g)
     for k in (1, 2):
         assert is_k_connected(g, k) is brute_is_k_connected(g, k)
 
@@ -560,7 +562,7 @@ _LEAST_PAIR_AWAY_FROM_FIRST_VERTEX = EdgeMap(
 @example(_LEAST_PAIR_AWAY_FROM_FIRST_VERTEX)
 def test_star_classes_match_oracle(f):
     for v in f.source.vertices:
-        ids = f.image(star(f.source, v).members)
+        ids = f.image(f.source.incident_edges(v))
         if not ids:
             with pytest.raises(InputError, match="has no incident edges$"):
                 classify_star_image(f, v)
@@ -568,7 +570,7 @@ def test_star_classes_match_oracle(f):
         assert (_star_class_tuple(classify_star_image(f, v))
                 == brute_star_class(f.target, ids))
     for w in f.target.vertices:
-        ids = f.preimage(star(f.target, w).members)
+        ids = f.preimage(f.target.incident_edges(w))
         if not ids:
             with pytest.raises(InputError, match="has no incident edges$"):
                 classify_star_preimage(f, w)
@@ -622,7 +624,7 @@ def test_reconstruct_matches_brute_force_vertex_maps(f):
     # map read is one of the oracle's. Only an isolated vertex refuses a
     # map that some vertex bijection induces.
     maps = brute_inducing_maps(f)
-    classes = {v: brute_star_class(f.target, f.image(star(f.source, v).members))
+    classes = {v: brute_star_class(f.target, f.image(f.source.incident_edges(v)))
                for v in f.source.vertices if f.source.incident_edges(v)}
     first = next((v for v in f.source.vertices
                   if v not in classes or classes[v][0] != "star"), None)
@@ -728,7 +730,7 @@ def test_sampled_stop_reason_follows_from_the_count(g, shuffle_seed, samples, se
     except NotInducedError:
         assert v.stop_reason != "induced"
     else:
-        rank = g.edge_count() - g.vertex_count() + len(components(g))
+        rank = g.edge_count() - g.vertex_count() + len(_components(g._adjacency, g.vertices))
         assert (v.passed, v.circuits_checked, v.attempts, v.stop_reason) == (
             True, min(samples, rank), 0, "induced")
         return

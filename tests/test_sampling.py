@@ -2,9 +2,11 @@
 
 import json
 import re
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circuitmap import (
     EdgeMap,
@@ -15,7 +17,6 @@ from circuitmap import (
     build_counterexample,
     build_graph,
     check_circuit_injection,
-    components,
     is_circuit,
     named_graph,
     permuted_edge_map,
@@ -27,8 +28,10 @@ from circuitmap import (
 from circuitmap import edge_maps
 from circuitmap.cli import EXIT_PASS, main
 from circuitmap.edge_maps import _sampled_circuits
+from circuitmap.graph import _components
+from circuitmap.rng import XorShift64Star
 from conftest import complete, cycle_graph, seeded_relabel, whitney_twist
-from test_edge_maps import with_swaps
+from test_edge_maps import assert_witness_checks, with_swaps
 
 GOLDEN_STREAMS = Path(__file__).parent / "data" / "sampled_circuits_golden.json"
 CATALOG = ("K4", "K5", "K33", "prism", "Q3", "double_bowtie",
@@ -59,12 +62,14 @@ def stream_cases():
 
 
 def draw_streams() -> dict[str, list[list[int]]]:
-    """Sorted edge-id lists in draw order, keyed "<case>/seed<k>"."""
+    """Sorted edge-id lists of the first SAMPLES circuits in draw order,
+    keyed "<case>/seed<k>". A stream runs past SAMPLES only on a forest of
+    more chords, and then with that forest's other circuits, never a mix."""
     out = {}
     for name, graph in stream_cases():
         for seed in SEEDS:
-            out[f"{name}/seed{seed}"] = [
-                sorted(ids) for ids in _sampled_circuits(graph, SAMPLES, seed, stats={})]
+            stream = _sampled_circuits(graph, SAMPLES, seed, stats={})
+            out[f"{name}/seed{seed}"] = [sorted(ids) for ids in islice(stream, SAMPLES)]
     return out
 
 
@@ -76,6 +81,8 @@ def test_every_drawn_set_is_a_distinct_circuit():
     for name, graph in stream_cases():
         drawn = [frozenset(ids) for ids in _sampled_circuits(graph, SAMPLES, 2, stats={})]
         assert len(set(drawn)) == len(drawn), name
+        if cycle_rank(graph) >= SAMPLES:  # every chord's circuit, and no mix
+            assert len(drawn) == cycle_rank(graph), name
         assert all(is_circuit(graph, EdgeSet(graph, ids)) for ids in drawn), name
 
 
@@ -87,7 +94,7 @@ def identity(graph):
 
 
 def cycle_rank(graph):
-    return graph.edge_count() - graph.vertex_count() + len(components(graph))
+    return graph.edge_count() - graph.vertex_count() + len(_components(graph._adjacency, graph.vertices))
 
 
 def refused(f):
@@ -390,3 +397,65 @@ def test_induced_map_at_the_count_threshold_draws_no_circuit(f, monkeypatch):
     for samples in (5, 50, 500):
         v = check_circuit_injection(f, mode="sampled", samples=samples, seed=2)
         assert v == induced_verdict(f, samples), samples
+
+
+# -- a refused map: the whole seeded forest before a pass -----------------------
+
+
+def swapped_random3c(n):
+    """random_three_connected(n, 3), relabelled, with the images of two
+    vertex-disjoint edges exchanged: the first such pair XorShift64Star(1)
+    draws. The read refuses it, and its target has the source's rank."""
+    f = relabelled(random_three_connected(n, 3))
+    g, rng = f.source, XorShift64Star(1)
+    while True:
+        i, j = rng.randrange(g.edge_count()), rng.randrange(g.edge_count())
+        if not set(g.edges[i]) & set(g.edges[j]):
+            break
+    images = list(f.assignment)
+    images[i], images[j] = images[j], images[i]
+    return refused(EdgeMap(g, f.target, tuple(images)))
+
+
+@pytest.mark.parametrize("n, missed", [
+    pytest.param(1000, {1, 2, 5, 6, 7, 8, 9}, id="n1000"),
+    pytest.param(2000, {1, 2, 3, 6, 7, 8, 9, 10}, id="n2000"),
+])
+def test_swapped_random3c_fails_at_every_sampling_seed(n, missed):
+    # Each seeded forest has a forward witness. At the seeds in `missed` none
+    # lies among its first 500 fundamental circuits, which were all a run
+    # tested before it passed; the rest of the forest now finds one. At the
+    # other seeds the witness and its count are those of the first 500.
+    f = swapped_random3c(n)
+    assert edge_maps._basis_test(f)[1] == "forward"
+    for seed in range(1, 11):
+        v = check_circuit_injection(f, mode="sampled", samples=500, seed=seed)
+        assert not v.passed and v.stop_reason == "witness", seed
+        assert (v.circuits_checked > 500) is (seed in missed), seed
+        assert v.attempts == 0
+        assert_witness_checks(f, v)
+
+
+@st.composite
+def swapped_random_maps(draw):
+    """A relabelled random2c or random3c map with 0-2 seeded image swaps."""
+    generate = draw(st.sampled_from([random_two_connected, random_three_connected]))
+    g = generate(draw(st.integers(4, 40)), draw(st.integers(0, 2**16)))
+    return with_swaps(relabelled(g, draw(st.integers(0, 99))), draw(st.integers(0, 2)),
+                      draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(swapped_random_maps(), st.sampled_from([1, 5, 50, 500]),
+       st.lists(st.integers(1, 2**31), min_size=1, max_size=3))
+def test_sampled_mode_fails_wherever_the_basis_test_has_a_forward_witness(f, samples, seeds):
+    # The target has the source's rank, so every spanning forest has a
+    # forward witness when one has; with none, the map is an isomorphism.
+    direction = edge_maps._basis_test(f)[1]
+    for seed in seeds:
+        v = check_circuit_injection(f, mode="sampled", samples=samples, seed=seed)
+        if direction == "forward":
+            assert not v.passed and v.stop_reason == "witness", seed
+            assert_witness_checks(f, v)
+        else:
+            assert direction is None and v.passed, seed
