@@ -34,8 +34,8 @@ _HOME = {name: module for module, names in (
                    " random_three_connected random_two_connected theta_graph"),
     ("graph", "Circuit EdgeSet Graph Path build_graph edge_set_from_pairs"
               " graph_from_json graph_to_json induced_subgraph"),
-    ("structure", "LinkedCircuitPair connector_images_nonadjacent decompose_by_star_preimage"
-                  " find_crossing_structure validate_linked_pair"),
+    ("structure", "LinkedCircuitPair decompose_by_star_preimage find_crossing_structure"
+                  " validate_linked_pair"),
 ) for name in names.split()}
 _SUBMODULES = frozenset(_HOME.values()) | {"cli", "rng"}
 __all__ = ["__version__", *_HOME]

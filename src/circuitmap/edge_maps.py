@@ -80,9 +80,6 @@ class EdgeMap(Frozen):
     def preimage(self, edge_ids) -> frozenset[int]:
         return frozenset(self._inverse[j] for j in edge_ids)
 
-    def inverted(self) -> "EdgeMap":
-        return EdgeMap(self.target, self.source, self._inverse)
-
 
 def edge_map_to_json(edge_map: EdgeMap) -> dict:
     """Wire form: one [[source pair], [target pair]] entry per source edge id."""

@@ -202,9 +202,6 @@ class EdgeSet(Frozen):
     def __contains__(self, edge_id: int) -> bool:
         return edge_id in self.members
 
-    def vertex_set(self) -> frozenset[str]:
-        return _touched(self.host, self.members)
-
 
 def _require_edge_ids(host: Graph, ids: Iterable[int]) -> None:
     """Refuse any id that is not an int (a bool is not) in range(host.edge_count())."""
@@ -212,11 +209,6 @@ def _require_edge_ids(host: Graph, ids: Iterable[int]) -> None:
     for i in ids:
         if type(i) is not int or not 0 <= i < m:
             raise InputError(f"invalid edge id {i!r} for host with {m} edges")
-
-
-def _touched(graph: Graph, ids: Iterable[int]) -> frozenset[str]:
-    """The vertices that the edges `ids` of graph touch."""
-    return frozenset([v for i in ids for v in graph.edges[i]])
 
 
 def edge_set_from_pairs(graph: Graph, pairs: Sequence[Sequence[str]]) -> EdgeSet:
@@ -334,7 +326,7 @@ class Circuit(Frozen):
         return len(self.edges)
 
     def vertex_set(self) -> frozenset[str]:
-        return _touched(self.host, self.edges)
+        return frozenset([v for i in self.edges for v in self.host.edges[i]])
 
 
 # -- whole-graph operations --

@@ -17,8 +17,8 @@ two configurations always exists and is constructed here:
 
 The first arises when both sides are 2-connected; the second when a side
 has a cutpoint, by routing two disjoint paths around it through the other
-side. Downstream, the bridge edges of a linked pair are exactly the pairs
-whose images under a circuit injection can never share an endpoint.
+side. The paper then uses a linked pair's two bridge edges: under a circuit
+injection their images never share an endpoint (tests/oracle.py checks it).
 """
 
 from __future__ import annotations
@@ -239,16 +239,3 @@ def _circuit_around_cutpoint(graph: Graph, crossing: EdgeSet,
             f"constructed circuit uses {used} crossing edges, expected >= 4")
     return circuit
 
-
-def connector_images_nonadjacent(edge_map: EdgeMap,
-                                 witness: LinkedCircuitPair) -> bool:
-    """Do the images of the two bridge connectors avoid sharing an endpoint?
-
-    For a verified circuit injection whose source carries the witness this
-    is always true; the check validates the witness first and then simply
-    compares image endpoints.
-    """
-    validate_linked_pair(edge_map.source, witness)
-    u, v = edge_map.target.endpoints(edge_map.image_of(witness.bridge_a))
-    x, y = edge_map.target.endpoints(edge_map.image_of(witness.bridge_b))
-    return not ({u, v} & {x, y})

@@ -2,12 +2,18 @@
 
 Everything here is written from scratch against the definitions, on purpose:
 no calls into circuitmap beyond reading Graph's public accessors. Slow is
-fine; these only run on small graphs.
+fine; these only run on small graphs. One exception:
+connector_images_nonadjacent, the reference for the paper's claim that the
+two bridge connectors of a linked circuit pair keep nonadjacent images
+(acceptance criterion 6), validates its witness with the library's
+validate_linked_pair before it compares endpoints.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from circuitmap import validate_linked_pair
 
 
 def _degree_and_adjacency(graph, edge_ids):
@@ -227,3 +233,16 @@ def brute_cutpoints(graph) -> tuple[str, ...]:
     before = _component_count(graph, everyone)
     return tuple(sorted(v for v in graph.vertices
                         if _component_count(graph, everyone - {v}) > before))
+
+
+def connector_images_nonadjacent(edge_map, witness) -> bool:
+    """Do the images of the two bridge connectors avoid sharing an endpoint?
+
+    For a verified circuit injection whose source carries the witness this
+    is always true; the check validates the witness first and then simply
+    compares image endpoints.
+    """
+    validate_linked_pair(edge_map.source, witness)
+    u, v = edge_map.target.endpoints(edge_map.image_of(witness.bridge_a))
+    x, y = edge_map.target.endpoints(edge_map.image_of(witness.bridge_b))
+    return not ({u, v} & {x, y})

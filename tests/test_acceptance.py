@@ -31,7 +31,6 @@ from circuitmap import (
     circuit_and_attached_path,
     classify_star_image,
     classify_star_preimage,
-    connector_images_nonadjacent,
     decompose_by_star_preimage,
     edge_set_from_pairs,
     enumerate_circuits,
@@ -46,7 +45,7 @@ from circuitmap import (
 )
 from circuitmap.rng import XorShift64Star
 from conftest import ACCEPTANCE_LINES, CORPUS, seeded_relabel
-from oracle import brute_circuits, brute_is_k_connected
+from oracle import brute_circuits, brute_is_k_connected, connector_images_nonadjacent
 
 TRIALS_RELABEL = 100
 TRIALS_ATTACH = 200

@@ -3,6 +3,7 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circuitmap import (
     DecompositionViolationError,
@@ -35,9 +36,10 @@ from circuitmap import (
     reconstruct_vertex_isomorphism,
 )
 from circuitmap import edge_maps
+from circuitmap.graph import _components
 from circuitmap.rng import XorShift64Star
 from conftest import complete, corpus_graphs, seeded_relabel, whitney_twist
-from oracle import brute_circuits
+from oracle import brute_circuits, brute_is_circuit
 
 
 def identity_map(g):
@@ -78,7 +80,7 @@ class TestEdgeMapValidation:
         f = EdgeMap(k4, k4, (1, 0, 2, 3, 4, 5))
         assert f.image({0, 2}) == frozenset({1, 2})
         assert f.preimage({0, 1}) == frozenset({0, 1})
-        assert f.inverted().image_of(1) == 0
+        assert EdgeMap(f.target, f.source, f._inverse).image_of(1) == 0
 
 
 class TestEdgeMapJson:
@@ -254,12 +256,32 @@ def differential_instances():
     for p in (3, 5):
         f = build_counterexample(p)[2]
         cases += [pytest.param(f, id=f"counterexample_p{p}"),
-                  pytest.param(f.inverted(), id=f"inverse_p{p}")]
+                  pytest.param(EdgeMap(f.target, f.source, f._inverse), id=f"inverse_p{p}")]
     for seed in range(10):
         f = whitney_twist(4 + seed % 4, 6 + seed % 3, seed)
         cases += [pytest.param(f, id=f"twist/seed{seed}"),
                   pytest.param(with_swaps(f, 1, seed), id=f"twist/seed{seed}/swaps1")]
     return cases
+
+
+@st.composite
+def equal_size_maps(draw):
+    """A bijection between two random graphs on at most 8 vertices with the
+    same m <= 12 edges, or a relabelled copy of one with up to one image
+    swap, so that targets of equal rank with circuits are drawn too."""
+    m = draw(st.integers(0, 12))
+
+    def graph():
+        n = draw(st.integers(next(n for n in range(1, 9) if n * (n - 1) // 2 >= m), 8))
+        pairs = [(str(i), str(j)) for i in range(n) for j in range(i + 1, n)]
+        return build_graph(map(str, range(n)), draw(st.permutations(pairs))[:m])
+
+    g = graph()
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32))
+        return with_swaps(permuted_edge_map(g, seeded_relabel(g, seed)),
+                          draw(st.integers(0, min(m, 1))), seed)
+    return EdgeMap(g, graph(), tuple(draw(st.permutations(range(m)))))
 
 
 class TestIsomorphismByBasis:
@@ -321,11 +343,31 @@ class TestIsomorphismByBasis:
     @pytest.mark.parametrize("f", differential_instances())
     def test_matches_two_way_exhaustive(self, f):
         verdict = check_circuit_isomorphism(f)
+        inverse = EdgeMap(f.target, f.source, f._inverse)
         exhaustive = (check_circuit_injection(f).passed
-                      and check_circuit_injection(f.inverted()).passed)
+                      and check_circuit_injection(inverse).passed)
         assert verdict.passed is exhaustive
         if not verdict.passed:
             assert_witness_checks(f, verdict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_size_maps())
+    def test_reverse_pass_decides_by_rank(self, f):
+        # A forward pass over one spanning forest carries the cycle space of
+        # G into that of H. So equal rank makes the map a circuit isomorphism,
+        # lower rank leaves a circuit in f(F) for the reverse pass to find,
+        # and a target of higher rank always breaks a fundamental circuit.
+        _, chords, circuit_of = edge_maps._shuffled_forest(f.source, XorShift64Star(1))
+        forward = all(brute_is_circuit(f.target, f.image(circuit_of(e))) for e in chords)
+        direction = edge_maps._basis_test(f)[1]
+        r_g, r_h = (g.vertex_count() - len(_components(g._adjacency, g.vertices))
+                    for g in (f.source, f.target))
+        assert (direction is None) is (forward and r_h == r_g)
+        assert (direction == "reverse") is (forward and r_h < r_g)
+        assert not (forward and r_h > r_g)  # so a target of higher rank gives "forward"
+        if direction is None:
+            assert check_circuit_injection(f).passed
+            assert all(brute_is_circuit(f.target, f.image(c)) for c in brute_circuits(f.source))
 
 
 class TestStarClassification:
@@ -534,7 +576,7 @@ class TestInducedReader:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_false_on_counterexample_and_inverse(self, p):
         f = build_counterexample(p)[2]
-        for g in (f, f.inverted()):
+        for g in (f, EdgeMap(f.target, f.source, f._inverse)):
             with pytest.raises(NotInducedError) as info:
                 self.read(g)
             assert info.value.star_class is not None

@@ -51,18 +51,17 @@ PUBLIC = {
                    "theta_graph"],
     "graph": ["Circuit", "EdgeSet", "Graph", "Path", "build_graph", "edge_set_from_pairs",
               "graph_from_json", "graph_to_json", "induced_subgraph"],
-    "structure": ["LinkedCircuitPair", "connector_images_nonadjacent",
-                  "decompose_by_star_preimage", "find_crossing_structure",
-                  "validate_linked_pair"],
+    "structure": ["LinkedCircuitPair", "decompose_by_star_preimage",
+                  "find_crossing_structure", "validate_linked_pair"],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 SUBMODULES = ["circuits", "cli", "connectivity", "edge_maps", "errors", "generators",
               "graph", "rng", "structure"]
 
 
-def test_public_surface_has_51_names():
-    assert len(NAMES) == 51
-    assert len({name for _, name in NAMES}) == 51
+def test_public_surface_has_50_names():
+    assert len(NAMES) == 50
+    assert len({name for _, name in NAMES}) == 50
 
 
 @pytest.mark.parametrize("module,name", NAMES)

@@ -471,7 +471,8 @@ def exhaustive_branch_cases(draw):
                                      permuted_edge_map(k6, seeded_relabel(k6, seed)))
     if branch == "both_fail":
         if draw(st.integers(0, 9)) == 0:
-            return branch, build_counterexample(3)[2].inverted()
+            f = build_counterexample(3)[2]
+            return branch, EdgeMap(f.target, f.source, f._inverse)
         g = random_three_connected(draw(st.integers(4, 8)), seed)
         f = permuted_edge_map(g, seeded_relabel(g, seed))
         i, j = draw(st.lists(st.integers(0, g.edge_count() - 1), min_size=2, max_size=2,

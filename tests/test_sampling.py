@@ -286,7 +286,8 @@ def differential_maps():
                   (f"{name}/swap2", with_swaps(f, 2, 3))]
     for p in (3, 5, 7):
         f = build_counterexample(p)[2]
-        cases += [(f"counterexample_p{p}", f), (f"inverse_p{p}", f.inverted())]
+        cases += [(f"counterexample_p{p}", f),
+                  (f"inverse_p{p}", EdgeMap(f.target, f.source, f._inverse))]
     cases += [(f"twist/seed{seed}", whitney_twist(5, 6, seed)) for seed in range(3)]
     cases.append(("disconnected", relabelled(disconnected_source())))
     return cases

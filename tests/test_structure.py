@@ -16,7 +16,6 @@ from circuitmap import (
     Path,
     build_counterexample,
     build_graph,
-    connector_images_nonadjacent,
     cutpoints,
     decompose_by_star_preimage,
     edge_set_from_pairs,
@@ -30,7 +29,7 @@ from circuitmap import (
 from circuitmap import structure
 from circuitmap.rng import XorShift64Star
 from circuitmap.structure import _two_sides
-from oracle import brute_is_k_connected
+from oracle import brute_is_k_connected, connector_images_nonadjacent
 
 # One record per case of crossing_cases(): the witness's kind, circuits,
 # bridges, path vertices, path edge and anchors, recorded from the search

@@ -168,7 +168,8 @@ def test_cached_lookups_on_frozen_instances():
     assert edge_map._inverse == (2, 0, 1)
     assert edge_map._inverse is edge_map._inverse
     assert edge_map._inverse[0] == 2
-    assert edge_map.inverted() == EdgeMap(triangle(), triangle(), (2, 0, 1))
+    assert EdgeMap(edge_map.target, edge_map.source, edge_map._inverse) \
+        == EdgeMap(triangle(), triangle(), (2, 0, 1))
 
     iso = VertexIso(sorted({"b": "a", "a": "b"}.items()))
     assert iso.as_dict == {"a": "b", "b": "a"}
